@@ -17,12 +17,11 @@ homology of rank 2 vanish, which the acceptance suite rejects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .forests import ForestedGraph, ForestIndex, ForestKey
 from .multigraph import (
     GraphClass,
-    Multigraph,
     canonical_form_mapped,
     contract_edges_mapped,
 )
@@ -46,15 +45,6 @@ class SparseIntMat:
         for r, c, v in self.entries:
             out[c][r] = v
         return out
-
-    def row_dicts(self) -> list[dict[int, int]]:
-        out: list[dict[int, int]] = [dict() for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            out[r][c] = v
-        return out
-
-    def transpose_entries(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple((c, r, v) for r, c, v in self.entries)
 
     def to_lines(self) -> list[str]:
         lines = [f"{self.rows} {self.cols} {len(self.entries)}"]
@@ -212,30 +202,75 @@ def basis_from_labels(
     return ChainBasis(n=n, p=p, elements=tuple(elements))
 
 
+def boundary_terms(
+    el: ForestedGraph, kind: str, store: ClassStore
+) -> Iterator[tuple[int, ForestKey]]:
+    """Terms ``(sign, target key)`` of the ``"contract"`` or ``"remove"``
+    boundary of one generator: the i-th forest edge is contracted or dropped,
+    with sign ``(-1)^i``.  Targets zero by odd symmetry are skipped."""
+    if kind not in ("contract", "remove"):
+        raise ValueError(f"unknown boundary kind {kind!r}")
+    src = store.intern(el.graph)
+    forest = el.forest
+    for i, pos in enumerate(forest, start=1):
+        rest = [f for f in forest if f != pos]
+        if kind == "contract":
+            target, pos_map = store.contract_one(src, pos)
+            ref = store.forest_index(target).normalize([pos_map[f] for f in rest])
+        else:
+            ref = store.forest_index(src).normalize(rest)
+        if ref.sign != 0:
+            yield (-ref.sign if i & 1 else ref.sign), ref.key
+
+
+def accumulate_boundary(
+    acc: dict[tuple[ForestKey, int], int],
+    b: ChainBasis,
+    kind: str,
+    store: ClassStore,
+    scale: int = 1,
+) -> dict[tuple[ForestKey, int], int]:
+    """Add ``scale`` times one boundary of every basis column into ``acc``."""
+    for col, el in enumerate(b.elements):
+        for sign, key in boundary_terms(el, kind, store):
+            cell = (key, col)
+            acc[cell] = acc.get(cell, 0) + scale * sign
+    return acc
+
+
+def assemble(
+    acc: dict[tuple[ForestKey, int], int],
+    cols: int,
+    target: Optional[ChainBasis] = None,
+) -> SparseIntMat:
+    """Matrix of ``{(row key, col): value}``.  Rows are the sorted keys of
+    nonzero cells, or the ``target`` basis, which must hold every key."""
+    if target is None:
+        labels = tuple(sorted({key for (key, _), v in acc.items() if v != 0}))
+        row_of = {key: r for r, key in enumerate(labels)}
+    else:
+        labels = tuple(e.key for e in target.elements)
+        row_of = target.index
+        missing = [key for key, _ in acc if key not in row_of]
+        if missing:
+            raise InconsistencyError(
+                f"boundary target {min(missing)} missing from the p={target.p} basis"
+            )
+    entries = tuple(
+        sorted((row_of[key], col, v) for (key, col), v in acc.items() if v != 0)
+    )
+    return SparseIntMat(len(labels), cols, entries, labels)
+
+
 def boundary_contract(b: ChainBasis, store: Optional[ClassStore] = None) -> SparseIntMat:
     """Matrix of the contraction boundary on the given basis.
 
-    Rows are the distinct normalized one-edge contractions, hash-consed as
-    they occur and finally re-sorted by canonical key; all-zero rows are
-    dropped.  For p = 0 the matrix is 0 x dim.
+    Rows are the distinct normalized one-edge contractions, hash-consed and
+    sorted by canonical key; all-zero rows are dropped.  For p = 0 the
+    matrix is 0 x dim.
     """
     store = store or ClassStore()
-    if b.p == 0:
-        return SparseIntMat(0, b.dim, (), ())
-    acc: dict[tuple[ForestKey, int], int] = {}
-    for col, el in enumerate(b.elements):
-        src = store.intern(el.graph)
-        forest = el.forest
-        for i, pos in enumerate(forest, start=1):
-            target, pos_map = store.contract_one(src, pos)
-            mapped = [pos_map[f] for f in forest if f != pos]
-            ref = store.forest_index(target).normalize(mapped)
-            if ref.sign == 0:
-                continue
-            val = -ref.sign if i & 1 else ref.sign
-            cell = (ref.key, col)
-            acc[cell] = acc.get(cell, 0) + val
-    return _assemble_hashed(acc, b.dim)
+    return assemble(accumulate_boundary({}, b, "contract", store), b.dim)
 
 
 def boundary_remove(
@@ -251,43 +286,7 @@ def boundary_remove(
     whose predecessor basis is too large to enumerate).
     """
     store = store or ClassStore()
-    if b.p == 0:
-        return SparseIntMat(0, b.dim, (), ())
-    acc: dict[tuple[ForestKey, int], int] = {}
-    for col, el in enumerate(b.elements):
-        src = store.intern(el.graph)
-        fi = store.forest_index(src)
-        forest = el.forest
-        for i, pos in enumerate(forest, start=1):
-            rest = [f for f in forest if f != pos]
-            ref = fi.normalize(rest)
-            if ref.sign == 0:
-                continue
-            if target is not None and ref.key not in target.index:
-                raise InconsistencyError(
-                    f"removal target {ref.key} missing from p={b.p - 1} basis"
-                )
-            val = -ref.sign if i & 1 else ref.sign
-            cell = (ref.key, col)
-            acc[cell] = acc.get(cell, 0) + val
-    if target is None:
-        return _assemble_hashed(acc, b.dim)
-    entries = tuple(
-        (target.index[key], col, v)
-        for (key, col), v in sorted(acc.items())
-        if v != 0
-    )
-    return SparseIntMat(target.dim, b.dim, entries, tuple(e.key for e in target.elements))
-
-
-def _assemble_hashed(acc: dict[tuple[ForestKey, int], int], cols: int) -> SparseIntMat:
-    live = {(key, col): v for (key, col), v in acc.items() if v != 0}
-    row_keys = sorted({key for key, _ in live})
-    row_of = {key: r for r, key in enumerate(row_keys)}
-    entries = tuple(
-        sorted((row_of[key], col, v) for (key, col), v in live.items())
-    )
-    return SparseIntMat(len(row_keys), cols, entries, tuple(row_keys))
+    return assemble(accumulate_boundary({}, b, "remove", store), b.dim, target)
 
 
 def matmul(a: SparseIntMat, b: SparseIntMat) -> SparseIntMat:

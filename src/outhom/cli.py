@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .chain import ClassStore, boundary_contract, boundary_remove, build_chain_basis
+from .chain import ClassStore, boundary_contract, boundary_remove
 from .cycleio import CycleFormatError, parse_cycle, verify_cycle
 from .enumerator import EnumSpec, ResourceCapError
 from .exactla import DEFAULT_PRIMES, FieldSpec
@@ -24,9 +24,9 @@ from .pipeline import (
     CrossPrimeError,
     NegativeDimensionError,
     RankProfile,
+    cached_enumeration,
     compute_rank_profile,
     cross_prime_profile,
-    default_p_range,
     oracle_full_complex,
 )
 
@@ -138,8 +138,6 @@ def _emit_profile(rp: RankProfile, fmt: str) -> None:
 def _cmd_graphs(args: argparse.Namespace) -> int:
     cfg = _config(args)
     spec = EnumSpec(cfg.n, max_degree=args.max_degree, allow_loops=args.allow_loops)
-    from .pipeline import cached_enumeration
-
     graphs = cached_enumeration(spec, cfg.cache_dir, cfg.threads)
     if cfg.count_only:
         print(len(graphs))
@@ -152,10 +150,10 @@ def _cmd_graphs(args: argparse.Namespace) -> int:
 def _cmd_basis(args: argparse.Namespace) -> int:
     cfg = _config(args)
     p = args.p if args.p is not None else 0
-    from .pipeline import _cached_basis, _cached_graphs
+    from .pipeline import _cached_basis
 
     store = ClassStore()
-    graphs = _cached_graphs(cfg.n, cfg.cache_dir, 10_000_000, cfg.threads)
+    graphs = cached_enumeration(EnumSpec(cfg.n), cfg.cache_dir, cfg.threads)
     basis = _cached_basis(cfg.n, p, graphs, store, cfg.cache_dir, cfg.max_basis, cfg.threads)
     if cfg.count_only:
         print(basis.dim)
@@ -168,10 +166,10 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 def _cmd_matrices(args: argparse.Namespace) -> int:
     cfg = _config(args)
     p = args.p if args.p is not None else 1
-    from .pipeline import _cached_basis, _cached_graphs, _cached_matrix
+    from .pipeline import _cached_basis, _cached_matrix
 
     store = ClassStore()
-    graphs = _cached_graphs(cfg.n, cfg.cache_dir, 10_000_000, cfg.threads)
+    graphs = cached_enumeration(EnumSpec(cfg.n), cfg.cache_dir, cfg.threads)
     basis = _cached_basis(cfg.n, p, graphs, store, cfg.cache_dir, cfg.max_basis, cfg.threads)
     dc = _cached_matrix(
         f"dc-n{cfg.n}-p{p}", cfg.cache_dir, lambda: boundary_contract(basis, store)
@@ -242,7 +240,7 @@ def _cmd_verify_cycle(args: argparse.Namespace) -> int:
     cfg = _config(args)
     if args.p is None:
         return _fail("verify-cycle needs --p (the forest size of the basis)")
-    from .pipeline import _cached_basis, _cached_graphs
+    from .pipeline import _cached_basis
 
     store = ClassStore()
     try:
@@ -256,7 +254,7 @@ def _cmd_verify_cycle(args: argparse.Namespace) -> int:
         return _fail(
             f"cycle file has (n={w.n}, p={w.p}), expected (n={cfg.n}, p={args.p})"
         )
-    graphs = _cached_graphs(cfg.n, cfg.cache_dir, 10_000_000, cfg.threads)
+    graphs = cached_enumeration(EnumSpec(cfg.n), cfg.cache_dir, cfg.threads)
     basis = _cached_basis(
         cfg.n, args.p, graphs, store, cfg.cache_dir, cfg.max_basis, cfg.threads
     )

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .chain import ChainBasis, ClassStore
+from .chain import ChainBasis, ClassStore, boundary_terms
 from .forests import ForestKey, ForestedGraph
 from .multigraph import Multigraph, canonical_form_mapped
 
@@ -32,10 +32,6 @@ class CycleVector:
     n: int
     p: int
     terms: tuple[tuple[int, ForestedGraph], ...]
-
-    def coefficient_range(self) -> tuple[int, int]:
-        vals = [abs(coeff) for coeff, _ in self.terms]
-        return (min(vals), max(vals)) if vals else (0, 0)
 
 
 def parse_cycle(lines, store: Optional[ClassStore] = None) -> CycleVector:
@@ -156,20 +152,9 @@ def verify_cycle(
     contract_acc: dict[ForestKey, int] = {}
     remove_acc: dict[ForestKey, int] = {}
     for coeff, fg in w.terms:
-        src = store.intern(fg.graph)
-        fi = store.forest_index(src)
-        forest = fg.forest
-        for i, pos in enumerate(forest, start=1):
-            sgn = -coeff if i & 1 else coeff
-            target, pos_map = store.contract_one(src, pos)
-            ref = store.forest_index(target).normalize(
-                [pos_map[x] for x in forest if x != pos]
-            )
-            if ref.sign != 0:
-                contract_acc[ref.key] = contract_acc.get(ref.key, 0) + sgn * ref.sign
-            ref = fi.normalize([x for x in forest if x != pos])
-            if ref.sign != 0:
-                remove_acc[ref.key] = remove_acc.get(ref.key, 0) + sgn * ref.sign
+        for kind, acc in (("contract", contract_acc), ("remove", remove_acc)):
+            for sign, key in boundary_terms(fg, kind, store):
+                acc[key] = acc.get(key, 0) + coeff * sign
     d_c_zero = all(v == 0 for v in contract_acc.values())
     d_r_zero = all(v == 0 for v in remove_acc.values())
     return CycleVerdict(True, d_c_zero, d_r_zero)

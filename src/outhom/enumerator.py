@@ -19,10 +19,11 @@ complex oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .multigraph import GraphClass, Multigraph, canonical_form, classify
+from .parallel import pmap
 
 
 class ResourceCapError(RuntimeError):
@@ -54,13 +55,15 @@ class EnumSpec:
         return self.max_degree == 0
 
 
-def enumerate_graphs(spec: EnumSpec) -> list[GraphClass]:
-    """One representative per isomorphism class, sorted by canonical key."""
+def enumerate_graphs(spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
+    """One representative per isomorphism class, sorted by canonical key.
+
+    ``threads`` applies to trivalent classes; half-edge pairing is serial.
+    """
     if spec.trivalent and not spec.allow_loops:
-        keys = _trivalent_classes(spec.n, spec.max_classes)
         out = [
             cls
-            for cls in keys.values()
+            for cls in cubic_level(spec.n, spec.max_classes, threads).values()
             if _passes(cls.canon, spec)
         ]
     else:
@@ -106,32 +109,41 @@ def _insert_edge(g: Multigraph, e: int, f: int) -> Multigraph:
     return Multigraph(g.vertex_count + 2, tuple(edges))
 
 
-def cubic_level(n: int, max_classes: int = 10_000_000) -> dict[bytes, GraphClass]:
+def _children(parent: Multigraph) -> list[GraphClass]:
+    """Classes of every single edge insertion into ``parent``."""
+    e_cnt = parent.edge_count
+    return [
+        canonical_form(_insert_edge(parent, e, f))
+        for e in range(e_cnt)
+        for f in range(e, e_cnt)
+    ]
+
+
+def cubic_level(
+    n: int, max_classes: int = 10_000_000, threads: int = 1
+) -> dict[bytes, GraphClass]:
     """All connected loopless cubic multigraph classes of rank n (bridged
-    ones included); keyed by canonical key."""
+    ones included); keyed by canonical key.
+
+    Parents are expanded in key order on ``threads`` processes and their
+    children deduplicated as they arrive, so the result is thread-invariant.
+    """
     if n < 2:
         raise ValueError("rank must be >= 2")
     level = {c.canonical_key: c for c in [canonical_form(_theta())]}
     for _ in range(3, n + 1):
+        parents = [level[key].canon for key in sorted(level)]
         nxt: dict[bytes, GraphClass] = {}
-        for key in sorted(level):
-            parent = level[key].canon
-            e_cnt = parent.edge_count
-            for e in range(e_cnt):
-                for f in range(e, e_cnt):
-                    cls = canonical_form(_insert_edge(parent, e, f))
-                    nxt.setdefault(cls.canonical_key, cls)
-                    if len(nxt) > max_classes:
-                        raise ResourceCapError(
-                            f"class cap {max_classes} exceeded at rank step",
-                            partial=len(nxt),
-                        )
+        for children in pmap(_children, parents, threads):
+            for cls in children:
+                nxt.setdefault(cls.canonical_key, cls)
+                if len(nxt) > max_classes:
+                    raise ResourceCapError(
+                        f"class cap {max_classes} exceeded at rank step",
+                        partial=len(nxt),
+                    )
         level = nxt
     return level
-
-
-def _trivalent_classes(n: int, max_classes: int) -> dict[bytes, GraphClass]:
-    return cubic_level(n, max_classes)
 
 
 # ---------------------------------------------------------------------------

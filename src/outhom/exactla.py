@@ -13,14 +13,16 @@ computations, not as a large-scale engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import SparseIntMat
+from .chain import SparseIntMat, matmul
 from .enumerator import ResourceCapError
+from .parallel import pmap
 
 DEFAULT_PRIMES = (65521, 65519)
 
@@ -122,45 +124,50 @@ def nullspace_of(
     return _gf_backsolve(m.cols, pivots, piv_rows, f.p)
 
 
-def rank_of_blockwise(
-    m: SparseIntMat,
-    col_blocks: Sequence[Sequence[int]],
-    f: FieldSpec,
-    max_nnz: Optional[int] = None,
-) -> int:
-    return sum(
-        rank_of(_column_submatrix(m, cols), f, max_nnz) for cols in col_blocks
-    )
-
-
 def nullspace_blockwise(
     m: SparseIntMat,
     col_blocks: Sequence[Sequence[int]],
     f: FieldSpec,
     max_nnz: Optional[int] = None,
+    threads: int = 1,
 ) -> NullspaceBasis:
     """Per-block kernels of a block-diagonal matrix, re-embedded and
-    concatenated in block order."""
+    concatenated in block order; blocks run on ``threads`` processes."""
+    jobs = [(sub, f, max_nnz) for sub in _split_blocks(m, col_blocks)]
     columns: list[dict[int, int]] = []
-    for cols in col_blocks:
-        sub = _column_submatrix(m, cols)
-        ns = nullspace_of(sub, f, max_nnz)
+    for cols, ns in zip(col_blocks, pmap(_block_nullspace, jobs, threads)):
         for vec in ns.columns:
             columns.append({cols[i]: v for i, v in vec.items()})
     return NullspaceBasis(m.cols, len(columns), tuple(columns))
 
 
-def _column_submatrix(m: SparseIntMat, cols: Sequence[int]) -> SparseIntMat:
-    col_set = {c: i for i, c in enumerate(cols)}
-    rows_seen: dict[int, int] = {}
-    entries = []
+def _block_nullspace(job) -> NullspaceBasis:
+    sub, f, max_nnz = job
+    return nullspace_of(sub, f, max_nnz)
+
+
+def _split_blocks(
+    m: SparseIntMat, col_blocks: Sequence[Sequence[int]]
+) -> list[SparseIntMat]:
+    """Column submatrices in one pass over ``m``.
+
+    Each block numbers its rows in order of first appearance in
+    ``m.entries``, which fixes the pivot order and so the kernel basis.
+    """
+    where = {c: (k, i) for k, cols in enumerate(col_blocks) for i, c in enumerate(cols)}
+    rows_seen: list[dict[int, int]] = [{} for _ in col_blocks]
+    entries: list[list[tuple[int, int, int]]] = [[] for _ in col_blocks]
     for r, c, v in m.entries:
-        ci = col_set.get(c)
-        if ci is None:
+        hit = where.get(c)
+        if hit is None:
             continue
-        ri = rows_seen.setdefault(r, len(rows_seen))
-        entries.append((ri, ci, v))
-    return SparseIntMat(len(rows_seen), len(cols), tuple(entries))
+        k, ci = hit
+        seen = rows_seen[k]
+        entries[k].append((seen.setdefault(r, len(seen)), ci, v))
+    return [
+        SparseIntMat(len(seen), len(cols), tuple(ents))
+        for cols, seen, ents in zip(col_blocks, rows_seen, entries)
+    ]
 
 
 def mat_vec(m: SparseIntMat, vec: dict[int, int]) -> dict[int, int]:
@@ -401,31 +408,14 @@ def _rational_nullspace(m: SparseIntMat) -> NullspaceBasis:
                     s += v * x[j]
             if s:
                 x[c] = -s / a[r][c]
-        lcm = 1
-        for v in x.values():
-            lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
+        lcm = math.lcm(*(v.denominator for v in x.values()))
         columns.append({k: int(v * lcm) for k, v in x.items() if v})
     return NullspaceBasis(m.cols, len(columns), tuple(columns))
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def check_product_zero(m: SparseIntMat, ns: NullspaceBasis, f: FieldSpec) -> bool:
     """Entrywise verification that M . N vanishes over f."""
-    cols = m.col_dicts()
-    for vec in ns.columns:
-        acc: dict[int, int] = {}
-        for c, x in vec.items():
-            for r, a in cols[c].items():
-                acc[r] = acc.get(r, 0) + a * x
-        for v in acc.values():
-            if f.kind == "prime":
-                if v % f.p:
-                    return False
-            elif v != 0:
-                return False
-    return True
+    product = matmul(m, ns.to_mat())
+    if f.kind == "prime":
+        return all(v % f.p == 0 for _, _, v in product.entries)
+    return not product.entries

@@ -23,20 +23,30 @@ and a cached run reproduces its report byte for byte.
 from __future__ import annotations
 
 import json
-import os
 import resource
+import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import chain as chain_mod
-from .chain import ChainBasis, ClassStore, SparseIntMat, boundary_contract, boundary_remove, build_chain_basis, matmul
+from .chain import (
+    ChainBasis,
+    ClassStore,
+    SparseIntMat,
+    accumulate_boundary,
+    assemble,
+    boundary_contract,
+    boundary_remove,
+    build_chain_basis,
+    matmul,
+)
 from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs, pairing_classes
 from .exactla import (
     DEFAULT_PRIMES,
     FieldSpec,
     NullspaceBasis,
+    RankOverflowError,
     nullspace_blockwise,
     rank_of,
 )
@@ -172,28 +182,16 @@ def load_graphs(path: Path) -> list[GraphClass]:
     return out
 
 
-def _cached_graphs(n: int, cache_dir: Optional[str], max_classes: int, threads: int) -> list[GraphClass]:
-    path = _cache_path(cache_dir, f"graphs-n{n}-trivalent.txt")
-    if path is not None and path.exists():
-        return load_graphs(path)
-    graphs = enumerate_trivalent_parallel(n, max_classes, threads)
-    if path is not None:
-        _write_lines(path, [g.canon.to_text() for g in graphs])
-        _write_lines(
-            _cache_path(cache_dir, f"graphs-n{n}-trivalent.count"), [str(len(graphs))]
-        )
-    return graphs
-
-
-def cached_enumeration(spec: EnumSpec, cache_dir: Optional[str], threads: int) -> list[GraphClass]:
+def cached_enumeration(spec: EnumSpec, cache_dir: Optional[str], threads: int = 1) -> list[GraphClass]:
     """Enumerate per spec with the file cache named after the mode."""
     if spec.trivalent and not spec.allow_loops:
-        return _cached_graphs(spec.n, cache_dir, spec.max_classes, threads)
-    mode = f"maxdeg{spec.max_degree}" + ("-loops" if spec.allow_loops else "")
+        mode = "trivalent"
+    else:
+        mode = f"maxdeg{spec.max_degree}" + ("-loops" if spec.allow_loops else "")
     path = _cache_path(cache_dir, f"graphs-n{spec.n}-{mode}.txt")
     if path is not None and path.exists():
         return load_graphs(path)
-    graphs = enumerate_graphs(spec)
+    graphs = enumerate_graphs(spec, threads)
     if path is not None:
         _write_lines(path, [g.canon.to_text() for g in graphs])
         _write_lines(
@@ -223,9 +221,8 @@ def _cached_basis(
         for line in path.read_text(encoding="ascii").splitlines():
             if not line.strip():
                 continue
-            gtext, ftext = line.split(" | F=")
-            cls = store.intern(canonical_form(Multigraph.from_text(gtext)))
-            forest = tuple(int(x) for x in ftext.split(",")) if ftext else ()
+            gtext, forest = _label_from_text(line)
+            cls = store.intern(canonical_form(Multigraph.from_text(gtext.decode("ascii"))))
             elements.append(ForestedGraph(cls, forest, store.block_key(cls, forest)))
         return ChainBasis(n=n, p=p, elements=tuple(elements))
     orbit_lists = None
@@ -275,73 +272,7 @@ def _label_from_text(line: str):
 
 
 # ---------------------------------------------------------------------------
-# parallel enumeration wrapper
-
-def _children_job(parent: Multigraph) -> list[tuple[bytes, GraphClass]]:
-    from .enumerator import _insert_edge
-
-    out = []
-    e_cnt = parent.edge_count
-    for e in range(e_cnt):
-        for f in range(e, e_cnt):
-            cls = canonical_form(_insert_edge(parent, e, f))
-            out.append((cls.canonical_key, cls))
-    return out
-
-
-def enumerate_trivalent_parallel(n: int, max_classes: int, threads: int) -> list[GraphClass]:
-    """Trivalent admissible classes; parallel over parents when asked."""
-    if threads <= 1:
-        return enumerate_graphs(EnumSpec(n, max_classes=max_classes))
-    from .enumerator import _theta, _passes
-
-    level = {c.canonical_key: c for c in [canonical_form(_theta())]}
-    for _ in range(3, n + 1):
-        parents = [level[k].canon for k in sorted(level)]
-        nxt: dict[bytes, GraphClass] = {}
-        for batch in pmap(_children_job, parents, threads):
-            for key, cls in batch:
-                nxt.setdefault(key, cls)
-        if len(nxt) > max_classes:
-            raise ResourceCapError(f"class cap {max_classes} exceeded", partial=len(nxt))
-        level = nxt
-    spec = EnumSpec(n, max_classes=max_classes)
-    out = [cls for cls in level.values() if _passes(cls.canon, spec)]
-    out.sort(key=lambda c: c.canonical_key)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the profile computation
-
-def _nullspace_job(args):
-    sub, f, max_nnz = args
-    from .exactla import nullspace_of
-
-    return nullspace_of(sub, f, max_nnz)
-
-
-def _blockwise_nullspace(
-    mat: SparseIntMat,
-    basis: ChainBasis,
-    f: FieldSpec,
-    max_nnz: Optional[int],
-    threads: int,
-) -> NullspaceBasis:
-    from .exactla import _column_submatrix
-
-    block_keys = sorted(basis.blocks)
-    col_blocks = [basis.blocks[k] for k in block_keys]
-    if threads > 1 and len(col_blocks) > 1:
-        subs = [(_column_submatrix(mat, cols), f, max_nnz) for cols in col_blocks]
-        results = pmap(_nullspace_job, subs, threads)
-        columns: list[dict[int, int]] = []
-        for cols, ns in zip(col_blocks, results):
-            for vec in ns.columns:
-                columns.append({cols[i]: v for i, v in vec.items()})
-        return NullspaceBasis(mat.cols, len(columns), tuple(columns))
-    return nullspace_blockwise(mat, col_blocks, f, max_nnz)
-
 
 def compute_rank_profile(
     n: int,
@@ -375,19 +306,19 @@ def compute_rank_profile(
 
     timings: dict[str, float] = {}
     t0 = time.monotonic()
-    graphs = _cached_graphs(n, cache_dir, max_classes, threads)
+    graphs = cached_enumeration(EnumSpec(n, max_classes=max_classes), cache_dir, threads)
     timings["graphs"] = time.monotonic() - t0
 
     store = ClassStore()
     size = top + 1
-    a: list[Optional[int]] = [None] * size
-    b: list[Optional[int]] = [None] * size
-    c: list[Optional[int]] = [None] * size
-    holes: list[int] = []
     bases: dict[int, ChainBasis] = {}
-    nullspaces: dict[int, NullspaceBasis] = {}
 
-    def run_level(p: int, fld: FieldSpec) -> None:
+    def run_level(p: int, fld: FieldSpec, rp: RankProfile) -> None:
+        def hole(exc: ResourceCapError) -> None:
+            print(f"n={n} p={p}: {exc}; leaving a hole", file=sys.stderr)
+            if p not in rp.holes:
+                rp.holes.append(p)
+
         # The basis survives a later-stage cap so c at p+1 stays computable.
         t = time.monotonic()
         basis = bases.get(p)
@@ -395,12 +326,11 @@ def compute_rank_profile(
             try:
                 basis = _cached_basis(n, p, graphs, store, cache_dir, max_basis, threads)
             except ResourceCapError as exc:
-                print(f"n={n} p={p}: {exc}; leaving a hole")
-                holes.append(p)
+                hole(exc)
                 return
             bases[p] = basis
             timings[f"basis-p{p}"] = time.monotonic() - t
-        a[p] = basis.dim
+        rp.a[p] = basis.dim
         ns: Optional[NullspaceBasis] = None
         try:
             t = time.monotonic()
@@ -409,9 +339,9 @@ def compute_rank_profile(
             )
             timings[f"dc-p{p}"] = time.monotonic() - t
             t = time.monotonic()
-            ns = _blockwise_nullspace(dc, basis, fld, max_nnz, threads)
-            nullspaces[p] = ns
-            b[p] = ns.dim
+            blocks = [basis.blocks[k] for k in sorted(basis.blocks)]
+            ns = nullspace_blockwise(dc, blocks, fld, max_nnz, threads)
+            rp.b[p] = ns.dim
             timings[f"nullspace-p{p}"] = time.monotonic() - t
             if cache_dir is not None:
                 _write_lines(
@@ -419,10 +349,9 @@ def compute_rank_profile(
                     [f"field={fld.label()}"] + ns.to_mat().to_lines(),
                 )
         except ResourceCapError as exc:
-            print(f"n={n} p={p}: {exc}; leaving a hole")
-            holes.append(p)
+            hole(exc)
         if p == 0:
-            c[p] = 0
+            rp.c[p] = 0
             return
         if ns is None or (p - 1) not in bases:
             return
@@ -434,80 +363,58 @@ def compute_rank_profile(
                 lambda: boundary_remove(basis, bases[p - 1], store),
             )
             composite = matmul(dr, ns.to_mat())
-            c[p] = rank_of(composite, fld, max_nnz)
+            rp.c[p] = rank_of(composite, fld, max_nnz)
             timings[f"c-p{p}"] = time.monotonic() - t
         except ResourceCapError as exc:
-            print(f"n={n} p={p}: {exc}; leaving a hole")
-            if p not in holes:
-                holes.append(p)
+            hole(exc)
 
-    for p in p_list:
-        run_level(p, f)
+    def run_levels(fld: FieldSpec) -> RankProfile:
+        rp = RankProfile(
+            n=n,
+            field=fld.label(),
+            primes=[fld.p] if fld.kind == "prime" else [],
+            p_range=p_list,
+            a=[None] * size,
+            b=[None] * size,
+            c=[None] * size,
+            dims=[None] * size,
+            holes=[],
+            timings=timings,
+            maxrss_kb=0,
+        )
+        for p in p_list:
+            run_level(p, fld, rp)
+        rp.holes.sort()
+        rp.maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        rp.dims = homology_dimensions(rp)
+        return rp
 
-    profile = RankProfile(
-        n=n,
-        field=f.label(),
-        primes=[f.p] if f.kind == "prime" else [],
-        p_range=p_list,
-        a=a,
-        b=b,
-        c=c,
-        dims=[None] * size,
-        holes=sorted(holes),
-        timings=timings,
-        maxrss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-    )
-    try:
-        profile.dims = homology_dimensions(profile)
-    except NegativeDimensionError:
-        profile = _retry_negative(profile, bases, store, f, second_prime, max_nnz, threads)
+    # Retry policy for a rank lost to an unlucky prime: rerun every level
+    # under a second prime, then over the rationals if the matrices fit.
+    fields = [f]
+    if f.kind == "prime":
+        alt = second_prime or next(q for q in DEFAULT_PRIMES if q != f.p)
+        fields += [FieldSpec.prime(alt), FieldSpec.rational()]
+    for fld in fields:
+        try:
+            profile = run_levels(fld)
+            break
+        except NegativeDimensionError:
+            continue
+        except RankOverflowError:
+            if fld is f:
+                raise
+            continue
+    else:
+        raise NegativeDimensionError(
+            f"negative dimensions persisted for n={n} after prime retry"
+        )
     profile.report_text = profile.to_json()
     path = _cache_path(cache_dir, f"report-n{n}.json")
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(profile.report_text, encoding="ascii")
     return profile
-
-
-def _retry_negative(
-    profile: RankProfile,
-    bases: dict[int, ChainBasis],
-    store: ClassStore,
-    f: FieldSpec,
-    second_prime: Optional[int],
-    max_nnz: int,
-    threads: int,
-) -> RankProfile:
-    """Retry policy: recompute everything with the second prime, then fall
-    back to the rationals if the matrices are small enough."""
-    fallbacks = []
-    if f.kind == "prime":
-        alt = second_prime or next(q for q in DEFAULT_PRIMES if q != f.p)
-        fallbacks.append(FieldSpec.prime(alt))
-    fallbacks.append(FieldSpec.rational())
-    for fld in fallbacks:
-        try:
-            for p in sorted(bases):
-                basis = bases[p]
-                dc = boundary_contract(basis, store)
-                ns = _blockwise_nullspace(dc, basis, fld, max_nnz, threads)
-                profile.b[p] = ns.dim
-                if p == 0:
-                    profile.c[p] = 0
-                elif (p - 1) in bases:
-                    dr = boundary_remove(basis, bases[p - 1], store)
-                    profile.c[p] = rank_of(matmul(dr, ns.to_mat()), fld, max_nnz)
-            profile.dims = homology_dimensions(profile)
-            profile.field = fld.label()
-            profile.primes = [fld.p] if fld.kind == "prime" else []
-            return profile
-        except NegativeDimensionError:
-            continue
-        except Exception:
-            continue
-    raise NegativeDimensionError(
-        f"negative dimensions persisted for n={profile.n} after prime retry"
-    )
 
 
 def _load_cached_report(
@@ -520,7 +427,8 @@ def _load_cached_report(
         profile = RankProfile.from_json(path.read_text(encoding="ascii"))
     except (ValueError, KeyError):
         return None
-    if profile.p_range == p_list and profile.field == f.label():
+    # A report with holes is recomputed: the caps may have been raised.
+    if profile.p_range == p_list and profile.field == f.label() and not profile.holes:
         return profile
     return None
 
@@ -567,18 +475,7 @@ def oracle_full_complex(n: int, verify_d_squared: bool = True) -> list[int]:
     """
     if n not in (2, 3):
         raise ValueError("full-complex oracle is limited to ranks 2 and 3")
-    graphs = oracle_graphs(n)
-    store = ClassStore()
-    for g in graphs:
-        store.intern(g)
-    bases: list[ChainBasis] = []
-    k = 0
-    while True:
-        basis = build_chain_basis(n, k, graphs, store)
-        if k > 0 and basis.dim == 0:
-            break
-        bases.append(basis)
-        k += 1
+    bases, store = _oracle_bases(n)
     mats: list[SparseIntMat] = []
     for k in range(1, len(bases)):
         mats.append(_oracle_boundary(bases[k], bases[k - 1], store))
@@ -601,47 +498,25 @@ def oracle_full_complex(n: int, verify_d_squared: bool = True) -> list[int]:
 
 def _oracle_boundary(b: ChainBasis, target: ChainBasis, store: ClassStore) -> SparseIntMat:
     """Combined boundary (contraction minus removal) into the lower basis."""
-    acc: dict[tuple[int, int], int] = {}
-    for col, el in enumerate(b.elements):
-        src = store.intern(el.graph)
-        fi = store.forest_index(src)
-        forest = el.forest
-        for i, pos in enumerate(forest, start=1):
-            sgn = -1 if i & 1 else 1
-            target_cls, pos_map = store.contract_one(src, pos)
-            mapped = [pos_map[x] for x in forest if x != pos]
-            ref = store.forest_index(target_cls).normalize(mapped)
-            if ref.sign != 0:
-                row = target.index.get(ref.key)
-                if row is None:
-                    raise chain_mod.InconsistencyError(
-                        f"oracle contraction target missing: {ref.key}"
-                    )
-                acc[(row, col)] = acc.get((row, col), 0) + sgn * ref.sign
-            ref = fi.normalize([x for x in forest if x != pos])
-            if ref.sign != 0:
-                row = target.index.get(ref.key)
-                if row is None:
-                    raise chain_mod.InconsistencyError(
-                        f"oracle removal target missing: {ref.key}"
-                    )
-                acc[(row, col)] = acc.get((row, col), 0) - sgn * ref.sign
-    entries = tuple(
-        sorted((r, c, v) for (r, c), v in acc.items() if v != 0)
-    )
-    return SparseIntMat(target.dim, b.dim, entries, tuple(e.key for e in target.elements))
+    acc = accumulate_boundary({}, b, "contract", store)
+    return assemble(accumulate_boundary(acc, b, "remove", store, -1), b.dim, target)
+
+
+def _oracle_bases(n: int) -> tuple[list[ChainBasis], ClassStore]:
+    """Bases of the full complex by forest size, up to the first empty one."""
+    graphs = oracle_graphs(n)
+    store = ClassStore()
+    for g in graphs:
+        store.intern(g)
+    bases: list[ChainBasis] = []
+    while True:
+        basis = build_chain_basis(n, len(bases), graphs, store)
+        if bases and basis.dim == 0:
+            return bases, store
+        bases.append(basis)
 
 
 def oracle_euler_characteristic(n: int) -> int:
     """Alternating sum of full-complex dimensions (equals that of homology)."""
-    graphs = oracle_graphs(n)
-    store = ClassStore()
-    total = 0
-    k = 0
-    while True:
-        basis = build_chain_basis(n, k, graphs, store)
-        if k > 0 and basis.dim == 0:
-            break
-        total += basis.dim if k % 2 == 0 else -basis.dim
-        k += 1
-    return total
+    bases, _ = _oracle_bases(n)
+    return sum(-b.dim if k % 2 else b.dim for k, b in enumerate(bases))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from outhom.cli import main
@@ -153,3 +155,23 @@ class TestCacheEnv:
         code, _, _ = run_cli(capsys, "homology", "--n", "2")
         assert code == 0
         assert (tmp_path / "report-n2.json").exists()
+
+
+class TestRunContract:
+    def test_structured_output_parses_despite_holes(self, capsys):
+        code, out, err = run_cli(
+            capsys, "homology", "--n", "4", "--max-nnz", "3", "--format", "structured"
+        )
+        assert code == 2
+        report = json.loads(out)
+        assert report["holes"] == [4, 5]
+        assert "n=4 p=4:" in err and "n=4 p=5:" in err and "leaving a hole" in err
+
+    def test_holed_report_is_recomputed_not_served(self, tmp_path, capsys):
+        capped = ("homology", "--n", "4", "--max-nnz", "3", "--cache-dir", str(tmp_path))
+        code, out, _ = run_cli(capsys, *capped)
+        assert code == 2 and "holes" in out
+        code, out, _ = run_cli(capsys, *capped[:3], *capped[5:])
+        assert code == 0
+        assert "holes" not in out
+        assert "dims: 1,0,0,0,1,0" in out

@@ -203,3 +203,39 @@ class TestCrossPrime:
         rp1 = compute_rank_profile(3, threads=1)
         rp2 = compute_rank_profile(3, threads=2)
         assert (rp1.a, rp1.b, rp1.c, rp1.dims) == (rp2.a, rp2.b, rp2.c, rp2.dims)
+
+
+class TestNegativeDimensionRetry:
+    @staticmethod
+    def _patch_rank(monkeypatch, per_prime):
+        """Make c_p come out of ``per_prime[p](true rank)`` under GF(p)."""
+        import outhom.pipeline as pipeline
+
+        real = pipeline.rank_of
+
+        def rank_of(m, f, max_nnz=None):
+            rank = real(m, f, max_nnz)
+            hook = per_prime.get(f.p)
+            return rank if hook is None else hook(rank)
+
+        monkeypatch.setattr(pipeline, "rank_of", rank_of)
+
+    def test_second_prime_recovers(self, monkeypatch):
+        self._patch_rank(monkeypatch, {DEFAULT_PRIMES[0]: lambda r: r + 1})
+        rp = compute_rank_profile(3)
+        assert rp.field == str(DEFAULT_PRIMES[1])
+        assert rp.primes == [DEFAULT_PRIMES[1]]
+        assert rp.dims == [1, 0, 0, 0]
+        assert rp.c == compute_rank_profile(3, f=FieldSpec.rational()).c
+
+    def test_real_errors_propagate(self, monkeypatch):
+        from outhom.chain import InconsistencyError
+
+        def broken(rank):
+            raise InconsistencyError("boundary target missing")
+
+        self._patch_rank(
+            monkeypatch, {DEFAULT_PRIMES[0]: lambda r: r + 1, DEFAULT_PRIMES[1]: broken}
+        )
+        with pytest.raises(InconsistencyError):
+            compute_rank_profile(3)
