@@ -59,7 +59,9 @@ class SparseIntMat:
         for line in lines[1 : nnz + 1]:
             r, c, v = line.split()
             entries.append((int(r), int(c), int(v)))
-        return SparseIntMat(rows, cols, tuple(entries), row_labels)
+        # (row, col) order, as ``assemble`` returns it: the order of entries
+        # fixes the block row numbering and so the kernel basis
+        return SparseIntMat(rows, cols, tuple(sorted(entries)), row_labels)
 
 
 @dataclass

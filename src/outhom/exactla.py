@@ -13,6 +13,7 @@ computations, not as a large-scale engine.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -225,8 +226,17 @@ def _gf_eliminate(m: SparseIntMat, p: int, max_nnz: Optional[int] = None):
     peak = nnz
     pivots: list[tuple[int, int]] = []
     piv_rows: list[dict[int, int]] = []
+    # (count, column) entries; a column is pushed again whenever its count
+    # changes, so the first popped entry that matches its column's current
+    # count is min((count, column)) over the active columns
+    heap = [(len(group), c) for c, group in col_rows.items()]
+    heapq.heapify(heap)
     while col_rows:
-        c_star = min(col_rows, key=lambda c: (len(col_rows[c]), c))
+        while True:
+            count, c_star = heapq.heappop(heap)
+            group = col_rows.get(c_star)
+            if group is not None and len(group) == count:
+                break
         r_star = min(col_rows[c_star], key=lambda r: (len(rows[r]), r))
         piv = rows[r_star]
         inv = pow(piv[c_star], p - 2, p)
@@ -267,6 +277,14 @@ def _gf_eliminate(m: SparseIntMat, p: int, max_nnz: Optional[int] = None):
                     raise ResourceCapError(
                         f"elimination fill {peak} exceeded cap {max_nnz}"
                     )
+        # every count that changed sits in a column of the pivot row
+        for k in piv:
+            group = col_rows.get(k)
+            if group is not None:
+                heapq.heappush(heap, (len(group), k))
+        if len(heap) > 2 * len(col_rows):
+            heap = [(len(group), c) for c, group in col_rows.items()]
+            heapq.heapify(heap)
         pivots.append((r_star, c_star))
         piv_rows.append(piv)
     return pivots, piv_rows, peak
@@ -289,10 +307,11 @@ def _gf_backsolve(
     columns = []
     for f in free_cols:
         x = {f: 1}
-        pending = sorted(set(mentions.get(f, ())), reverse=True)
-        seen = set(pending)
+        seen = set(mentions.get(f, ()))
+        pending = [-i for i in seen]  # max-heap: largest index first
+        heapq.heapify(pending)
         while pending:
-            i = pending.pop(0)
+            i = -heapq.heappop(pending)
             row = piv_rows[i]
             c_i = pivots[i][1]
             s = 0
@@ -307,8 +326,7 @@ def _gf_backsolve(
                 for j in mentions.get(c_i, ()):
                     if j < i and j not in seen:
                         seen.add(j)
-                        pending.append(j)
-                pending.sort(reverse=True)
+                        heapq.heappush(pending, -j)
         columns.append(x)
     return NullspaceBasis(cols, len(columns), tuple(columns))
 

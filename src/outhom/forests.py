@@ -6,10 +6,13 @@ permutation's sign, so a generator is zero exactly when some automorphism
 preserves the forest setwise while permuting its edges oddly.
 
 Forest sets are encoded as bitmasks over edge positions.  For each orbit we
-pick the lexicographically minimal sorted position tuple as representative
-and transport signs along a breadth-first traversal of the orbit; a parity
-conflict anywhere in the traversal certifies an odd symmetry (the conflict
-edges are exactly the Schreier generators of the setwise stabilizer).
+pick the member with the smallest bitmask as representative and transport
+signs along a breadth-first traversal of the orbit; a parity conflict
+anywhere in the traversal certifies an odd symmetry (the conflict edges are
+exactly the Schreier generators of the setwise stabilizer).  So the
+traversal needs only a generating set of the edge automorphism group, not the
+whole group, and the parity of a generator on a set is a popcount over
+precomputed inversion masks.
 """
 
 from __future__ import annotations
@@ -17,7 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .multigraph import GraphClass, Multigraph, canonical_form, contract_edges
+from .multigraph import (
+    GraphClass,
+    _induced_edge_perm,
+    _is_identity,
+    _parallel_class_transpositions,
+    canonical_form,
+    contract_edges,
+)
 
 ForestKey = tuple[bytes, tuple[int, ...]]
 
@@ -69,7 +79,6 @@ class ForestIndex:
         self.graph = graph
         g = graph.canon
         self.edge_count = g.edge_count
-        self.gens = graph.edge_perm_generators
         self.endpoints = g.edges
         self.loop_mask = 0
         for pos, (u, v) in enumerate(g.edges):
@@ -77,15 +86,41 @@ class ForestIndex:
                 self.loop_mask |= 1 << pos
         # mask -> (rep_mask, parity asc(mask)->asc(rep), zero, orbit size)
         self._info: dict[int, tuple[int, int, bool, int]] = {}
+        # generators on the first orbit search, inversion masks on the first
+        # set of >= 2 edges: indexes live as long as their ClassStore, and
+        # most of them never see such a set
+        self._gens: Optional[list[tuple[int, ...]]] = None
+        self._inversions: Optional[list[list[int]]] = None
+
+    def generators(self) -> list[tuple[int, ...]]:
+        """Edge permutations generating the same group as
+        ``edge_perm_generators``: the induced permutations of a generating
+        subset of the vertex automorphisms plus the parallel transpositions."""
+        if self._gens is None:
+            canon = self.graph.canon
+            gens = [
+                _induced_edge_perm(canon, aut)
+                for aut in _generating_subset(self.graph.vertex_perm_generators)
+            ]
+            gens.extend(_parallel_class_transpositions(canon))
+            self._gens = [g for g in dict.fromkeys(gens) if not _is_identity(g)]
+        return self._gens
 
     def orbit_info(self, mask: int) -> tuple[int, int, bool, int]:
         cached = self._info.get(mask)
         if cached is not None:
             return cached
-        if not self.gens:
+        if not mask or not self.graph.edge_perm_generators:
             info = (mask, 1, False, 1)
             self._info[mask] = info
             return info
+        gens = self.generators()
+        # a set of <= 1 edge always transports with parity +1
+        inversions = None
+        if mask & (mask - 1):
+            if self._inversions is None:
+                self._inversions = [_inversion_masks(g) for g in gens]
+            inversions = self._inversions
         # BFS over the orbit, transporting parity.
         par = {mask: 1}
         queue = [mask]
@@ -94,12 +129,15 @@ class ForestIndex:
             cur = queue.pop()
             pcur = par[cur]
             positions = _mask_positions(cur)
-            for gen in self.gens:
-                img_positions = [gen[i] for i in positions]
+            for k, gen in enumerate(gens):
                 img = 0
-                for i in img_positions:
-                    img |= 1 << i
-                q = pcur * _perm_parity_of_ranks(img_positions)
+                for i in positions:
+                    img |= 1 << gen[i]
+                q = pcur
+                if inversions is not None:
+                    inv = inversions[k]
+                    if sum((inv[i] & cur).bit_count() for i in positions) & 1:
+                        q = -q
                 known = par.get(img)
                 if known is None:
                     par[img] = q
@@ -189,9 +227,9 @@ class ForestIndex:
     def orbit_representatives(self, p: int) -> list[tuple[tuple[int, ...], int, bool]]:
         """One (rep, orbit_size, zero) triple per orbit of acyclic p-subsets.
 
-        Representatives come out in lexicographic order; the enumeration
-        visits subsets in that order, so the first member seen of each orbit
-        is its representative.
+        Representatives come out in lexicographic order: the enumeration
+        visits subsets in that order and reports an orbit when it reaches
+        the orbit's representative.
         """
         reps: list[tuple[tuple[int, ...], int, bool]] = []
         for subset in self.acyclic_subsets(p):
@@ -213,6 +251,45 @@ def _mask_positions(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
+    return out
+
+
+def _generating_subset(perms: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Greedy generating subset: keep a permutation only if the kept ones do
+    not generate it already.  ``perms`` lists the whole group (less the
+    identity), so no closure grows past it.  The closure holds permutations
+    (of at most 256 points) as bytes, which leave no tuples on the
+    interpreter's free list."""
+    kept: list[tuple[int, ...]] = []
+    if not perms:
+        return kept
+    group = {bytes(range(len(perms[0])))}
+    for perm in perms:
+        if bytes(perm) in group:
+            continue
+        kept.append(perm)
+        queue = list(group)
+        while queue:
+            x = queue.pop()
+            for s in kept:
+                y = bytes(s[i] for i in x)
+                if y not in group:
+                    group.add(y)
+                    queue.append(y)
+    return kept
+
+
+def _inversion_masks(gen: Sequence[int]) -> list[int]:
+    """``out[i]`` has bit j for every j > i with ``gen[j] < gen[i]``, so the
+    parity of ``gen`` on an ascending set ``cur`` is the parity of the sum of
+    ``(out[i] & cur).bit_count()`` over the positions i of ``cur``."""
+    out = []
+    for i, gi in enumerate(gen):
+        m = 0
+        for j in range(i + 1, len(gen)):
+            if gen[j] < gi:
+                m |= 1 << j
+        out.append(m)
     return out
 
 

@@ -142,6 +142,7 @@ class TestSparseIntMat:
         again = SparseIntMat.from_lines(dc.to_lines(), dc.row_labels)
         assert again.rows == dc.rows and again.cols == dc.cols
         assert sorted(again.entries) == sorted(dc.entries)
+        assert again.entries == dc.entries
 
     def test_matmul_matches_dense(self):
         rng = random.Random(3)

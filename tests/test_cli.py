@@ -58,6 +58,15 @@ class TestHomology:
         assert code == 2
         assert "holes" in out
 
+    def test_rational_size_limit_exit_2(self, capsys, monkeypatch):
+        from outhom import exactla
+
+        monkeypatch.setattr(exactla, "_BAREISS_CELL_CAP", 1)
+        code, _, err = run_cli(capsys, "homology", "--n", "3", "--rational")
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("resource cap: ")
+
     def test_p_max(self, capsys):
         code, out, _ = run_cli(capsys, "homology", "--n", "3", "--p-max", "1")
         assert code == 0

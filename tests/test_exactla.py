@@ -5,11 +5,14 @@ import random
 import pytest
 
 from outhom.chain import SparseIntMat, boundary_contract, matmul
+from outhom.enumerator import ResourceCapError
 from outhom.exactla import (
     DEFAULT_PRIMES,
     FieldSpec,
     RankOverflowError,
     _dense_rank_gf,
+    _gf_backsolve,
+    _gf_eliminate,
     check_product_zero,
     mat_vec,
     nullspace_blockwise,
@@ -180,3 +183,140 @@ class TestGuards:
 
         with pytest.raises(ResourceCapError):
             nullspace_of(m, GF1, max_nnz=10)
+
+
+def _reference_eliminate(m, p, max_nnz=None, events=None):
+    """Elimination that scans every active column for the pivot column.
+
+    The specification of ``_gf_eliminate``: the pivot column is
+    ``min((count, column))`` over active columns, the pivot row
+    ``min((length, row))`` within it.  ``events`` counts fill and
+    cancellation so a test can show it exercised both.
+    """
+    rows = [dict() for _ in range(m.rows)]
+    col_rows = {}
+    for r, c, v in m.entries:
+        v %= p
+        if v:
+            rows[r][c] = v
+            col_rows.setdefault(c, set()).add(r)
+    nnz = peak = sum(len(rw) for rw in rows)
+    pivots, piv_rows = [], []
+    while col_rows:
+        c_star = min(col_rows, key=lambda c: (len(col_rows[c]), c))
+        r_star = min(col_rows[c_star], key=lambda r: (len(rows[r]), r))
+        piv = rows[r_star]
+        inv = pow(piv[c_star], p - 2, p)
+        for k in list(piv):
+            piv[k] = piv[k] * inv % p
+        for k in piv:
+            group = col_rows.get(k)
+            if group is not None:
+                group.discard(r_star)
+                if not group:
+                    del col_rows[k]
+        for r in col_rows.pop(c_star, set()):
+            row = rows[r]
+            factor = row.pop(c_star)
+            nnz -= 1
+            for k, v in piv.items():
+                if k == c_star:
+                    continue
+                nv = (row.get(k, 0) - factor * v) % p
+                if nv:
+                    if k not in row:
+                        col_rows.setdefault(k, set()).add(r)
+                        nnz += 1
+                        if events is not None:
+                            events["fill"] += 1
+                    row[k] = nv
+                elif k in row:
+                    del row[k]
+                    group = col_rows.get(k)
+                    if group is not None:
+                        group.discard(r)
+                        if not group:
+                            del col_rows[k]
+                    nnz -= 1
+                    if events is not None:
+                        events["cancel"] += 1
+            if nnz > peak:
+                peak = nnz
+                if max_nnz is not None and peak > max_nnz:
+                    raise ResourceCapError(
+                        f"elimination fill {peak} exceeded cap {max_nnz}"
+                    )
+        pivots.append((r_star, c_star))
+        piv_rows.append(piv)
+    return pivots, piv_rows, peak
+
+
+def _reference_backsolve(cols, pivots, piv_rows, p):
+    """Back-substitution that re-sorts its pending pivots on every step."""
+    pivot_cols = {c for _, c in pivots}
+    mentions = {}
+    for i, row in enumerate(piv_rows):
+        for c in row:
+            if c != pivots[i][1]:
+                mentions.setdefault(c, []).append(i)
+    columns = []
+    for f in (c for c in range(cols) if c not in pivot_cols):
+        x = {f: 1}
+        pending = sorted(set(mentions.get(f, ())), reverse=True)
+        seen = set(pending)
+        while pending:
+            i = pending.pop(0)
+            c_i = pivots[i][1]
+            s = sum(v * x.get(k, 0) for k, v in piv_rows[i].items() if k != c_i) % p
+            if s:
+                x[c_i] = (-s) % p
+                for j in mentions.get(c_i, ()):
+                    if j < i and j not in seen:
+                        seen.add(j)
+                        pending.append(j)
+                pending.sort(reverse=True)
+        columns.append(x)
+    return columns
+
+
+class TestEliminationOrder:
+    """The heap-kept pivot selection and the heap-ordered back-substitution
+    reproduce the plain scans exactly, over primes small enough that fill
+    and cancellation both happen."""
+
+    @staticmethod
+    def _samples():
+        rng = random.Random(2016)
+        for _ in range(150):
+            rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+            fill = rng.randint(1, rows * cols // 2 + 1)
+            yield rng.choice((3, 5, 7)), _random_sparse(rng, rows, cols, fill, -3, 3)
+
+    def test_same_pivots_rows_and_peak(self):
+        events = {"fill": 0, "cancel": 0}
+        for p, m in self._samples():
+            assert _gf_eliminate(m, p) == _reference_eliminate(m, p, events=events)
+        assert events["fill"] > 0 and events["cancel"] > 0
+
+    def test_same_fill_cap(self):
+        capped = 0
+        for p, m in self._samples():
+            _, _, peak = _reference_eliminate(m, p)
+            start = sum(1 for _, _, v in m.entries if v % p)
+            if peak == start:
+                continue
+            capped += 1
+            for cap in (peak - 1, (start + peak) // 2):
+                with pytest.raises(ResourceCapError) as got:
+                    _gf_eliminate(m, p, cap)
+                with pytest.raises(ResourceCapError) as want:
+                    _reference_eliminate(m, p, cap)
+                assert str(got.value) == str(want.value)
+            assert _gf_eliminate(m, p, peak)[2] == peak
+        assert capped > 0
+
+    def test_same_kernels(self):
+        for p, m in self._samples():
+            pivots, piv_rows, _ = _gf_eliminate(m, p)
+            got = _gf_backsolve(m.cols, pivots, piv_rows, p)
+            assert list(got.columns) == _reference_backsolve(m.cols, pivots, piv_rows, p)

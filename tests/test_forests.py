@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from outhom.forests import ForestIndex, forest_basis, normalize
+from outhom.chain import ClassStore
+from outhom.forests import ForestIndex, _perm_parity_of_ranks, forest_basis, normalize
 from outhom.multigraph import Multigraph, canonical_form
 
 
@@ -141,3 +142,69 @@ class TestForestBasis:
     def test_negative_size_rejected(self, theta):
         with pytest.raises(ValueError):
             forest_basis(theta, -1)
+
+
+def _edge_group(gens, degree):
+    identity = tuple(range(degree))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        base = frontier.pop()
+        for g in gens:
+            composed = tuple(g[i] for i in base)
+            if composed not in group:
+                group.add(composed)
+                frontier.append(composed)
+    return group
+
+
+def _classes_and_contractions(trivalent_by_rank):
+    """Every class at n <= 4 and each of its one-edge contractions."""
+    store = ClassStore()
+    out = {}
+    for n in (2, 3, 4):
+        for cls in trivalent_by_rank[n]:
+            out.setdefault(cls.canonical_key, cls)
+            for pos, (u, v) in enumerate(cls.canon.edges):
+                if u != v:
+                    target, _ = store.contract_one(cls, pos)
+                    out.setdefault(target.canonical_key, target)
+    return list(out.values())
+
+
+class TestGeneratingSet:
+    """The orbit search runs over a generating subset with popcount parity;
+    it must agree with the whole automorphism group and the plain
+    inversion count."""
+
+    def test_same_edge_group(self, trivalent_by_rank):
+        for cls in _classes_and_contractions(trivalent_by_rank):
+            e = cls.canon.edge_count
+            gens = ForestIndex(cls).generators()
+            assert len(gens) <= len(cls.edge_perm_generators)
+            assert _edge_group(gens, e) == _edge_group(cls.edge_perm_generators, e)
+
+    def test_orbit_info_matches_brute_force(self, trivalent_by_rank):
+        zeros = 0
+        for cls in _classes_and_contractions(trivalent_by_rank):
+            group = _edge_group(cls.edge_perm_generators, cls.canon.edge_count)
+            fi = ForestIndex(cls)
+            for p in range(cls.canon.vertex_count):
+                for subset in fi.acyclic_subsets(p):
+                    mask = sum(1 << i for i in subset)
+                    images = {}
+                    zero = False
+                    for g in group:
+                        image = [g[i] for i in subset]
+                        parity = _perm_parity_of_ranks(image)
+                        key = sum(1 << i for i in image)
+                        if key == mask and parity == -1:
+                            zero = True
+                        images.setdefault(key, parity)
+                    rep = min(images)
+                    rep_mask, parity, got_zero, size = fi.orbit_info(mask)
+                    assert (rep_mask, got_zero, size) == (rep, zero, len(images))
+                    if not zero:
+                        assert parity == images[rep]
+                    zeros += zero
+        assert zeros > 0

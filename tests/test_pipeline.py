@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +194,46 @@ class TestCaching:
         rp = compute_rank_profile(2)
         again = RankProfile.from_json(rp.to_json())
         assert (again.a, again.b, again.c, again.dims) == (rp.a, rp.b, rp.c, rp.dims)
+
+
+def _artifact_digests(cache: Path) -> dict[str, str]:
+    """SHA-256 of every artifact except the report, which holds timings."""
+    return {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(cache.iterdir())
+        if not f.name.startswith("report-")
+    }
+
+
+@pytest.fixture(scope="module")
+def fresh_caches(tmp_path_factory):
+    out = {}
+    for n in (4, 5):
+        cache = tmp_path_factory.mktemp(f"fresh-n{n}")
+        compute_rank_profile(n, cache_dir=str(cache))
+        out[n] = cache
+    return out
+
+
+class TestArtifactBytes:
+    """Artifacts are pinned byte for byte; engine changes must keep pivots,
+    orbits, signs and kernels as they are."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_fresh_run_matches_golden_digests(self, fresh_caches, n):
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "artifact_digests.json").read_text()
+        )
+        assert _artifact_digests(fresh_caches[n]) == golden[f"n{n}"]
+
+    def test_resumed_run_writes_same_kernels(self, fresh_caches, tmp_path):
+        cache = tmp_path / "cache"
+        shutil.copytree(fresh_caches[5], cache)
+        for f in cache.iterdir():
+            if f.name.startswith(("ns-", "report-")):
+                f.unlink()
+        compute_rank_profile(5, cache_dir=str(cache))
+        assert _artifact_digests(cache) == _artifact_digests(fresh_caches[5])
 
 
 class TestCrossPrime:
