@@ -142,9 +142,17 @@ class ClassStore:
         return target, pos_map
 
     def block_key(self, cls: GraphClass, forest: tuple[int, ...]) -> bytes:
-        """Canonical key of the full contraction of ``forest`` in ``cls``."""
+        """Canonical key of the full contraction of ``forest`` in ``cls``.
+
+        A one-edge forest's key is its :meth:`contract_one` target, which the
+        contraction boundary needs anyway.  Longer forests are contracted in
+        one step: contracting edge by edge would canonicalize every
+        intermediate graph.
+        """
         if not forest:
             return cls.canonical_key
+        if len(forest) == 1:
+            return self.contract_one(cls, forest[0])[0].canonical_key
         cached = self._full_contract.get((cls.canonical_key, forest))
         if cached is not None:
             return cached

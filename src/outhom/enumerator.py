@@ -7,7 +7,9 @@ subdivide two (possibly equal, possibly parallel) edges and join the two new
 midpoints by a fresh edge.  Every connected loopless cubic multigraph on at
 least four vertices can be reduced by the reverse move - removing a parallel
 copy when one exists, otherwise any cycle edge - so iterating the move from
-the theta graph reaches every class.  Bridged intermediates are kept during
+the theta graph reaches every class.  Insertions at edge pairs in one orbit
+of the parent's automorphism group give isomorphic graphs, so only one pair
+per orbit is canonicalized.  Bridged intermediates are kept during
 generation and filtered at the end.
 
 The second generator enumerates perfect matchings of half-edges over all
@@ -109,14 +111,32 @@ def _insert_edge(g: Multigraph, e: int, f: int) -> Multigraph:
     return Multigraph(g.vertex_count + 2, tuple(edges))
 
 
-def _children(parent: Multigraph) -> list[GraphClass]:
-    """Classes of every single edge insertion into ``parent``."""
-    e_cnt = parent.edge_count
-    return [
-        canonical_form(_insert_edge(parent, e, f))
-        for e in range(e_cnt)
-        for f in range(e, e_cnt)
-    ]
+def _children(parent: GraphClass) -> list[GraphClass]:
+    """Classes of the edge insertions into ``parent``, one per orbit of edge
+    pairs {e <= f} under its edge automorphisms (McKay 1998): insertions at
+    pairs in one orbit are isomorphic.  Orbits are taken in (e, f) order, so
+    every class first appears where it does in the unpruned list."""
+    g = parent.canon
+    gens = parent.edge_perm_generators
+    e_cnt = g.edge_count
+    seen: set[tuple[int, int]] = set()
+    out = []
+    for e in range(e_cnt):
+        for f in range(e, e_cnt):
+            if (e, f) in seen:
+                continue
+            seen.add((e, f))
+            stack = [(e, f)]
+            while stack:
+                a, b = stack.pop()
+                for gen in gens:
+                    x, y = gen[a], gen[b]
+                    pair = (x, y) if x <= y else (y, x)
+                    if pair not in seen:
+                        seen.add(pair)
+                        stack.append(pair)
+            out.append(canonical_form(_insert_edge(g, e, f)))
+    return out
 
 
 def cubic_level(
@@ -132,7 +152,7 @@ def cubic_level(
         raise ValueError("rank must be >= 2")
     level = {c.canonical_key: c for c in [canonical_form(_theta())]}
     for _ in range(3, n + 1):
-        parents = [level[key].canon for key in sorted(level)]
+        parents = [level[key] for key in sorted(level)]
         nxt: dict[bytes, GraphClass] = {}
         for children in pmap(_children, parents, threads):
             for cls in children:

@@ -20,14 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .multigraph import (
-    GraphClass,
-    _induced_edge_perm,
-    _is_identity,
-    _parallel_class_transpositions,
-    canonical_form,
-    contract_edges,
-)
+from .multigraph import GraphClass, canonical_form, contract_edges
 
 ForestKey = tuple[bytes, tuple[int, ...]]
 
@@ -86,25 +79,15 @@ class ForestIndex:
                 self.loop_mask |= 1 << pos
         # mask -> (rep_mask, parity asc(mask)->asc(rep), zero, orbit size)
         self._info: dict[int, tuple[int, int, bool, int]] = {}
-        # generators on the first orbit search, inversion masks on the first
-        # set of >= 2 edges: indexes live as long as their ClassStore, and
-        # most of them never see such a set
-        self._gens: Optional[list[tuple[int, ...]]] = None
+        # inversion masks on the first set of >= 2 edges: indexes live as
+        # long as their ClassStore, and most of them never see such a set
         self._inversions: Optional[list[list[int]]] = None
 
-    def generators(self) -> list[tuple[int, ...]]:
-        """Edge permutations generating the same group as
-        ``edge_perm_generators``: the induced permutations of a generating
-        subset of the vertex automorphisms plus the parallel transpositions."""
-        if self._gens is None:
-            canon = self.graph.canon
-            gens = [
-                _induced_edge_perm(canon, aut)
-                for aut in _generating_subset(self.graph.vertex_perm_generators)
-            ]
-            gens.extend(_parallel_class_transpositions(canon))
-            self._gens = [g for g in dict.fromkeys(gens) if not _is_identity(g)]
-        return self._gens
+    def generators(self) -> Sequence[tuple[int, ...]]:
+        """Edge permutations generating the edge automorphism group: the
+        search's vertex automorphism generators, induced on edges, plus the
+        parallel transpositions."""
+        return self.graph.edge_perm_generators
 
     def orbit_info(self, mask: int) -> tuple[int, int, bool, int]:
         cached = self._info.get(mask)
@@ -165,7 +148,10 @@ class ForestIndex:
             if mask & (1 << i):
                 raise ValueError("duplicate edge in forest")
             mask |= 1 << i
-        if not self.is_acyclic(positions):
+        # a cached mask lies in the orbit of a set that ``normalize`` or
+        # ``acyclic_subsets`` found acyclic, and automorphisms preserve
+        # acyclicity, so only an unseen mask needs the union-find
+        if mask not in self._info and not self.is_acyclic(positions):
             raise ValueError("forest contains a cycle")
         rep, parity, zero, _ = self.orbit_info(mask)
         rep_tuple = tuple(_mask_positions(rep))
@@ -254,31 +240,6 @@ def _mask_positions(mask: int) -> list[int]:
     return out
 
 
-def _generating_subset(perms: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Greedy generating subset: keep a permutation only if the kept ones do
-    not generate it already.  ``perms`` lists the whole group (less the
-    identity), so no closure grows past it.  The closure holds permutations
-    (of at most 256 points) as bytes, which leave no tuples on the
-    interpreter's free list."""
-    kept: list[tuple[int, ...]] = []
-    if not perms:
-        return kept
-    group = {bytes(range(len(perms[0])))}
-    for perm in perms:
-        if bytes(perm) in group:
-            continue
-        kept.append(perm)
-        queue = list(group)
-        while queue:
-            x = queue.pop()
-            for s in kept:
-                y = bytes(s[i] for i in x)
-                if y not in group:
-                    group.add(y)
-                    queue.append(y)
-    return kept
-
-
 def _inversion_masks(gen: Sequence[int]) -> list[int]:
     """``out[i]`` has bit j for every j > i with ``gen[j] < gen[i]``, so the
     parity of ``gen`` on an ascending set ``cur`` is the parity of the sum of
@@ -296,11 +257,11 @@ def _inversion_masks(gen: Sequence[int]) -> list[int]:
 def _perm_parity_of_ranks(seq: Sequence[int]) -> int:
     """Parity of the permutation sorting ``seq`` (entries distinct)."""
     inv = 0
-    n = len(seq)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seq[i] > seq[j]:
-                inv += 1
+    seen = 0
+    for x in seq:
+        # earlier entries greater than x
+        inv += (seen >> x).bit_count()
+        seen |= 1 << x
     return -1 if inv & 1 else 1
 
 

@@ -7,14 +7,14 @@ contraction produces them, even though they are never admissible.
 
 The canonical labeling here is a small self-contained partition-refinement
 canonicalizer: graphs in this project have at most ~2 dozen vertices, so a
-plain backtracking search over refined partitions is entirely adequate.  It
-returns, besides the canonical form, generators of the automorphism group
-acting on vertices and on edge positions.
+backtracking search over refined partitions, pruned with the automorphisms
+it has found, is entirely adequate.  It returns, besides the canonical form,
+generators of the automorphism group acting on vertices and on edge
+positions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -223,10 +223,12 @@ def apply_vertex_perm(g: Multigraph, perm: Sequence[int]) -> Multigraph:
 class GraphClass:
     """Canonical form of a multigraph plus automorphism generators.
 
-    ``vertex_perm_generators`` generate the automorphism group of ``canon``;
-    ``edge_perm_generators`` are the induced permutations of edge positions,
-    extended by the transpositions within each parallel class (those are
-    automorphisms fixing all vertices).  ``canonical_key`` is shared by all
+    ``vertex_perm_generators`` generate the automorphism group of ``canon``:
+    they are the automorphisms the pruned canonical search found, a
+    generating set rather than the whole group.  ``edge_perm_generators``
+    are their induced permutations of edge positions, extended by the
+    transpositions within each parallel class (those are automorphisms
+    fixing all vertices).  ``canonical_key`` is shared by all
     graphs isomorphic to ``canon``.
     """
 
@@ -253,16 +255,13 @@ def canonical_form_mapped(
     """
     if g.vertex_count < 1:
         raise ValueError("canonical_form requires at least one vertex")
-    best_edges, best_perms = _canonical_search(g)
+    best_edges, perm0, auts = _canonical_search(g)
     canon = Multigraph(g.vertex_count, best_edges)
-    perm0 = best_perms[0]
-    vertex_gens = []
-    seen = set()
-    for perm in best_perms[1:]:
-        aut = _compose(perm, _invert(perm0))
-        if aut not in seen and not _is_identity(aut):
-            seen.add(aut)
-            vertex_gens.append(aut)
+    # conjugate the automorphisms of g by perm0 into canonical labels
+    inv0 = _invert(perm0)
+    vertex_gens = list(dict.fromkeys(
+        tuple(perm0[aut[x]] for x in inv0) for aut in auts
+    ))
     edge_gens = [_induced_edge_perm(canon, aut) for aut in vertex_gens]
     edge_gens.extend(_parallel_class_transpositions(canon))
     dedup: list[tuple[int, ...]] = []
@@ -281,9 +280,16 @@ def canonical_form_mapped(
 
 def _canonical_search(
     g: Multigraph,
-) -> tuple[tuple[Edge, ...], list[tuple[int, ...]]]:
-    """Backtracking over refined partitions; returns the minimal edge list
-    and every leaf permutation achieving it."""
+) -> tuple[tuple[Edge, ...], tuple[int, ...], list[tuple[int, ...]]]:
+    """Backtracking over refined partitions, pruned with the automorphisms
+    found so far.
+
+    Returns the minimal leaf edge list, the first leaf permutation in search
+    order that reaches it, and automorphisms of ``g`` that generate its
+    whole automorphism group (McKay & Piperno 2014).  A pruned subtree is
+    the image of an earlier sibling's, so it holds no new leaf edge list and
+    the first minimal leaf is the one the unpruned search would find.
+    """
     v_cnt = g.vertex_count
     mult = [[0] * v_cnt for _ in range(v_cnt)]
     loops = [0] * v_cnt
@@ -323,8 +329,11 @@ def _canonical_search(
             if not changed:
                 return cells
 
+    # leaf edge list -> first leaf permutation reaching it; a later leaf
+    # with the same edges yields an automorphism of g
+    leaves: dict[tuple[Edge, ...], tuple[int, ...]] = {}
+    auts: list[tuple[int, ...]] = []
     best: list[Optional[tuple[Edge, ...]]] = [None]
-    best_perms: list[tuple[int, ...]] = []
 
     def leaf(cells: list[list[int]]) -> None:
         perm = [0] * v_cnt
@@ -334,14 +343,16 @@ def _canonical_search(
             (perm[u], perm[v]) if perm[u] <= perm[v] else (perm[v], perm[u])
             for u, v in g.edges
         ))
-        if best[0] is None or edges < best[0]:
-            best[0] = edges
-            best_perms.clear()
-            best_perms.append(tuple(perm))
-        elif edges == best[0]:
-            best_perms.append(tuple(perm))
+        other = leaves.get(edges)
+        if other is None:
+            leaves[edges] = tuple(perm)
+            if best[0] is None or edges < best[0]:
+                best[0] = edges
+        else:
+            inv = _invert(other)
+            auts.append(tuple(inv[perm[x]] for x in range(v_cnt)))
 
-    def search(cells: list[list[int]]) -> None:
+    def search(cells: list[list[int]], fixed: tuple[int, ...]) -> None:
         cells = refine(cells)
         target = None
         for ci, cell in enumerate(cells):
@@ -352,16 +363,47 @@ def _canonical_search(
             leaf(cells)
             return
         cell = cells[target]
+        # A found automorphism fixing ``fixed`` pointwise maps the subtree of
+        # one child onto the subtree of its image, with the same leaf edge
+        # lists, so a child in the orbit of a tried sibling is skipped.
+        tried: list[int] = []
+        orbit: set[int] = set()
+        stab: list[tuple[int, ...]] = []
+        known = 0
         for v in cell:
+            if len(auts) > known:
+                new = [a for a in auts[known:] if all(a[x] == x for x in fixed)]
+                known = len(auts)
+                if new:
+                    stab.extend(new)
+                    orbit = _orbit_of(tried, stab)
+            if v in orbit:
+                continue
+            tried.append(v)
+            if stab:
+                orbit |= _orbit_of((v,), stab)
             rest = [u for u in cell if u != v]
-            search(cells[:target] + [[v], rest] + cells[target + 1:])
+            search(cells[:target] + [[v], rest] + cells[target + 1:], fixed + (v,))
 
     initial: dict[tuple[int, int], list[int]] = {}
     for v in range(v_cnt):
         initial.setdefault((val[v], loops[v]), []).append(v)
-    search([initial[k] for k in sorted(initial)])
+    search([initial[k] for k in sorted(initial)], ())
     assert best[0] is not None
-    return best[0], best_perms
+    return best[0], leaves[best[0]], auts
+
+
+def _orbit_of(points: Sequence[int], gens: Sequence[Sequence[int]]) -> set[int]:
+    orbit = set(points)
+    stack = list(orbit)
+    while stack:
+        x = stack.pop()
+        for gen in gens:
+            y = gen[x]
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
 
 
 def _invert(perm: Sequence[int]) -> tuple[int, ...]:
@@ -369,11 +411,6 @@ def _invert(perm: Sequence[int]) -> tuple[int, ...]:
     for i, p in enumerate(perm):
         inv[p] = i
     return tuple(inv)
-
-
-def _compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
-    # (outer . inner)(x) = outer[inner[x]]
-    return tuple(outer[inner[x]] for x in range(len(inner)))
 
 
 def _is_identity(perm: Sequence[int]) -> bool:

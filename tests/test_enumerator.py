@@ -5,11 +5,13 @@ import pytest
 from outhom.enumerator import (
     EnumSpec,
     ResourceCapError,
+    _insert_edge,
+    _theta,
     cubic_level,
     enumerate_graphs,
     pairing_classes,
 )
-from outhom.multigraph import classify
+from outhom.multigraph import canonical_form, classify
 
 
 class TestSpec:
@@ -86,3 +88,31 @@ class TestAllDegreeEnumeration:
         keys = [g.canonical_key for g in graphs]
         assert keys == sorted(keys)
         assert set(keys) == set(pairing_classes(spec))
+
+
+def _unpruned_level(n):
+    """Keys of ``cubic_level(n)`` from insertions at every pair (e, f),
+    deduplicated in the same order."""
+    level = [canonical_form(_theta())]
+    for _ in range(3, n + 1):
+        nxt = {}
+        for parent in sorted(level, key=lambda c: c.canonical_key):
+            g = parent.canon
+            for e in range(g.edge_count):
+                for f in range(e, g.edge_count):
+                    cls = canonical_form(_insert_edge(g, e, f))
+                    nxt.setdefault(cls.canonical_key, cls)
+        level = list(nxt.values())
+    return [cls.canonical_key for cls in level]
+
+
+class TestInsertionPruning:
+    """One insertion per orbit of edge pairs finds every class, in the order
+    the insertion at every pair finds them."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_same_keys_as_every_pair(self, n):
+        assert list(cubic_level(n)) == _unpruned_level(n)
+
+    def test_threads_keep_keys_and_order(self):
+        assert list(cubic_level(6, threads=2)) == list(cubic_level(6, threads=1))

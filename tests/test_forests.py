@@ -82,6 +82,27 @@ class TestNormalize:
         with pytest.raises(ValueError):
             ForestIndex(theta).normalize([0, 1])
 
+    def test_cyclic_forest_rejected_after_orbits_cached(self, trivalent_by_rank):
+        # normalize skips the acyclicity check for masks whose orbit is
+        # cached; cyclic sets must never reach that cache
+        for cls in trivalent_by_rank[3] + trivalent_by_rank[4]:
+            fi = ForestIndex(cls)
+            edges = cls.canon.edges
+            cycles = [
+                list(subset)
+                for k in (2, 3, 4)
+                for subset in itertools.combinations(range(len(edges)), k)
+                if not fi.is_acyclic(subset)
+            ]
+            assert cycles
+            for p in range(cls.canon.vertex_count):
+                fi.orbit_representatives(p)
+            for subset in cycles:
+                with pytest.raises(ValueError):
+                    fi.normalize(subset)
+                with pytest.raises(ValueError):
+                    ForestIndex(cls).normalize(subset[::-1])
+
     def test_duplicate_rejected(self, theta):
         with pytest.raises(ValueError):
             ForestIndex(theta).normalize([0, 0])
@@ -208,3 +229,13 @@ class TestGeneratingSet:
                         assert parity == images[rep]
                     zeros += zero
         assert zeros > 0
+
+
+def test_parity_equals_inversion_count():
+    rng = random.Random(3)
+    for _ in range(500):
+        seq = rng.sample(range(40), rng.randint(0, 12))
+        inversions = sum(
+            1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
+        )
+        assert _perm_parity_of_ranks(seq) == (-1 if inversions & 1 else 1)

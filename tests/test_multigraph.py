@@ -11,8 +11,10 @@ from outhom.enumerator import EnumSpec, enumerate_graphs
 from outhom.forests import ForestIndex
 from outhom.multigraph import (
     Multigraph,
+    _edge_map_under,
     apply_vertex_perm,
     canonical_form,
+    canonical_form_mapped,
     classify,
     contract_edges,
     contract_edges_mapped,
@@ -191,3 +193,127 @@ class TestContraction:
                     assert facts.degree == 0 + len(subset)
                     assert contracted.vertex_count == g.vertex_count - len(subset)
                     assert contracted.edge_count == g.edge_count - len(subset)
+
+
+def _reference_search(g):
+    """The unpruned search: every leaf of the refinement tree, the minimal
+    edge list, and every leaf permutation reaching it, in search order."""
+    v_cnt = g.vertex_count
+    mult = [[0] * v_cnt for _ in range(v_cnt)]
+    loops = [0] * v_cnt
+    for u, v in g.edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            mult[u][v] += 1
+            mult[v][u] += 1
+    adj = [[v for v in range(v_cnt) if mult[u][v]] for u in range(v_cnt)]
+
+    def refine(cells):
+        while True:
+            cell_of = [0] * v_cnt
+            for ci, cell in enumerate(cells):
+                for v in cell:
+                    cell_of[v] = ci
+            new_cells = []
+            changed = False
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                sigs = {}
+                for v in cell:
+                    sig = (
+                        tuple(sorted((cell_of[u], mult[v][u]) for u in adj[v])),
+                        loops[v],
+                    )
+                    sigs.setdefault(sig, []).append(v)
+                changed |= len(sigs) > 1
+                new_cells.extend(sigs[sig] for sig in sorted(sigs))
+            cells = new_cells
+            if not changed:
+                return cells
+
+    leaves = []
+
+    def search(cells):
+        cells = refine(cells)
+        target = next((ci for ci, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            perm = [0] * v_cnt
+            for pos, cell in enumerate(cells):
+                perm[cell[0]] = pos
+            edges = tuple(sorted(
+                (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges
+            ))
+            leaves.append((edges, tuple(perm)))
+            return
+        cell = cells[target]
+        for v in cell:
+            rest = [u for u in cell if u != v]
+            search(cells[:target] + [[v], rest] + cells[target + 1:])
+
+    val = g.valences()
+    initial = {}
+    for v in range(v_cnt):
+        initial.setdefault((val[v], loops[v]), []).append(v)
+    search([initial[k] for k in sorted(initial)])
+    best = min(edges for edges, _ in leaves)
+    return best, [perm for edges, perm in leaves if edges == best]
+
+
+def _reference_mapped(g):
+    """Canon, vertex map, edge map and whole vertex automorphism group of the
+    canon, as the unpruned search gives them."""
+    best, perms = _reference_search(g)
+    canon = Multigraph(g.vertex_count, best)
+    perm0 = perms[0]
+    inv0 = [0] * len(perm0)
+    for i, p in enumerate(perm0):
+        inv0[p] = i
+    group = {tuple(perm[inv0[x]] for x in range(len(perm0))) for perm in perms}
+    return canon, perm0, _edge_map_under(g, canon, perm0), group
+
+
+def _assert_matches_reference(g):
+    cls, vertex_map, edge_map = canonical_form_mapped(g)
+    canon, ref_vertex_map, ref_edge_map, group = _reference_mapped(g)
+    assert cls.canon == canon
+    assert vertex_map == ref_vertex_map
+    assert edge_map == ref_edge_map
+    assert _generated_group(cls.vertex_perm_generators, g.vertex_count) == group
+    if g.vertex_count <= 6:
+        brute = sum(
+            1
+            for perm in itertools.permutations(range(g.vertex_count))
+            if apply_vertex_perm(g, perm) == g
+        )
+        assert len(group) == brute
+
+
+class TestPrunedSearch:
+    """The automorphism-pruned search gives the canon, maps and group of the
+    unpruned one."""
+
+    def test_classes_and_contractions_up_to_rank5(self, trivalent_by_rank):
+        checked = 0
+        for graphs in trivalent_by_rank.values():
+            for cls in graphs:
+                _assert_matches_reference(cls.canon)
+                for pos, (u, v) in enumerate(cls.canon.edges):
+                    if u != v:
+                        _assert_matches_reference(contract_edges(cls.canon, [pos]))
+                        checked += 1
+        assert checked > 100
+
+    def test_relabeled_classes(self, trivalent_by_rank):
+        rng = random.Random(11)
+        for cls in trivalent_by_rank[4] + trivalent_by_rank[5]:
+            perm = list(range(cls.canon.vertex_count))
+            rng.shuffle(perm)
+            _assert_matches_reference(apply_vertex_perm(cls.canon, perm))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_multigraphs())
+    def test_small_multigraphs(self, g):
+        _assert_matches_reference(g)

@@ -226,6 +226,15 @@ class TestArtifactBytes:
         )
         assert _artifact_digests(fresh_caches[n]) == golden[f"n{n}"]
 
+    def test_fresh_n7_low_matches_golden_digests(self, tmp_path):
+        # rank 7 has the largest insertion step (7920 edge pairs in 2793
+        # orbits) and 365 classes, so it pins the pruned searches at scale
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "artifact_digests.json").read_text()
+        )
+        compute_rank_profile(7, p_range=[0, 1], cache_dir=str(tmp_path))
+        assert _artifact_digests(tmp_path) == golden["n7-p01"]
+
     def test_resumed_run_writes_same_kernels(self, fresh_caches, tmp_path):
         cache = tmp_path / "cache"
         shutil.copytree(fresh_caches[5], cache)
