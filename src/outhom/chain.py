@@ -17,9 +17,10 @@ homology of rank 2 vanish, which the acceptance suite rejects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .forests import ForestedGraph, ForestIndex, ForestKey
+from .forests import ForestedGraph, ForestIndex, ForestKey, block_key_of
 from .multigraph import (
     GraphClass,
     canonical_form_mapped,
@@ -69,23 +70,27 @@ class ChainBasis:
     """Indexed basis of forested graphs for fixed (n, p).
 
     ``blocks`` partitions column indices by the canonical key of the fully
-    contracted graph; the contraction boundary never maps across blocks.
+    contracted graph (:func:`forests.block_key_of`); the contraction boundary
+    never maps across blocks.  It canonicalizes every contraction when first
+    read, so the pipeline takes its blocks from the matrix instead
+    (:func:`exactla.components`); ``blocks`` is their reference.
     """
 
     n: int
     p: int
     elements: tuple[ForestedGraph, ...]
     index: dict[ForestKey, int] = field(default_factory=dict)
-    blocks: dict[bytes, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.index:
             self.index = {el.key: i for i, el in enumerate(self.elements)}
-        if not self.blocks:
-            blocks: dict[bytes, list[int]] = {}
-            for i, el in enumerate(self.elements):
-                blocks.setdefault(el.block_key, []).append(i)
-            self.blocks = {k: tuple(v) for k, v in blocks.items()}
+
+    @cached_property
+    def blocks(self) -> dict[bytes, tuple[int, ...]]:
+        blocks: dict[bytes, list[int]] = {}
+        for i, el in enumerate(self.elements):
+            blocks.setdefault(block_key_of(el.graph, el.forest), []).append(i)
+        return {k: tuple(v) for k, v in blocks.items()}
 
     @property
     def dim(self) -> int:
@@ -104,7 +109,6 @@ class ClassStore:
         self._classes: dict[bytes, GraphClass] = {}
         self._findex: dict[bytes, ForestIndex] = {}
         self._contract: dict[tuple[bytes, int], tuple[bytes, tuple[Optional[int], ...]]] = {}
-        self._full_contract: dict[tuple[bytes, tuple[int, ...]], bytes] = {}
 
     def intern(self, cls: GraphClass) -> GraphClass:
         return self._classes.setdefault(cls.canonical_key, cls)
@@ -141,28 +145,6 @@ class ClassStore:
         self._contract[(cls.canonical_key, pos)] = (target.canonical_key, pos_map)
         return target, pos_map
 
-    def block_key(self, cls: GraphClass, forest: tuple[int, ...]) -> bytes:
-        """Canonical key of the full contraction of ``forest`` in ``cls``.
-
-        A one-edge forest's key is its :meth:`contract_one` target, which the
-        contraction boundary needs anyway.  Longer forests are contracted in
-        one step: contracting edge by edge would canonicalize every
-        intermediate graph.
-        """
-        if not forest:
-            return cls.canonical_key
-        if len(forest) == 1:
-            return self.contract_one(cls, forest[0])[0].canonical_key
-        cached = self._full_contract.get((cls.canonical_key, forest))
-        if cached is not None:
-            return cached
-        contracted, _ = contract_edges_mapped(cls.canon, forest)
-        target, _, _ = canonical_form_mapped(contracted)
-        self.intern(target)
-        key = target.canonical_key
-        self._full_contract[(cls.canonical_key, forest)] = key
-        return key
-
 
 def build_chain_basis(
     n: int,
@@ -192,7 +174,7 @@ def build_chain_basis(
         for rep, _, zero in reps:
             if zero:
                 continue
-            elements.append(ForestedGraph(cls, rep, store.block_key(cls, rep)))
+            elements.append(ForestedGraph(cls, rep))
             if max_basis is not None and len(elements) > max_basis:
                 raise ResourceCapError(
                     f"basis cap {max_basis} exceeded at n={n} p={p}",
@@ -205,10 +187,7 @@ def basis_from_labels(
     n: int, p: int, labels: Sequence[ForestKey], store: ClassStore
 ) -> ChainBasis:
     """Rebuild a basis-like object from hash-consed row labels."""
-    elements = []
-    for key, forest in labels:
-        cls = store.get(key)
-        elements.append(ForestedGraph(cls, forest, store.block_key(cls, forest)))
+    elements = [ForestedGraph(store.get(key), forest) for key, forest in labels]
     return ChainBasis(n=n, p=p, elements=tuple(elements))
 
 

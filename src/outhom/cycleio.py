@@ -72,7 +72,7 @@ def parse_cycle(lines, store: Optional[ClassStore] = None) -> CycleVector:
         key = ref.key
         acc[key] = acc.get(key, 0) + coeff * ref.sign
         if key not in graphs_by_key:
-            graphs_by_key[key] = ForestedGraph(cls, key[1], store.block_key(cls, key[1]))
+            graphs_by_key[key] = ForestedGraph(cls, key[1])
     if shape is None:
         raise CycleFormatError("empty cycle file")
     terms = tuple(

@@ -4,7 +4,10 @@ Prime fields get a sparse Gaussian elimination with Markowitz-flavored pivot
 selection: pick the active column with fewest entries, then the shortest row
 in it, ties broken by index, so results are reproducible.  Dense products
 (removal boundary composed with a nullspace) switch to a vectorized mod-p
-elimination.
+elimination.  The block structure of a matrix is read off the matrix itself:
+:func:`components` splits the columns into the connected components of the
+row/column graph, and :func:`nullspace_blockwise` takes one kernel per
+component.
 
 The rationals get a dense fraction-free (Bareiss) elimination.  It exists as
 the independent check of the prime-field path and for the small full-complex
@@ -23,7 +26,6 @@ import numpy as np
 
 from .chain import SparseIntMat, matmul
 from .enumerator import ResourceCapError
-from .parallel import pmap
 
 DEFAULT_PRIMES = (65521, 65519)
 
@@ -125,26 +127,46 @@ def nullspace_of(
     return _gf_backsolve(m.cols, pivots, piv_rows, f.p)
 
 
+def components(m: SparseIntMat) -> list[tuple[int, ...]]:
+    """Column sets of the connected components of the row/column graph of
+    ``m``, each ascending, ordered by first column.
+
+    Columns sharing a row are joined, so no entry crosses two components and
+    ``m`` is block diagonal over them.  A column without entries is a
+    component of its own, so it stays in the kernel.
+    """
+    parent = list(range(m.cols))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    first_col: dict[int, int] = {}
+    for r, c, _ in m.entries:
+        a, b = find(c), find(first_col.setdefault(r, c))
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    groups: dict[int, list[int]] = {}
+    for c in range(m.cols):
+        groups.setdefault(find(c), []).append(c)
+    return [tuple(cols) for cols in groups.values()]
+
+
 def nullspace_blockwise(
     m: SparseIntMat,
     col_blocks: Sequence[Sequence[int]],
     f: FieldSpec,
     max_nnz: Optional[int] = None,
-    threads: int = 1,
 ) -> NullspaceBasis:
     """Per-block kernels of a block-diagonal matrix, re-embedded and
-    concatenated in block order; blocks run on ``threads`` processes."""
-    jobs = [(sub, f, max_nnz) for sub in _split_blocks(m, col_blocks)]
+    concatenated in block order."""
     columns: list[dict[int, int]] = []
-    for cols, ns in zip(col_blocks, pmap(_block_nullspace, jobs, threads)):
-        for vec in ns.columns:
+    for cols, sub in zip(col_blocks, _split_blocks(m, col_blocks)):
+        for vec in nullspace_of(sub, f, max_nnz).columns:
             columns.append({cols[i]: v for i, v in vec.items()})
     return NullspaceBasis(m.cols, len(columns), tuple(columns))
-
-
-def _block_nullspace(job) -> NullspaceBasis:
-    sub, f, max_nnz = job
-    return nullspace_of(sub, f, max_nnz)
 
 
 def _split_blocks(

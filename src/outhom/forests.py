@@ -27,16 +27,13 @@ ForestKey = tuple[bytes, tuple[int, ...]]
 
 @dataclass(frozen=True)
 class ForestedGraph:
-    """A canonical graph with a normalized forest and its contraction key.
+    """A canonical graph with a normalized forest.
 
-    ``forest`` is the ascending representative of the orbit; ``block_key`` is
-    the canonical key of the graph with the whole forest contracted, which
-    indexes the block structure of the contraction boundary.
+    ``forest`` is the ascending representative of the orbit.
     """
 
     graph: GraphClass
     forest: tuple[int, ...]
-    block_key: bytes
 
     @property
     def key(self) -> ForestKey:
@@ -271,7 +268,12 @@ def normalize(graph: GraphClass, ordered_forest: Sequence[int]) -> SignedRef:
 
 
 def block_key_of(graph: GraphClass, forest: Sequence[int]) -> bytes:
-    """Canonical key of the graph with the whole forest contracted."""
+    """Canonical key of the graph with the whole forest contracted.
+
+    Contracting a forest edge leaves the full contraction unchanged, so the
+    key indexes a block decomposition of the contraction boundary
+    (:attr:`chain.ChainBasis.blocks`).
+    """
     if not forest:
         return graph.canonical_key
     return canonical_form(contract_edges(graph.canon, forest)).canonical_key
@@ -281,10 +283,5 @@ def forest_basis(graph: GraphClass, p: int) -> list[ForestedGraph]:
     """Normalized representatives of the nonzero forest orbits of size p."""
     if p < 0:
         raise ValueError("forest size must be >= 0")
-    index = ForestIndex(graph)
-    out = []
-    for rep, _, zero in index.orbit_representatives(p):
-        if zero:
-            continue
-        out.append(ForestedGraph(graph, rep, block_key_of(graph, rep)))
-    return out
+    reps = ForestIndex(graph).orbit_representatives(p)
+    return [ForestedGraph(graph, rep) for rep, _, zero in reps if not zero]

@@ -262,8 +262,9 @@ def canonical_form_mapped(
     vertex_gens = list(dict.fromkeys(
         tuple(perm0[aut[x]] for x in inv0) for aut in auts
     ))
-    edge_gens = [_induced_edge_perm(canon, aut) for aut in vertex_gens]
-    edge_gens.extend(_parallel_class_transpositions(canon))
+    classes = _class_positions(canon)
+    edge_gens = [_edge_map_under(canon, canon, aut, classes) for aut in vertex_gens]
+    edge_gens.extend(_parallel_class_transpositions(classes, canon.edge_count))
     dedup: list[tuple[int, ...]] = []
     for p in edge_gens:
         if p not in dedup and not _is_identity(p):
@@ -274,7 +275,7 @@ def canonical_form_mapped(
         edge_perm_generators=tuple(dedup),
         canonical_key=canon.to_text().encode("ascii"),
     )
-    edge_map = _edge_map_under(g, canon, perm0)
+    edge_map = _edge_map_under(g, canon, perm0, classes)
     return cls, perm0, edge_map
 
 
@@ -424,24 +425,13 @@ def _class_positions(g: Multigraph) -> dict[Edge, list[int]]:
     return classes
 
 
-def _induced_edge_perm(g: Multigraph, sigma: Sequence[int]) -> tuple[int, ...]:
-    """Edge position permutation induced by a vertex automorphism, completed
-    within parallel classes in ascending order."""
-    classes = _class_positions(g)
-    out = [0] * g.edge_count
-    for (u, v), positions in classes.items():
-        a, b = sigma[u], sigma[v]
-        image = classes[(min(a, b), max(a, b))]
-        for src, dst in zip(positions, image):
-            out[src] = dst
-    return tuple(out)
-
-
-def _parallel_class_transpositions(g: Multigraph) -> list[tuple[int, ...]]:
+def _parallel_class_transpositions(
+    classes: dict[Edge, list[int]], edge_count: int
+) -> list[tuple[int, ...]]:
     gens = []
-    for positions in _class_positions(g).values():
+    for positions in classes.values():
         for i in range(len(positions) - 1):
-            p = list(range(g.edge_count))
+            p = list(range(edge_count))
             a, b = positions[i], positions[i + 1]
             p[a], p[b] = p[b], p[a]
             gens.append(tuple(p))
@@ -449,10 +439,18 @@ def _parallel_class_transpositions(g: Multigraph) -> list[tuple[int, ...]]:
 
 
 def _edge_map_under(
-    g: Multigraph, canon: Multigraph, perm: Sequence[int]
+    g: Multigraph,
+    canon: Multigraph,
+    perm: Sequence[int],
+    canon_classes: Optional[dict[Edge, list[int]]] = None,
 ) -> tuple[int, ...]:
-    src_classes = _class_positions(g)
-    dst_classes = _class_positions(canon)
+    """Edge position map induced by the vertex map ``perm`` from ``g`` to
+    ``canon``, completed within parallel classes in ascending order.
+
+    ``canon_classes`` is ``_class_positions(canon)`` when the caller has it.
+    """
+    dst_classes = _class_positions(canon) if canon_classes is None else canon_classes
+    src_classes = dst_classes if g is canon else _class_positions(g)
     out = [0] * g.edge_count
     for (u, v), positions in src_classes.items():
         a, b = perm[u], perm[v]

@@ -2,8 +2,8 @@
 
 The production path works one forest size p at a time inside the filtration:
 enumerate trivalent classes once, build the forest basis, assemble both
-boundaries, take the kernel of the contraction boundary blockwise, and
-record
+boundaries, take the kernel of the contraction boundary block by block over
+the connected components of its matrix, and record
 
     a_p  basis size,
     b_p  kernel dimension of the contraction boundary,
@@ -47,6 +47,7 @@ from .exactla import (
     FieldSpec,
     NullspaceBasis,
     RankOverflowError,
+    components,
     nullspace_blockwise,
     rank_of,
 )
@@ -223,7 +224,7 @@ def _cached_basis(
                 continue
             gtext, forest = _label_from_text(line)
             cls = store.intern(canonical_form(Multigraph.from_text(gtext.decode("ascii"))))
-            elements.append(ForestedGraph(cls, forest, store.block_key(cls, forest)))
+            elements.append(ForestedGraph(cls, forest))
         return ChainBasis(n=n, p=p, elements=tuple(elements))
     orbit_lists = None
     if threads > 1:
@@ -339,15 +340,9 @@ def compute_rank_profile(
             )
             timings[f"dc-p{p}"] = time.monotonic() - t
             t = time.monotonic()
-            blocks = [basis.blocks[k] for k in sorted(basis.blocks)]
-            ns = nullspace_blockwise(dc, blocks, fld, max_nnz, threads)
+            ns = nullspace_blockwise(dc, components(dc), fld, max_nnz)
             rp.b[p] = ns.dim
             timings[f"nullspace-p{p}"] = time.monotonic() - t
-            if cache_dir is not None:
-                _write_lines(
-                    _cache_path(cache_dir, f"ns-n{n}-p{p}-f{fld.label()}.txt"),
-                    [f"field={fld.label()}"] + ns.to_mat().to_lines(),
-                )
         except ResourceCapError as exc:
             hole(exc)
         if p == 0:

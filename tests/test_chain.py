@@ -13,7 +13,7 @@ from outhom.chain import (
     build_chain_basis,
     matmul,
 )
-from outhom.forests import ForestIndex
+from outhom.forests import ForestIndex, block_key_of
 
 
 def _entry_dict(mat: SparseIntMat) -> dict[tuple, int]:
@@ -119,8 +119,9 @@ class TestComplexIdentities:
             dc = boundary_contract(basis, store)
             for r, c, _ in dc.entries:
                 key, forest = dc.row_labels[r]
-                row_block = store.block_key(store.get(key), forest)
-                assert row_block == basis.elements[c].block_key
+                el = basis.elements[c]
+                row_block = block_key_of(store.get(key), forest)
+                assert row_block == block_key_of(el.graph, el.forest)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_filtration_law(self, n, bases_by_rank, store):
@@ -193,7 +194,8 @@ class TestBasisStructure:
                 assert covered == list(range(basis.dim))
                 for key, cols in basis.blocks.items():
                     for i in cols:
-                        assert basis.elements[i].block_key == key
+                        el = basis.elements[i]
+                        assert block_key_of(el.graph, el.forest) == key
 
     def test_trivalent_elements_only(self, bases_by_rank):
         for basis in bases_by_rank[4]:

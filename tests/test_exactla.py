@@ -14,6 +14,7 @@ from outhom.exactla import (
     _gf_backsolve,
     _gf_eliminate,
     check_product_zero,
+    components,
     mat_vec,
     nullspace_blockwise,
     nullspace_of,
@@ -136,6 +137,89 @@ class TestNullspace:
             ns_whole = nullspace_of(dc, GF1)
             assert ns_blocks.dim == ns_whole.dim
             assert check_product_zero(dc, ns_blocks, GF1)
+
+
+def _random_block_diagonal(rng, blocks=6, empty=3):
+    """A block-diagonal matrix with its rows and columns shuffled, a few
+    empty columns, and the planted column blocks."""
+    planted = []
+    cells = []
+    rows = cols = 0
+    for _ in range(blocks):
+        h, w = rng.randint(1, 5), rng.randint(1, 5)
+        planted.append(list(range(cols, cols + w)))
+        for _ in range(rng.randint(1, 2 * h * w)):
+            cells.append((rows + rng.randrange(h), cols + rng.randrange(w)))
+        rows += h
+        cols += w
+    planted += [[c] for c in range(cols, cols + empty)]
+    cols += empty
+    row_perm = list(range(rows))
+    col_perm = list(range(cols))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    entries = {(row_perm[r], col_perm[c]): rng.choice((-2, -1, 1, 2)) for r, c in cells}
+    m = SparseIntMat(rows, cols, tuple(sorted((r, c, v) for (r, c), v in entries.items())))
+    return m, [{col_perm[c] for c in block} for block in planted]
+
+
+def _reference_components(m):
+    """Connected components of the row/column graph by breadth-first search."""
+    col_rows = {c: set() for c in range(m.cols)}
+    row_cols = {}
+    for r, c, _ in m.entries:
+        col_rows[c].add(r)
+        row_cols.setdefault(r, set()).add(c)
+    seen = set()
+    out = []
+    for start in range(m.cols):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = [start]
+        while queue:
+            c = queue.pop()
+            for r in col_rows[c]:
+                for other in row_cols[r]:
+                    if other not in comp:
+                        comp.add(other)
+                        queue.append(other)
+        seen |= comp
+        out.append(tuple(sorted(comp)))
+    return out
+
+
+class TestComponents:
+    def test_same_partition_as_contracted_graph_blocks(self, bases_by_rank, store):
+        for n in (2, 3, 4, 5):
+            for basis in bases_by_rank[n]:
+                dc = boundary_contract(basis, store)
+                assert sorted(components(dc)) == sorted(basis.blocks.values())
+
+    def test_random_block_diagonal(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            m, planted = _random_block_diagonal(rng)
+            comps = components(m)
+            assert sorted(c for comp in comps for c in comp) == list(range(m.cols))
+            block_of = {c: k for k, comp in enumerate(comps) for c in comp}
+            row_block = {}
+            for r, c, _ in m.entries:
+                assert row_block.setdefault(r, block_of[c]) == block_of[c]
+            firsts = [comp[0] for comp in comps]
+            assert firsts == sorted(firsts)
+            assert all(list(comp) == sorted(comp) for comp in comps)
+            assert all(any(set(comp) <= block for block in planted) for comp in comps)
+            assert comps == _reference_components(m)
+
+    def test_blockwise_kernel_matches_whole(self):
+        rng = random.Random(23)
+        for _ in range(50):
+            m, _ = _random_block_diagonal(rng)
+            for f in (GF1, QQ):
+                ns = nullspace_blockwise(m, components(m), f)
+                assert ns.dim == nullspace_of(m, f).dim
+                assert check_product_zero(m, ns, f)
 
 
 class TestComposite:

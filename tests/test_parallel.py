@@ -6,8 +6,8 @@ import pytest
 
 from outhom.cli import main
 from outhom.enumerator import ResourceCapError
-from outhom.exactla import nullspace_of
 from outhom.parallel import pmap
+from outhom.pipeline import _orbit_reps_job
 
 _CALLER = os.getpid()
 
@@ -22,7 +22,7 @@ def _die(x):
 def _die_in_worker(job):
     if os.getpid() != _CALLER:
         os._exit(1)
-    return nullspace_of(*job)
+    return _orbit_reps_job(job)
 
 
 def test_serial_map_is_lazy():
@@ -39,7 +39,7 @@ def test_dead_worker_is_a_resource_cap():
 
 
 def test_dead_worker_leaves_a_hole_not_a_traceback(capsys, monkeypatch):
-    monkeypatch.setattr("outhom.exactla._block_nullspace", _die_in_worker)
+    monkeypatch.setattr("outhom.pipeline._orbit_reps_job", _die_in_worker)
     code = main(["homology", "--n", "3", "--threads", "2"])
     captured = capsys.readouterr()
     assert code == 2

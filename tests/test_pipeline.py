@@ -181,7 +181,6 @@ class TestCaching:
         assert "basis-n2-p1.txt" in names
         assert "dc-n2-p1.txt" in names
         assert "dr-n2-p1.txt" in names
-        assert "ns-n2-p1-f65521.txt" in names
         assert "report-n2.json" in names
 
     def test_report_json_fields(self, tmp_path):
