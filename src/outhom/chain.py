@@ -65,6 +65,16 @@ class SparseIntMat:
         return SparseIntMat(rows, cols, tuple(sorted(entries)), row_labels)
 
 
+def vstack(top: SparseIntMat, bottom: SparseIntMat) -> SparseIntMat:
+    """[top; bottom]: the rows of ``bottom`` follow those of ``top``."""
+    if top.cols != bottom.cols:
+        raise ValueError(
+            f"shape mismatch: {top.rows}x{top.cols} over {bottom.rows}x{bottom.cols}"
+        )
+    shifted = tuple((r + top.rows, c, v) for r, c, v in bottom.entries)
+    return SparseIntMat(top.rows + bottom.rows, top.cols, top.entries + shifted)
+
+
 @dataclass
 class ChainBasis:
     """Indexed basis of forested graphs for fixed (n, p).
@@ -72,8 +82,8 @@ class ChainBasis:
     ``blocks`` partitions column indices by the canonical key of the fully
     contracted graph (:func:`forests.block_key_of`); the contraction boundary
     never maps across blocks.  It canonicalizes every contraction when first
-    read, so the pipeline takes its blocks from the matrix instead
-    (:func:`exactla.components`); ``blocks`` is their reference.
+    read and the pipeline does not need it; the tests and the benchmark
+    replay (``bench/child.py``) read it.
     """
 
     n: int

@@ -1,9 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 bad configuration or input, 2 a resource cap was
-hit (partial artifacts remain valid; the size limit of rational elimination
-is one such cap), 3 rank disagreement between primes (or a negative
-dimension surviving every retry).
+hit or memory ran out (partial artifacts remain valid), 3 rank disagreement
+between primes (or a negative dimension surviving every retry).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Optional, Sequence
 from .chain import ClassStore, boundary_contract, boundary_remove
 from .cycleio import CycleFormatError, parse_cycle, verify_cycle
 from .enumerator import EnumSpec, ResourceCapError
-from .exactla import DEFAULT_PRIMES, FieldSpec, RankOverflowError
+from .exactla import DEFAULT_PRIMES, FieldSpec
 from .pipeline import (
     CACHE_ENV_VAR,
     DEFAULT_MAX_BASIS,
@@ -318,7 +317,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.fn(args)
     except SystemExit as exc:  # argparse help/validation paths
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
-    except (ResourceCapError, RankOverflowError) as exc:
+    except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (CrossPrimeError, NegativeDimensionError) as exc:

@@ -1,17 +1,12 @@
 """Exact rank and nullspace of sparse integer matrices.
 
-Prime fields get a sparse Gaussian elimination with Markowitz-flavored pivot
-selection: pick the active column with fewest entries, then the shortest row
-in it, ties broken by index, so results are reproducible.  Dense products
-(removal boundary composed with a nullspace) switch to a vectorized mod-p
-elimination.  The block structure of a matrix is read off the matrix itself:
-:func:`components` splits the columns into the connected components of the
-row/column graph, and :func:`nullspace_blockwise` takes one kernel per
-component.
-
-The rationals get a dense fraction-free (Bareiss) elimination.  It exists as
-the independent check of the prime-field path and for the small full-complex
-computations, not as a large-scale engine.
+One sparse Gaussian elimination serves both fields: GF(p) reduces every
+entry mod p and inverts by Fermat, the rationals keep ``Fraction`` entries
+and invert by division.  Pivot selection is Markowitz-flavored: pick the
+active column with fewest entries, then the shortest row in it, ties broken
+by index, so results are reproducible.  Ranks are the pivot counts; kernels
+back-substitute through the pivot rows, and over the rationals each kernel
+vector is cleared to integers.
 """
 
 from __future__ import annotations
@@ -22,20 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .chain import SparseIntMat, matmul
 from .enumerator import ResourceCapError
 
 DEFAULT_PRIMES = (65521, 65519)
-
-# above this density a prime-field matrix is eliminated densely
-_DENSE_CELLS_CAP = 64_000_000
-_DENSE_DENSITY = 0.02
-
-
-class RankOverflowError(RuntimeError):
-    """Rational elimination exceeded the configured size limits."""
 
 
 @dataclass(frozen=True)
@@ -108,50 +93,17 @@ class NullspaceBasis:
 
 def rank_of(m: SparseIntMat, f: FieldSpec, max_nnz: Optional[int] = None) -> int:
     """Exact rank of m over f."""
-    if f.kind == "rational":
-        return _bareiss_rank(m)
-    cells = m.rows * m.cols
-    if cells and cells <= _DENSE_CELLS_CAP and len(m.entries) / cells >= _DENSE_DENSITY:
-        return _dense_rank_gf(m, f.p)
-    pivots, _, _ = _gf_eliminate(m, f.p, max_nnz)
+    pivots, _, _ = _eliminate(m, f.p, max_nnz)
     return len(pivots)
 
 
 def nullspace_of(
     m: SparseIntMat, f: FieldSpec, max_nnz: Optional[int] = None
 ) -> NullspaceBasis:
-    """Kernel basis with M . N = 0 exactly over f; deterministic."""
-    if f.kind == "rational":
-        return _rational_nullspace(m)
-    pivots, piv_rows, _ = _gf_eliminate(m, f.p, max_nnz)
-    return _gf_backsolve(m.cols, pivots, piv_rows, f.p)
-
-
-def components(m: SparseIntMat) -> list[tuple[int, ...]]:
-    """Column sets of the connected components of the row/column graph of
-    ``m``, each ascending, ordered by first column.
-
-    Columns sharing a row are joined, so no entry crosses two components and
-    ``m`` is block diagonal over them.  A column without entries is a
-    component of its own, so it stays in the kernel.
-    """
-    parent = list(range(m.cols))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    first_col: dict[int, int] = {}
-    for r, c, _ in m.entries:
-        a, b = find(c), find(first_col.setdefault(r, c))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
-    for c in range(m.cols):
-        groups.setdefault(find(c), []).append(c)
-    return [tuple(cols) for cols in groups.values()]
+    """Kernel basis with M . N = 0 exactly over f; deterministic.  Over the
+    rationals every column is an integer vector."""
+    pivots, piv_rows, _ = _eliminate(m, f.p, max_nnz)
+    return _backsolve(m.cols, pivots, piv_rows, f.p)
 
 
 def nullspace_blockwise(
@@ -161,7 +113,8 @@ def nullspace_blockwise(
     max_nnz: Optional[int] = None,
 ) -> NullspaceBasis:
     """Per-block kernels of a block-diagonal matrix, re-embedded and
-    concatenated in block order."""
+    concatenated in block order.  Off the rank pipeline; the benchmark
+    replay (``bench/child.py``) times it and ``matmul`` on its result."""
     columns: list[dict[int, int]] = []
     for cols, sub in zip(col_blocks, _split_blocks(m, col_blocks)):
         for vec in nullspace_of(sub, f, max_nnz).columns:
@@ -227,27 +180,31 @@ def rank_of_vectors(vectors: Sequence[dict[int, int]], p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sparse elimination over GF(p)
+# sparse elimination over GF(p) (modulus p) or Q (modulus None)
 
-def _gf_eliminate(m: SparseIntMat, p: int, max_nnz: Optional[int] = None):
+def _eliminate(m: SparseIntMat, p: Optional[int], max_nnz: Optional[int] = None):
     """Returns (pivots, pivot rows, nnz peak).
 
+    Entries are reduced mod p, or kept as ``Fraction`` when p is None.
     Pivot rows are normalized to 1 at the pivot column.  Once a row is
     pivotal it leaves the active set, so the stored dict never changes
     afterwards; its remaining entries sit in later pivot columns and free
-    columns only, which is what the back-substitution requires.
+    columns only, which is what the back-substitution requires.  The nnz
+    cap bounds the input as well as the fill.
     """
-    rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
+    rows: list[dict] = [dict() for _ in range(m.rows)]
     col_rows: dict[int, set[int]] = {}
     for r, c, v in m.entries:
-        v %= p
+        v = v % p if p else Fraction(v)
         if v:
             rows[r][c] = v
             col_rows.setdefault(c, set()).add(r)
     nnz = sum(len(rw) for rw in rows)
+    if max_nnz is not None and nnz > max_nnz:
+        raise ResourceCapError(f"input nnz {nnz} exceeded cap {max_nnz}")
     peak = nnz
     pivots: list[tuple[int, int]] = []
-    piv_rows: list[dict[int, int]] = []
+    piv_rows: list[dict] = []
     # (count, column) entries; a column is pushed again whenever its count
     # changes, so the first popped entry that matches its column's current
     # count is min((count, column)) over the active columns
@@ -261,9 +218,14 @@ def _gf_eliminate(m: SparseIntMat, p: int, max_nnz: Optional[int] = None):
                 break
         r_star = min(col_rows[c_star], key=lambda r: (len(rows[r]), r))
         piv = rows[r_star]
-        inv = pow(piv[c_star], p - 2, p)
-        for k in list(piv):
-            piv[k] = piv[k] * inv % p
+        if p:
+            inv = pow(piv[c_star], p - 2, p)
+            for k in list(piv):
+                piv[k] = piv[k] * inv % p
+        else:
+            inv = 1 / piv[c_star]
+            for k in list(piv):
+                piv[k] = piv[k] * inv
         # pivot row leaves the active set
         for k in piv:
             group = col_rows.get(k)
@@ -279,7 +241,9 @@ def _gf_eliminate(m: SparseIntMat, p: int, max_nnz: Optional[int] = None):
             for k, v in piv.items():
                 if k == c_star:
                     continue
-                nv = (row.get(k, 0) - factor * v) % p
+                nv = row.get(k, 0) - factor * v
+                if p:
+                    nv %= p
                 if nv:
                     if k not in row:
                         col_rows.setdefault(k, set()).add(r)
@@ -312,11 +276,11 @@ def _gf_eliminate(m: SparseIntMat, p: int, max_nnz: Optional[int] = None):
     return pivots, piv_rows, peak
 
 
-def _gf_backsolve(
+def _backsolve(
     cols: int,
     pivots: list[tuple[int, int]],
-    piv_rows: list[dict[int, int]],
-    p: int,
+    piv_rows: list[dict],
+    p: Optional[int],
 ) -> NullspaceBasis:
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(cols) if c not in pivot_cols]
@@ -342,115 +306,20 @@ def _gf_backsolve(
                     continue
                 xv = x.get(k)
                 if xv:
-                    s = (s + v * xv) % p
+                    s += v * xv
+            if p:
+                s %= p
             if s:
-                x[c_i] = (-s) % p
+                x[c_i] = (-s) % p if p else -s
                 for j in mentions.get(c_i, ()):
                     if j < i and j not in seen:
                         seen.add(j)
                         heapq.heappush(pending, -j)
+        if not p:
+            lcm = math.lcm(*(v.denominator for v in x.values()))
+            x = {k: int(v * lcm) for k, v in x.items()}
         columns.append(x)
     return NullspaceBasis(cols, len(columns), tuple(columns))
-
-
-def _dense_rank_gf(m: SparseIntMat, p: int) -> int:
-    a = np.zeros((m.rows, m.cols), dtype=np.int64)
-    for r, c, v in m.entries:
-        a[r, c] = v % p
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = a[r, c:] * inv % p
-        rest = np.nonzero(a[r + 1 :, c])[0]
-        if rest.size:
-            idx = rest + r + 1
-            a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
-        r += 1
-    return r
-
-
-# ---------------------------------------------------------------------------
-# dense fraction-free elimination over the rationals (oracle path)
-
-_BAREISS_CELL_CAP = 4_000_000
-
-
-def _to_dense(m: SparseIntMat) -> list[list[int]]:
-    if m.rows * m.cols > _BAREISS_CELL_CAP:
-        raise RankOverflowError(
-            f"matrix {m.rows}x{m.cols} too large for dense rational elimination"
-        )
-    a = [[0] * m.cols for _ in range(m.rows)]
-    for r, c, v in m.entries:
-        a[r][c] = v
-    return a
-
-
-def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon; returns the matrix and pivot columns."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    piv_cols: list[int] = []
-    r = 0
-    denom = 1
-    for c in range(cols):
-        sel = next((i for i in range(r, rows) if a[i][c]), None)
-        if sel is None:
-            continue
-        if sel != r:
-            a[r], a[sel] = a[sel], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // denom
-            a[i][c] = 0
-        denom = a[r][c]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, piv_cols
-
-
-def _bareiss_rank(m: SparseIntMat) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, piv_cols = _bareiss_echelon(_to_dense(m))
-    return len(piv_cols)
-
-
-def _rational_nullspace(m: SparseIntMat) -> NullspaceBasis:
-    """Kernel over the rationals, cleared to integer vectors."""
-    if m.cols == 0:
-        return NullspaceBasis(0, 0, ())
-    if m.rows == 0:
-        cols = tuple({c: 1} for c in range(m.cols))
-        return NullspaceBasis(m.cols, m.cols, cols)
-    a, piv_cols = _bareiss_echelon(_to_dense(m))
-    rank = len(piv_cols)
-    free = [c for c in range(m.cols) if c not in set(piv_cols)]
-    columns = []
-    for f in free:
-        x: dict[int, Fraction] = {f: Fraction(1)}
-        for r in range(rank - 1, -1, -1):
-            c = piv_cols[r]
-            s = Fraction(0)
-            for j, v in enumerate(a[r]):
-                if j != c and v and x.get(j):
-                    s += v * x[j]
-            if s:
-                x[c] = -s / a[r][c]
-        lcm = math.lcm(*(v.denominator for v in x.values()))
-        columns.append({k: int(v * lcm) for k, v in x.items() if v})
-    return NullspaceBasis(m.cols, len(columns), tuple(columns))
 
 
 def check_product_zero(m: SparseIntMat, ns: NullspaceBasis, f: FieldSpec) -> bool:

@@ -2,14 +2,16 @@
 
 The production path works one forest size p at a time inside the filtration:
 enumerate trivalent classes once, build the forest basis, assemble both
-boundaries, take the kernel of the contraction boundary block by block over
-the connected components of its matrix, and record
+boundaries, and record
 
     a_p  basis size,
-    b_p  kernel dimension of the contraction boundary,
-    c_p  rank of the removal boundary restricted to that kernel,
+    b_p  kernel dimension of the contraction boundary d_C,
+         a_p - rank d_C,
+    c_p  rank of the removal boundary d_R restricted to that kernel,
+         rank [d_C; d_R] - rank d_C,
 
-from which the homology dimension at p is b_p - c_p - c_{p+1}.
+from which the homology dimension at p is b_p - c_p - c_{p+1}.  Only ranks
+are taken, so no kernel basis is built.
 
 The oracle path (small ranks only) ignores the filtration entirely: it
 enumerates graphs of every degree, loops allowed, assembles the full signed
@@ -40,17 +42,10 @@ from .chain import (
     boundary_remove,
     build_chain_basis,
     matmul,
+    vstack,
 )
 from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs, pairing_classes
-from .exactla import (
-    DEFAULT_PRIMES,
-    FieldSpec,
-    NullspaceBasis,
-    RankOverflowError,
-    components,
-    nullspace_blockwise,
-    rank_of,
-)
+from .exactla import DEFAULT_PRIMES, FieldSpec, rank_of
 from .forests import ForestedGraph, ForestIndex
 from .multigraph import GraphClass, Multigraph, canonical_form
 from .parallel import pmap
@@ -59,6 +54,9 @@ CACHE_ENV_VAR = "OUTHOM_CACHE_DIR"
 
 DEFAULT_MAX_NNZ = 5_000_000
 DEFAULT_MAX_BASIS = 500_000
+
+# what leaves a hole in a level instead of aborting the profile
+_HOLE_CAUSES = (ResourceCapError, MemoryError)
 
 
 class NegativeDimensionError(RuntimeError):
@@ -289,8 +287,9 @@ def compute_rank_profile(
     """Compute a_p, b_p, c_p and homology dimensions for one n.
 
     ``c_p`` needs the basis one level down, so it is computed only when
-    ``p - 1`` is also in range (or p = 0, where it is zero).  Resource caps
-    leave explicit holes instead of aborting the whole profile.
+    ``p - 1`` is also in range (or p = 0, where it is zero).  Resource caps,
+    and running out of memory, leave explicit holes instead of aborting the
+    whole profile.
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
@@ -315,7 +314,9 @@ def compute_rank_profile(
     bases: dict[int, ChainBasis] = {}
 
     def run_level(p: int, fld: FieldSpec, rp: RankProfile) -> None:
-        def hole(exc: ResourceCapError) -> None:
+        def hole(exc: Exception) -> None:
+            if isinstance(exc, MemoryError):
+                exc = f"out of memory ({exc!r})"
             print(f"n={n} p={p}: {exc}; leaving a hole", file=sys.stderr)
             if p not in rp.holes:
                 rp.holes.append(p)
@@ -326,13 +327,13 @@ def compute_rank_profile(
         if basis is None:
             try:
                 basis = _cached_basis(n, p, graphs, store, cache_dir, max_basis, threads)
-            except ResourceCapError as exc:
+            except _HOLE_CAUSES as exc:
                 hole(exc)
                 return
             bases[p] = basis
             timings[f"basis-p{p}"] = time.monotonic() - t
         rp.a[p] = basis.dim
-        ns: Optional[NullspaceBasis] = None
+        rank_dc: Optional[int] = None
         try:
             t = time.monotonic()
             dc = _cached_matrix(
@@ -340,15 +341,16 @@ def compute_rank_profile(
             )
             timings[f"dc-p{p}"] = time.monotonic() - t
             t = time.monotonic()
-            ns = nullspace_blockwise(dc, components(dc), fld, max_nnz)
-            rp.b[p] = ns.dim
+            rank_dc = rank_of(dc, fld, max_nnz)
+            rp.b[p] = basis.dim - rank_dc
+            # the key predates rank-only b_p; bench/run.py sums stages by name
             timings[f"nullspace-p{p}"] = time.monotonic() - t
-        except ResourceCapError as exc:
+        except _HOLE_CAUSES as exc:
             hole(exc)
         if p == 0:
             rp.c[p] = 0
             return
-        if ns is None or (p - 1) not in bases:
+        if rank_dc is None or (p - 1) not in bases:
             return
         try:
             t = time.monotonic()
@@ -357,10 +359,9 @@ def compute_rank_profile(
                 cache_dir,
                 lambda: boundary_remove(basis, bases[p - 1], store),
             )
-            composite = matmul(dr, ns.to_mat())
-            rp.c[p] = rank_of(composite, fld, max_nnz)
+            rp.c[p] = rank_of(vstack(dc, dr), fld, max_nnz) - rank_dc
             timings[f"c-p{p}"] = time.monotonic() - t
-        except ResourceCapError as exc:
+        except _HOLE_CAUSES as exc:
             hole(exc)
 
     def run_levels(fld: FieldSpec) -> RankProfile:
@@ -385,7 +386,7 @@ def compute_rank_profile(
         return rp
 
     # Retry policy for a rank lost to an unlucky prime: rerun every level
-    # under a second prime, then over the rationals if the matrices fit.
+    # under a second prime, then over the rationals.
     fields = [f]
     if f.kind == "prime":
         alt = second_prime or next(q for q in DEFAULT_PRIMES if q != f.p)
@@ -395,10 +396,6 @@ def compute_rank_profile(
             profile = run_levels(fld)
             break
         except NegativeDimensionError:
-            continue
-        except RankOverflowError:
-            if fld is f:
-                raise
             continue
     else:
         raise NegativeDimensionError(

@@ -12,6 +12,7 @@ from outhom.chain import (
     boundary_remove,
     build_chain_basis,
     matmul,
+    vstack,
 )
 from outhom.forests import ForestIndex, block_key_of
 
@@ -177,6 +178,15 @@ class TestSparseIntMat:
                         expected[(i, j)] = s
             product = matmul(a, b)
             assert {(i, j): v for i, j, v in product.entries} == expected
+
+    def test_vstack_offsets_bottom_rows(self):
+        top = SparseIntMat(2, 3, ((0, 1, 4), (1, 2, -1)))
+        bottom = SparseIntMat(1, 3, ((0, 0, 7),))
+        both = vstack(top, bottom)
+        assert (both.rows, both.cols) == (3, 3)
+        assert both.entries == ((0, 1, 4), (1, 2, -1), (2, 0, 7))
+        with pytest.raises(ValueError):
+            vstack(top, SparseIntMat(1, 2, ()))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

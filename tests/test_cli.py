@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import outhom
 from outhom.cli import main
 
 
@@ -58,14 +63,15 @@ class TestHomology:
         assert code == 2
         assert "holes" in out
 
-    def test_rational_size_limit_exit_2(self, capsys, monkeypatch):
-        from outhom import exactla
-
-        monkeypatch.setattr(exactla, "_BAREISS_CELL_CAP", 1)
-        code, _, err = run_cli(capsys, "homology", "--n", "3", "--rational")
+    def test_rational_size_limit_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "homology", "--n", "4", "--rational", "--max-nnz", "3",
+            "--format", "structured",
+        )
         assert code == 2
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("resource cap: ")
+        report = json.loads(out)
+        assert report["field"] == "rational" and report["holes"]
+        assert "leaving a hole" in err
 
     def test_p_max(self, capsys):
         code, out, _ = run_cli(capsys, "homology", "--n", "3", "--p-max", "1")
@@ -173,8 +179,28 @@ class TestRunContract:
         )
         assert code == 2
         report = json.loads(out)
-        assert report["holes"] == [4, 5]
-        assert "n=4 p=4:" in err and "n=4 p=5:" in err and "leaving a hole" in err
+        assert report["holes"] == [1, 2, 3, 4, 5]
+        assert all(f"n=4 p={p}:" in err for p in report["holes"])
+        assert "leaving a hole" in err
+
+    def test_memory_error_is_a_hole(self, capsys, monkeypatch):
+        import outhom.pipeline as pipeline
+
+        real = pipeline.boundary_contract
+
+        def boundary_contract(basis, store=None):
+            if basis.p == 2:
+                raise MemoryError
+            return real(basis, store)
+
+        monkeypatch.setattr(pipeline, "boundary_contract", boundary_contract)
+        code, out, err = run_cli(capsys, "homology", "--n", "3", "--format", "structured")
+        assert code == 2
+        assert json.loads(out)["holes"] == [2]
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0] == "n=3 p=2: out of memory (MemoryError()); leaving a hole"
+        assert "Traceback" not in err
 
     def test_holed_report_is_recomputed_not_served(self, tmp_path, capsys):
         capped = ("homology", "--n", "4", "--max-nnz", "3", "--cache-dir", str(tmp_path))
@@ -184,3 +210,14 @@ class TestRunContract:
         assert code == 0
         assert "holes" not in out
         assert "dims: 1,0,0,0,1,0" in out
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(outhom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, outhom.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

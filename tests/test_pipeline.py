@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from outhom.exactla import DEFAULT_PRIMES, FieldSpec
+from outhom.chain import boundary_contract, boundary_remove, matmul
+from outhom.exactla import DEFAULT_PRIMES, FieldSpec, nullspace_of, rank_of
 from outhom.pipeline import (
     CrossPrimeError,
     NegativeDimensionError,
@@ -37,9 +38,30 @@ class TestSmallProfiles:
         assert rp.c[0] == 0
 
     def test_rational_field_matches_prime(self):
-        rp_q = compute_rank_profile(3, f=FieldSpec.rational())
-        rp_p = compute_rank_profile(3)
-        assert rp_q.b == rp_p.b and rp_q.c == rp_p.c
+        for n in (3, 4, 5):
+            rp_q = compute_rank_profile(n, f=FieldSpec.rational())
+            rp_p = compute_rank_profile(n)
+            assert rp_q.b == rp_p.b and rp_q.c == rp_p.c
+
+
+class TestTwoFormulas:
+    """The pipeline takes c_p = rank [d_C; d_R] - rank d_C; the definition,
+    the rank of d_R on a kernel basis of d_C, must give the same number."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize(
+        "f",
+        [*(FieldSpec.prime(q) for q in DEFAULT_PRIMES), FieldSpec.rational()],
+        ids=["gf1", "gf2", "q"],
+    )
+    def test_c_is_rank_of_removal_on_kernel(self, n, f, bases_by_rank, store):
+        rp = compute_rank_profile(n, f=f)
+        for p in range(1, 2 * n - 2):
+            basis = bases_by_rank[n][p]
+            dc = boundary_contract(basis, store)
+            dr = boundary_remove(basis, bases_by_rank[n][p - 1], store)
+            kernel = nullspace_of(dc, f)
+            assert rp.c[p] == rank_of(matmul(dr, kernel.to_mat()), f), p
 
 
 class TestOracle:
@@ -155,6 +177,13 @@ class TestCapsAndHoles:
         assert rp.holes
         assert all(x is not None for x in rp.a)
 
+    def test_input_nnz_over_cap_leaves_hole(self):
+        # no elimination at n = 3 grows past its input nnz, so only the
+        # check of the input can see this cap
+        rp = compute_rank_profile(3, max_nnz=1)
+        assert rp.holes
+        assert all(x is not None for x in rp.a)
+
 
 class TestCaching:
     def test_report_byte_identical_from_cache(self, tmp_path):
@@ -234,11 +263,12 @@ class TestArtifactBytes:
         compute_rank_profile(7, p_range=[0, 1], cache_dir=str(tmp_path))
         assert _artifact_digests(tmp_path) == golden["n7-p01"]
 
-    def test_resumed_run_writes_same_kernels(self, fresh_caches, tmp_path):
+    def test_resumed_run_writes_same_artifacts(self, fresh_caches, tmp_path):
+        # the resume reads graphs and bases, and must rebuild the matrices
         cache = tmp_path / "cache"
         shutil.copytree(fresh_caches[5], cache)
         for f in cache.iterdir():
-            if f.name.startswith(("ns-", "report-")):
+            if f.name.startswith(("dc-", "dr-", "report-")):
                 f.unlink()
         compute_rank_profile(5, cache_dir=str(cache))
         assert _artifact_digests(cache) == _artifact_digests(fresh_caches[5])
