@@ -1,0 +1,169 @@
+"""The artifact store: names, formats, writes and loads of every cache file.
+
+Every file is written under a temporary name and renamed into place.  Every
+load is checked before it is served, caps first; a file that fails a check
+is recomputed, and the files built on it are deleted so they are rebuilt
+too.  README.md ("Cache layout") lists the files and the checks.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Any, Callable, Iterable, Optional, Sequence
+
+from .chain import ChainBasis, ClassStore, SparseIntMat, build_chain_basis
+from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs
+from .forests import ForestedGraph, ForestKey
+from .multigraph import GraphClass, Multigraph, canonical_form
+
+
+def label_text(key: ForestKey) -> str:
+    """The one text form of a forested-graph key: ``<graph line> | F=<forest>``."""
+    return f"{key[0].decode('ascii')} | F={','.join(map(str, key[1]))}"
+
+
+def parse_label(line: str) -> ForestKey:
+    """Inverse of :func:`label_text`; raises ``ValueError`` on a bad line."""
+    gtext, ftext = line.split(" | F=")
+    return (gtext.encode("ascii"), tuple(int(x) for x in ftext.split(",")) if ftext else ())
+
+
+class ArtifactStore:
+    """The files of one cache directory; with ``None`` nothing is kept."""
+
+    def __init__(self, cache_dir: Optional[str]) -> None:
+        self.root = None if cache_dir is None else Path(cache_dir)
+
+    def graphs(self, spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
+        """The classes of ``spec``, sorted by canonical key."""
+        loops = "-loops" if spec.allow_loops else ""
+        mode = "trivalent" if spec.trivalent and not loops else f"maxdeg{spec.max_degree}{loops}"
+        name = f"graphs-n{spec.n}-{mode}"
+        lines = self._read(f"{name}.txt")
+        if lines is not None:
+            if len(lines) > spec.max_classes:
+                raise ResourceCapError(f"class cap {spec.max_classes} exceeded", len(lines))
+            graphs = _canonical_classes(lines)
+            if graphs is not None:
+                return graphs
+            if mode == "trivalent":
+                self._drop(*(f"{kind}-n{spec.n}-p*" for kind in ("basis", "dc", "dr")))
+        graphs = enumerate_graphs(spec, threads)
+        if self.root is not None:
+            self._write(f"{name}.txt", [g.canonical_key.decode("ascii") for g in graphs])
+            self._write(f"{name}.count", [str(len(graphs))])
+        return graphs
+
+    def basis(
+        self, n: int, p: int, graphs: Sequence[GraphClass], store: ClassStore,
+        max_basis: Optional[int] = None, orbit_lists: Optional[Iterable] = None,
+    ) -> ChainBasis:
+        """The forest basis of size ``p`` over ``graphs`` (sorted by canonical
+        key); ``orbit_lists`` goes to ``build_chain_basis`` if it is built."""
+        name = f"basis-n{n}-p{p}.txt"
+        lines = self._read(name)
+        if lines is not None:
+            if max_basis is not None and len(lines) > max_basis:
+                raise ResourceCapError(
+                    f"basis cap {max_basis} exceeded at n={n} p={p}", len(lines)
+                )
+            by_key = {g.canonical_key: g for g in graphs}
+            try:  # a malformed line, or one naming a graph outside the list
+                elements = tuple(
+                    ForestedGraph(store.intern(by_key[k]), f) for k, f in map(parse_label, lines)
+                )
+            except (ValueError, KeyError):
+                elements = None
+            if elements is not None:
+                return ChainBasis(n=n, p=p, elements=elements)
+            self._drop(f"dc-n{n}-p{p}.*", f"dr-n{n}-p{p}.*", f"dr-n{n}-p{p + 1}.*")
+        basis = build_chain_basis(n, p, graphs, store, max_basis, orbit_lists)
+        if self.root is not None:
+            self._write(name, [label_text(el.key) for el in basis.elements])
+        return basis
+
+    def matrix(
+        self, kind: str, basis: ChainBasis, build: Callable[[], SparseIntMat]
+    ) -> SparseIntMat:
+        """The ``"dc"`` (contraction) or ``"dr"`` (removal) boundary on
+        ``basis``; ``build`` computes it unless a file holds one that fits."""
+        name = f"{kind}-n{basis.n}-p{basis.p}"
+        lines = self._read(f"{name}.txt")
+        labels = self._read(f"{name}.rows.txt")
+        if lines is not None and labels is not None:
+            try:
+                mat = SparseIntMat.from_lines(lines, tuple(map(parse_label, labels)))
+            except (ValueError, IndexError):
+                mat = None
+            if mat is not None and (mat.rows, mat.cols) == (len(labels), basis.dim):
+                return mat
+        mat = build()
+        if self.root is not None:
+            # rows first: a matrix file is served only beside its row labels
+            self._write(f"{name}.rows.txt", [label_text(k) for k in mat.row_labels])
+            self._write(f"{name}.txt", mat.to_lines())
+        return mat
+
+    def report(
+        self, n: int, field: str, p_range: list[int], parse: Callable[[str], Any]
+    ) -> Any:
+        """The report of ``(n, field)`` if it covers ``p_range`` with no
+        holes; holes are recomputed, as the caps may have been raised."""
+        text = self._read_text(f"report-n{n}-{field}.json")
+        if text is None:
+            return None
+        try:
+            profile = parse(text)
+        except (ValueError, TypeError):
+            return None
+        fits = profile.p_range == p_range and profile.field == field
+        return profile if fits and not profile.holes else None
+
+    def write_report(self, n: int, field: str, text: str) -> None:
+        if self.root is not None:
+            self._write_text(f"report-n{n}-{field}.json", text)
+
+    def _read_text(self, name: str) -> Optional[str]:
+        """The text of a file, or ``None`` if it is absent or not ASCII."""
+        if self.root is None or not (self.root / name).exists():
+            return None
+        try:
+            return (self.root / name).read_text(encoding="ascii")
+        except ValueError:
+            return None
+
+    def _read(self, name: str) -> Optional[list[str]]:
+        text = self._read_text(name)
+        return None if text is None else [ln for ln in text.splitlines() if ln.strip()]
+
+    def _write(self, name: str, lines: Sequence[str]) -> None:
+        self._write_text(name, "".join(f"{line}\n" for line in lines))
+
+    def _write_text(self, name: str, text: str) -> None:
+        """Write under a temporary name and rename, so a file is whole or absent."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        tmp = self.root / f"{name}.tmp"
+        tmp.write_text(text, encoding="ascii")
+        tmp.replace(self.root / name)
+
+    def _drop(self, *patterns: str) -> None:
+        for pattern in patterns:
+            for path in self.root.glob(pattern):
+                path.unlink(missing_ok=True)
+
+
+def _canonical_classes(lines: Sequence[str]) -> Optional[list[GraphClass]]:
+    """The classes of ``lines`` if each line is its own canonical form and
+    the lines ascend strictly, as :func:`enumerate_graphs` orders them."""
+    graphs: list[GraphClass] = []
+    for line in lines:
+        try:
+            cls = canonical_form(Multigraph.from_text(line))
+        except ValueError:
+            return None
+        if cls.canonical_key != line.encode("ascii") or (
+            graphs and graphs[-1].canonical_key >= cls.canonical_key
+        ):
+            return None
+        graphs.append(cls)
+    return graphs

@@ -56,8 +56,10 @@ class SparseIntMat:
     @staticmethod
     def from_lines(lines: Sequence[str], row_labels=None) -> "SparseIntMat":
         rows, cols, nnz = (int(x) for x in lines[0].split())
+        if len(lines) != nnz + 1:
+            raise ValueError(f"{nnz} entries declared, {len(lines) - 1} given")
         entries = []
-        for line in lines[1 : nnz + 1]:
+        for line in lines[1:]:
             r, c, v = line.split()
             entries.append((int(r), int(c), int(v)))
         # (row, col) order, as ``assemble`` returns it: the order of entries

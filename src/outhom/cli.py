@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .artifacts import ArtifactStore, label_text
 from .chain import ClassStore, boundary_contract, boundary_remove
 from .cycleio import CycleFormatError, parse_cycle, verify_cycle
 from .enumerator import EnumSpec, ResourceCapError
@@ -24,7 +25,6 @@ from .pipeline import (
     CrossPrimeError,
     NegativeDimensionError,
     RankProfile,
-    cached_enumeration,
     compute_rank_profile,
     cross_prime_profile,
     oracle_full_complex,
@@ -138,7 +138,7 @@ def _emit_profile(rp: RankProfile, fmt: str) -> None:
 def _cmd_graphs(args: argparse.Namespace) -> int:
     cfg = _config(args)
     spec = EnumSpec(cfg.n, max_degree=args.max_degree, allow_loops=args.allow_loops)
-    graphs = cached_enumeration(spec, cfg.cache_dir, cfg.threads)
+    graphs = ArtifactStore(cfg.cache_dir).graphs(spec, cfg.threads)
     if cfg.count_only:
         print(len(graphs))
     else:
@@ -150,38 +150,29 @@ def _cmd_graphs(args: argparse.Namespace) -> int:
 def _cmd_basis(args: argparse.Namespace) -> int:
     cfg = _config(args)
     p = args.p if args.p is not None else 0
-    from .pipeline import _cached_basis
-
-    store = ClassStore()
-    graphs = cached_enumeration(EnumSpec(cfg.n), cfg.cache_dir, cfg.threads)
-    basis = _cached_basis(cfg.n, p, graphs, store, cfg.cache_dir, cfg.max_basis, cfg.threads)
+    cache = ArtifactStore(cfg.cache_dir)
+    graphs = cache.graphs(EnumSpec(cfg.n), cfg.threads)
+    basis = cache.basis(cfg.n, p, graphs, ClassStore(), cfg.max_basis)
     if cfg.count_only:
         print(basis.dim)
     else:
         for el in basis.elements:
-            print(el.to_text())
+            print(label_text(el.key))
     return EXIT_OK
 
 
 def _cmd_matrices(args: argparse.Namespace) -> int:
     cfg = _config(args)
     p = args.p if args.p is not None else 1
-    from .pipeline import _cached_basis, _cached_matrix
-
+    cache = ArtifactStore(cfg.cache_dir)
     store = ClassStore()
-    graphs = cached_enumeration(EnumSpec(cfg.n), cfg.cache_dir, cfg.threads)
-    basis = _cached_basis(cfg.n, p, graphs, store, cfg.cache_dir, cfg.max_basis, cfg.threads)
-    dc = _cached_matrix(
-        f"dc-n{cfg.n}-p{p}", cfg.cache_dir, lambda: boundary_contract(basis, store)
-    )
+    graphs = cache.graphs(EnumSpec(cfg.n), cfg.threads)
+    basis = cache.basis(cfg.n, p, graphs, store, cfg.max_basis)
+    dc = cache.matrix("dc", basis, lambda: boundary_contract(basis, store))
     print(f"contraction boundary: {dc.rows} x {dc.cols}, nnz {len(dc.entries)}")
     if p >= 1:
-        lower = _cached_basis(
-            cfg.n, p - 1, graphs, store, cfg.cache_dir, cfg.max_basis, cfg.threads
-        )
-        dr = _cached_matrix(
-            f"dr-n{cfg.n}-p{p}", cfg.cache_dir, lambda: boundary_remove(basis, lower, store)
-        )
+        lower = cache.basis(cfg.n, p - 1, graphs, store, cfg.max_basis)
+        dr = cache.matrix("dr", basis, lambda: boundary_remove(basis, lower, store))
         print(f"removal boundary:     {dr.rows} x {dr.cols}, nnz {len(dr.entries)}")
     return EXIT_OK
 
@@ -240,8 +231,6 @@ def _cmd_verify_cycle(args: argparse.Namespace) -> int:
     cfg = _config(args)
     if args.p is None:
         return _fail("verify-cycle needs --p (the forest size of the basis)")
-    from .pipeline import _cached_basis
-
     store = ClassStore()
     try:
         with open(args.file, "r", encoding="ascii") as fh:
@@ -254,10 +243,9 @@ def _cmd_verify_cycle(args: argparse.Namespace) -> int:
         return _fail(
             f"cycle file has (n={w.n}, p={w.p}), expected (n={cfg.n}, p={args.p})"
         )
-    graphs = cached_enumeration(EnumSpec(cfg.n), cfg.cache_dir, cfg.threads)
-    basis = _cached_basis(
-        cfg.n, args.p, graphs, store, cfg.cache_dir, cfg.max_basis, cfg.threads
-    )
+    cache = ArtifactStore(cfg.cache_dir)
+    graphs = cache.graphs(EnumSpec(cfg.n), cfg.threads)
+    basis = cache.basis(cfg.n, args.p, graphs, store, cfg.max_basis)
     verdict = verify_cycle(w, basis, store)
     print(f"terms: {len(w.terms)}")
     print(f"is_in_basis: {verdict.is_in_basis}")

@@ -39,10 +39,6 @@ class ForestedGraph:
     def key(self) -> ForestKey:
         return (self.graph.canonical_key, self.forest)
 
-    def to_text(self) -> str:
-        body = ",".join(str(i) for i in self.forest)
-        return f"{self.graph.canon.to_text()} | F={body}"
-
 
 @dataclass(frozen=True)
 class SignedRef:

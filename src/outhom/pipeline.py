@@ -18,8 +18,8 @@ enumerates graphs of every degree, loops allowed, assembles the full signed
 boundary, and reads dimensions off exact rational ranks.  Agreement of the
 two paths is an acceptance gate.
 
-Intermediate artifacts are cached as text files so interrupted runs resume,
-and a cached run reproduces its report byte for byte.
+Intermediate artifacts are cached by :mod:`outhom.artifacts` so interrupted
+runs resume, and a cached run reproduces its report byte for byte.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import resource
 import sys
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
+from .artifacts import ArtifactStore
 from .chain import (
     ChainBasis,
     ClassStore,
@@ -44,11 +44,10 @@ from .chain import (
     matmul,
     vstack,
 )
-from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs, pairing_classes
+from .enumerator import EnumSpec, ResourceCapError, pairing_classes
 from .exactla import DEFAULT_PRIMES, FieldSpec, rank_of
-from .forests import ForestedGraph, ForestIndex
-from .multigraph import GraphClass, Multigraph, canonical_form
-from .parallel import pmap
+from .forests import ForestIndex
+from .multigraph import GraphClass
 
 CACHE_ENV_VAR = "OUTHOM_CACHE_DIR"
 
@@ -97,39 +96,14 @@ class RankProfile:
         return 2 * self.n - 3
 
     def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "field": self.field,
-            "primes": self.primes,
-            "p_range": self.p_range,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "dims": self.dims,
-            "holes": self.holes,
-            "timings": {k: round(v, 3) for k, v in self.timings.items()},
-            "maxrss_kb": self.maxrss_kb,
-        }
+        payload = {k: v for k, v in vars(self).items() if k not in ("report_text", "from_cache")}
+        payload["timings"] = {k: round(v, 3) for k, v in self.timings.items()}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "RankProfile":
-        d = json.loads(text)
-        return RankProfile(
-            n=d["n"],
-            field=d["field"],
-            primes=list(d["primes"]),
-            p_range=list(d["p_range"]),
-            a=list(d["a"]),
-            b=list(d["b"]),
-            c=list(d["c"]),
-            dims=list(d["dims"]),
-            holes=list(d["holes"]),
-            timings=dict(d["timings"]),
-            maxrss_kb=d["maxrss_kb"],
-            report_text=text,
-            from_cache=True,
-        )
+        """Parse a report; a missing or unknown key raises ``TypeError``."""
+        return RankProfile(**json.loads(text), report_text=text, from_cache=True)
 
 
 def homology_dimensions(rp: RankProfile) -> list[Optional[int]]:
@@ -158,119 +132,6 @@ def homology_dimensions(rp: RankProfile) -> list[Optional[int]]:
 
 
 # ---------------------------------------------------------------------------
-# cache helpers
-
-def _cache_path(cache_dir: Optional[str], name: str) -> Optional[Path]:
-    if cache_dir is None:
-        return None
-    return Path(cache_dir) / name
-
-
-def _write_lines(path: Path, lines: Sequence[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
-    tmp.replace(path)
-
-
-def load_graphs(path: Path) -> list[GraphClass]:
-    out = []
-    for line in path.read_text(encoding="ascii").splitlines():
-        if line.strip():
-            out.append(canonical_form(Multigraph.from_text(line)))
-    return out
-
-
-def cached_enumeration(spec: EnumSpec, cache_dir: Optional[str], threads: int = 1) -> list[GraphClass]:
-    """Enumerate per spec with the file cache named after the mode."""
-    if spec.trivalent and not spec.allow_loops:
-        mode = "trivalent"
-    else:
-        mode = f"maxdeg{spec.max_degree}" + ("-loops" if spec.allow_loops else "")
-    path = _cache_path(cache_dir, f"graphs-n{spec.n}-{mode}.txt")
-    if path is not None and path.exists():
-        return load_graphs(path)
-    graphs = enumerate_graphs(spec, threads)
-    if path is not None:
-        _write_lines(path, [g.canon.to_text() for g in graphs])
-        _write_lines(
-            _cache_path(cache_dir, f"graphs-n{spec.n}-{mode}.count"),
-            [str(len(graphs))],
-        )
-    return graphs
-
-
-def _orbit_reps_job(args: tuple[GraphClass, int]):
-    cls, p = args
-    return ForestIndex(cls).orbit_representatives(p)
-
-
-def _cached_basis(
-    n: int,
-    p: int,
-    graphs: list[GraphClass],
-    store: ClassStore,
-    cache_dir: Optional[str],
-    max_basis: Optional[int],
-    threads: int,
-) -> ChainBasis:
-    path = _cache_path(cache_dir, f"basis-n{n}-p{p}.txt")
-    if path is not None and path.exists():
-        elements = []
-        for line in path.read_text(encoding="ascii").splitlines():
-            if not line.strip():
-                continue
-            gtext, forest = _label_from_text(line)
-            cls = store.intern(canonical_form(Multigraph.from_text(gtext.decode("ascii"))))
-            elements.append(ForestedGraph(cls, forest))
-        return ChainBasis(n=n, p=p, elements=tuple(elements))
-    orbit_lists = None
-    if threads > 1:
-        orbit_lists = pmap(_orbit_reps_job, [(g, p) for g in graphs], threads)
-    basis = build_chain_basis(n, p, graphs, store, max_basis, orbit_lists)
-    if path is not None:
-        _write_lines(path, [el.to_text() for el in basis.elements])
-    return basis
-
-
-def _cached_matrix(
-    name: str,
-    cache_dir: Optional[str],
-    build,
-) -> SparseIntMat:
-    path = _cache_path(cache_dir, f"{name}.txt")
-    rows_path = _cache_path(cache_dir, f"{name}.rows.txt")
-    if path is not None and path.exists():
-        lines = path.read_text(encoding="ascii").splitlines()
-        labels = None
-        if rows_path.exists():
-            labels = tuple(
-                _label_from_text(line)
-                for line in rows_path.read_text(encoding="ascii").splitlines()
-                if line.strip()
-            )
-        return SparseIntMat.from_lines(lines, labels)
-    mat = build()
-    if path is not None:
-        _write_lines(path, mat.to_lines())
-        if mat.row_labels is not None:
-            _write_lines(rows_path, [_label_to_text(k) for k in mat.row_labels])
-    return mat
-
-
-def _label_to_text(key) -> str:
-    graph_key, forest = key
-    body = ",".join(str(i) for i in forest)
-    return f"{graph_key.decode('ascii')} | F={body}"
-
-
-def _label_from_text(line: str):
-    gtext, ftext = line.split(" | F=")
-    forest = tuple(int(x) for x in ftext.split(",")) if ftext else ()
-    return (gtext.encode("ascii"), forest)
-
-
-# ---------------------------------------------------------------------------
 # the profile computation
 
 def compute_rank_profile(
@@ -281,7 +142,6 @@ def compute_rank_profile(
     threads: int = 1,
     max_nnz: int = DEFAULT_MAX_NNZ,
     max_basis: int = DEFAULT_MAX_BASIS,
-    second_prime: Optional[int] = None,
     max_classes: int = 10_000_000,
 ) -> RankProfile:
     """Compute a_p, b_p, c_p and homology dimensions for one n.
@@ -300,13 +160,14 @@ def compute_rank_profile(
     if p_list and not (0 <= p_list[0] and p_list[-1] <= top):
         raise ValueError(f"p_range must lie within [0, {top}]")
 
-    cached = _load_cached_report(n, p_list, f, cache_dir)
+    cache = ArtifactStore(cache_dir)
+    cached = cache.report(n, f.label(), p_list, RankProfile.from_json)
     if cached is not None:
         return cached
 
     timings: dict[str, float] = {}
     t0 = time.monotonic()
-    graphs = cached_enumeration(EnumSpec(n, max_classes=max_classes), cache_dir, threads)
+    graphs = cache.graphs(EnumSpec(n, max_classes=max_classes), threads)
     timings["graphs"] = time.monotonic() - t0
 
     store = ClassStore()
@@ -325,8 +186,13 @@ def compute_rank_profile(
         t = time.monotonic()
         basis = bases.get(p)
         if basis is None:
+            # Only d_R at p + 1 reads p-forest orbits again; otherwise each
+            # class's orbit data is freed as soon as its basis part is out.
+            orbit_lists = None if p + 1 in p_list else (
+                ForestIndex(g).orbit_representatives(p) for g in graphs
+            )
             try:
-                basis = _cached_basis(n, p, graphs, store, cache_dir, max_basis, threads)
+                basis = cache.basis(n, p, graphs, store, max_basis, orbit_lists)
             except _HOLE_CAUSES as exc:
                 hole(exc)
                 return
@@ -336,9 +202,7 @@ def compute_rank_profile(
         rank_dc: Optional[int] = None
         try:
             t = time.monotonic()
-            dc = _cached_matrix(
-                f"dc-n{n}-p{p}", cache_dir, lambda: boundary_contract(basis, store)
-            )
+            dc = cache.matrix("dc", basis, lambda: boundary_contract(basis, store))
             timings[f"dc-p{p}"] = time.monotonic() - t
             t = time.monotonic()
             rank_dc = rank_of(dc, fld, max_nnz)
@@ -354,10 +218,8 @@ def compute_rank_profile(
             return
         try:
             t = time.monotonic()
-            dr = _cached_matrix(
-                f"dr-n{n}-p{p}",
-                cache_dir,
-                lambda: boundary_remove(basis, bases[p - 1], store),
+            dr = cache.matrix(
+                "dr", basis, lambda: boundary_remove(basis, bases[p - 1], store)
             )
             rp.c[p] = rank_of(vstack(dc, dr), fld, max_nnz) - rank_dc
             timings[f"c-p{p}"] = time.monotonic() - t
@@ -389,7 +251,7 @@ def compute_rank_profile(
     # under a second prime, then over the rationals.
     fields = [f]
     if f.kind == "prime":
-        alt = second_prime or next(q for q in DEFAULT_PRIMES if q != f.p)
+        alt = next(q for q in DEFAULT_PRIMES if q != f.p)
         fields += [FieldSpec.prime(alt), FieldSpec.rational()]
     for fld in fields:
         try:
@@ -402,27 +264,8 @@ def compute_rank_profile(
             f"negative dimensions persisted for n={n} after prime retry"
         )
     profile.report_text = profile.to_json()
-    path = _cache_path(cache_dir, f"report-n{n}.json")
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(profile.report_text, encoding="ascii")
+    cache.write_report(n, profile.field, profile.report_text)
     return profile
-
-
-def _load_cached_report(
-    n: int, p_list: list[int], f: FieldSpec, cache_dir: Optional[str]
-) -> Optional[RankProfile]:
-    path = _cache_path(cache_dir, f"report-n{n}.json")
-    if path is None or not path.exists():
-        return None
-    try:
-        profile = RankProfile.from_json(path.read_text(encoding="ascii"))
-    except (ValueError, KeyError):
-        return None
-    # A report with holes is recomputed: the caps may have been raised.
-    if profile.p_range == p_list and profile.field == f.label() and not profile.holes:
-        return profile
-    return None
 
 
 def cross_prime_profile(
@@ -431,14 +274,13 @@ def cross_prime_profile(
     primes: tuple[int, int] = DEFAULT_PRIMES,
     **kwargs,
 ) -> RankProfile:
-    """Run the profile under two primes; any rank disagreement aborts."""
+    """Run the profile under two primes; any rank disagreement aborts.
+
+    Both runs share the cached bases and matrices, which hold integers; each
+    prime keeps its own report.
+    """
     first = compute_rank_profile(n, p_range, FieldSpec.prime(primes[0]), **kwargs)
-    second = compute_rank_profile(
-        n,
-        p_range,
-        FieldSpec.prime(primes[1]),
-        **{**kwargs, "cache_dir": None},
-    )
+    second = compute_rank_profile(n, p_range, FieldSpec.prime(primes[1]), **kwargs)
     if first.b != second.b or first.c != second.c:
         raise CrossPrimeError(
             f"rank disagreement between GF({primes[0]}) and GF({primes[1]}) at n={n}: "

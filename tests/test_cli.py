@@ -169,7 +169,7 @@ class TestCacheEnv:
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
         code, _, _ = run_cli(capsys, "homology", "--n", "2")
         assert code == 0
-        assert (tmp_path / "report-n2.json").exists()
+        assert (tmp_path / "report-n2-65521.json").exists()
 
 
 class TestRunContract:

@@ -5,9 +5,8 @@ import os
 import pytest
 
 from outhom.cli import main
-from outhom.enumerator import ResourceCapError
+from outhom.enumerator import ResourceCapError, _children
 from outhom.parallel import pmap
-from outhom.pipeline import _orbit_reps_job
 
 _CALLER = os.getpid()
 
@@ -19,10 +18,10 @@ def _die(x):
     os._exit(1)
 
 
-def _die_in_worker(job):
+def _die_in_worker(parent):
     if os.getpid() != _CALLER:
         os._exit(1)
-    return _orbit_reps_job(job)
+    return _children(parent)
 
 
 def test_serial_map_is_lazy():
@@ -39,9 +38,12 @@ def test_dead_worker_is_a_resource_cap():
 
 
 def test_dead_worker_leaves_a_hole_not_a_traceback(capsys, monkeypatch):
-    monkeypatch.setattr("outhom.pipeline._orbit_reps_job", _die_in_worker)
-    code = main(["homology", "--n", "3", "--threads", "2"])
+    # enumeration runs before any level, so a dead worker ends the run with
+    # exit 2; from rank 5 on a rank step has several parents, so the map
+    # uses the pool
+    monkeypatch.setattr("outhom.enumerator._children", _die_in_worker)
+    code = main(["homology", "--n", "5", "--threads", "2"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "holes (resource caps):" in captured.out
     assert "worker died" in captured.err
+    assert "Traceback" not in captured.err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import shutil
@@ -9,6 +10,7 @@ import pytest
 
 from outhom.chain import boundary_contract, boundary_remove, matmul
 from outhom.exactla import DEFAULT_PRIMES, FieldSpec, nullspace_of, rank_of
+from outhom.multigraph import Multigraph, apply_vertex_perm
 from outhom.pipeline import (
     CrossPrimeError,
     NegativeDimensionError,
@@ -189,7 +191,7 @@ class TestCaching:
     def test_report_byte_identical_from_cache(self, tmp_path):
         cache = str(tmp_path)
         rp1 = compute_rank_profile(3, cache_dir=cache)
-        text1 = (tmp_path / "report-n3.json").read_text()
+        text1 = (tmp_path / "report-n3-65521.json").read_text()
         rp2 = compute_rank_profile(3, cache_dir=cache)
         assert rp2.from_cache
         assert rp2.report_text == text1 == rp1.report_text
@@ -197,7 +199,7 @@ class TestCaching:
     def test_artifacts_resume_to_same_ranks(self, tmp_path):
         cache = str(tmp_path)
         rp1 = compute_rank_profile(3, cache_dir=cache)
-        (tmp_path / "report-n3.json").unlink()
+        (tmp_path / "report-n3-65521.json").unlink()
         rp2 = compute_rank_profile(3, cache_dir=cache)
         assert not rp2.from_cache
         assert (rp1.a, rp1.b, rp1.c, rp1.dims) == (rp2.a, rp2.b, rp2.c, rp2.dims)
@@ -210,13 +212,23 @@ class TestCaching:
         assert "basis-n2-p1.txt" in names
         assert "dc-n2-p1.txt" in names
         assert "dr-n2-p1.txt" in names
-        assert "report-n2.json" in names
+        assert "report-n2-65521.json" in names
 
     def test_report_json_fields(self, tmp_path):
         compute_rank_profile(2, cache_dir=str(tmp_path))
-        payload = json.loads((tmp_path / "report-n2.json").read_text())
+        payload = json.loads((tmp_path / "report-n2-65521.json").read_text())
         for key in ("n", "primes", "a", "b", "c", "dims", "timings"):
             assert key in payload
+
+    def test_reports_per_field(self, tmp_path):
+        cache = str(tmp_path)
+        prime = compute_rank_profile(3, cache_dir=cache)
+        rational = compute_rank_profile(3, f=FieldSpec.rational(), cache_dir=cache)
+        assert (tmp_path / "report-n3-65521.json").exists()
+        assert (tmp_path / "report-n3-rational.json").exists()
+        for f, first in ((None, prime), (FieldSpec.rational(), rational)):
+            again = compute_rank_profile(3, f=f, cache_dir=cache)
+            assert again.from_cache and again.report_text == first.report_text
 
     def test_json_round_trip(self):
         rp = compute_rank_profile(2)
@@ -274,11 +286,101 @@ class TestArtifactBytes:
         assert _artifact_digests(cache) == _artifact_digests(fresh_caches[5])
 
 
+def _resumable_copy(src: Path, dst: Path) -> Path:
+    """A copy of a cache with the reports dropped, so a run resumes from it."""
+    shutil.copytree(src, dst)
+    for f in dst.glob("report-*"):
+        f.unlink()
+    return dst
+
+
+def _relabeled(line: str) -> str:
+    """A graph or basis line with its graph under the reversed vertex labeling."""
+    graph, sep, forest = line.partition(" | F=")
+    g = Multigraph.from_text(graph)
+    return apply_vertex_perm(g, list(range(g.vertex_count))[::-1]).to_text() + sep + forest
+
+
+class TestArtifactStore:
+    """Loads are checked before they are served, and resuming costs no more
+    canonical searches than there are classes."""
+
+    @pytest.mark.parametrize(
+        "name", ["graphs-n4-trivalent.txt", "basis-n4-p2.txt", "dc-n4-p3.txt"]
+    )
+    def test_stale_file_is_recomputed(self, fresh_caches, tmp_path, name):
+        # graph and basis files get one line relabeled, so that it is not
+        # canonical; the matrix file loses its last entry
+        cache = _resumable_copy(fresh_caches[4], tmp_path / "cache")
+        path = cache / name
+        lines = path.read_text().splitlines()
+        if name.startswith("dc-"):
+            lines.pop()
+        else:
+            i = next(i for i, line in enumerate(lines) if _relabeled(line) != line)
+            lines[i] = _relabeled(lines[i])
+        path.write_text("\n".join(lines) + "\n")
+        rp = compute_rank_profile(4, cache_dir=str(cache))
+        fresh = compute_rank_profile(4)
+        assert (rp.a, rp.b, rp.c, rp.dims) == (fresh.a, fresh.b, fresh.c, fresh.dims)
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "artifact_digests.json").read_text()
+        )
+        assert _artifact_digests(cache) == golden["n4"]
+
+    def test_resume_searches_once_per_class(self, fresh_caches, tmp_path, monkeypatch):
+        import outhom.multigraph as multigraph
+
+        cache = _resumable_copy(fresh_caches[5], tmp_path / "cache")
+        classes = len((cache / "graphs-n5-trivalent.txt").read_text().splitlines())
+        assert classes == 16
+        real = multigraph._canonical_search
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(multigraph, "_canonical_search", counting)
+        rp = compute_rank_profile(5, cache_dir=str(cache))
+        assert not rp.from_cache and not rp.holes
+        assert len(calls) <= classes
+
+    def test_resumed_run_keeps_basis_cap(self, fresh_caches, tmp_path):
+        cache = _resumable_copy(fresh_caches[4], tmp_path / "cache")
+        resumed = compute_rank_profile(4, cache_dir=str(cache), max_basis=5)
+        fresh = compute_rank_profile(4, max_basis=5)
+        assert resumed.holes == fresh.holes == [1, 2, 3, 4, 5]
+        assert resumed.a == fresh.a
+
+
+def test_cli_imports_no_private_name():
+    import outhom.cli
+
+    tree = ast.parse(Path(outhom.cli.__file__).read_text())
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("outhom"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 class TestCrossPrime:
     def test_agreement_n3(self):
         rp = cross_prime_profile(3)
         assert rp.primes == list(DEFAULT_PRIMES)
         assert rp.dims == [1, 0, 0, 0]
+
+    def test_both_primes_keep_their_reports(self, tmp_path):
+        rp = cross_prime_profile(3, cache_dir=str(tmp_path))
+        names = {f.name for f in tmp_path.glob("report-*")}
+        assert names == {f"report-n3-{q}.json" for q in DEFAULT_PRIMES}
+        again = cross_prime_profile(3, cache_dir=str(tmp_path))
+        assert again.from_cache and again.report_text == rp.report_text
 
     def test_threads_do_not_change_results(self):
         rp1 = compute_rank_profile(3, threads=1)
