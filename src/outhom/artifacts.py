@@ -104,20 +104,17 @@ class ArtifactStore:
             self._write(f"{name}.txt", mat.to_lines())
         return mat
 
-    def report(
-        self, n: int, field: str, p_range: list[int], parse: Callable[[str], Any]
-    ) -> Any:
-        """The report of ``(n, field)`` if it covers ``p_range`` with no
-        holes; holes are recomputed, as the caps may have been raised."""
+    def report(self, n: int, field: str, parse: Callable[[str], Any]) -> Any:
+        """The parsed report of ``(n, field)``, or ``None`` if it is absent
+        or does not parse; whether it answers a request is the caller's
+        check."""
         text = self._read_text(f"report-n{n}-{field}.json")
         if text is None:
             return None
         try:
-            profile = parse(text)
+            return parse(text)
         except (ValueError, TypeError):
             return None
-        fits = profile.p_range == p_range and profile.field == field
-        return profile if fits and not profile.holes else None
 
     def write_report(self, n: int, field: str, text: str) -> None:
         if self.root is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .chain import SparseIntMat, matmul
+from .chain import SparseIntMat
 from .enumerator import ResourceCapError
 
 DEFAULT_PRIMES = (65521, 65519)
@@ -144,39 +144,6 @@ def _split_blocks(
         SparseIntMat(len(seen), len(cols), tuple(ents))
         for cols, seen, ents in zip(col_blocks, rows_seen, entries)
     ]
-
-
-def mat_vec(m: SparseIntMat, vec: dict[int, int]) -> dict[int, int]:
-    """Integer matrix times sparse integer column vector."""
-    out: dict[int, int] = {}
-    cols = m.col_dicts()
-    for c, x in vec.items():
-        for r, a in cols[c].items():
-            out[r] = out.get(r, 0) + a * x
-    return {r: v for r, v in out.items() if v != 0}
-
-
-def rank_of_vectors(vectors: Sequence[dict[int, int]], p: int) -> int:
-    """Rank over GF(p) of a small family of sparse vectors."""
-    basis: list[dict[int, int]] = []
-    for vec in vectors:
-        cur = {k: v % p for k, v in vec.items() if v % p}
-        for b in basis:
-            lead = next(iter(sorted(b)))
-            x = cur.get(lead)
-            if x:
-                for k, v in b.items():
-                    nv = (cur.get(k, 0) - x * v) % p
-                    if nv:
-                        cur[k] = nv
-                    else:
-                        cur.pop(k, None)
-        if cur:
-            lead = min(cur)
-            inv = pow(cur[lead], p - 2, p)
-            basis.append({k: v * inv % p for k, v in cur.items()})
-            basis.sort(key=lambda b: min(b))
-    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +287,3 @@ def _backsolve(
             x = {k: int(v * lcm) for k, v in x.items()}
         columns.append(x)
     return NullspaceBasis(cols, len(columns), tuple(columns))
-
-
-def check_product_zero(m: SparseIntMat, ns: NullspaceBasis, f: FieldSpec) -> bool:
-    """Entrywise verification that M . N vanishes over f."""
-    product = matmul(m, ns.to_mat())
-    if f.kind == "prime":
-        return all(v % f.p == 0 for _, _, v in product.entries)
-    return not product.entries

@@ -11,14 +11,27 @@ signs along a breadth-first traversal of the orbit; a parity conflict
 anywhere in the traversal certifies an odd symmetry (the conflict edges are
 exactly the Schreier generators of the setwise stabilizer).  So the
 traversal needs only a generating set of the edge automorphism group, not the
-whole group, and the parity of a generator on a set is a popcount over
-precomputed inversion masks.
+whole group.
+
+The traversal is bit arithmetic.  For a generator g and a position i, let
+``inv[i]`` be the mask of the positions j > i with g(j) < g(i).  The parity
+of g on an ascending set S is the parity of the sum over i in S of
+``popcount(inv[i] & S)``; since the parity of a sum of popcounts is the
+popcount of the XOR, it is ``popcount((XOR of inv[i] over S) & S) & 1``.  Each
+generator keeps one table ``inv[i] << e | 1 << g(i)`` (e edges), so a single
+XOR over the positions of S yields the image of S in the low e bits (the
+images are distinct bits) and the XOR of the inversion masks above them.
+
+Acyclic subsets are walked depth first with an explicit stack and a
+union-find whose links are undone on backtracking, in lexicographic order
+of the ascending position tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cache, cached_property
+from typing import Iterable, Iterator, Sequence
 
 from .multigraph import GraphClass, canonical_form, contract_edges
 
@@ -55,26 +68,23 @@ class SignedRef:
 class ForestIndex:
     """Orbit and sign bookkeeping for the forests of one graph.
 
-    Caches, per forest set, the orbit representative, the transport parity
-    from the set's ascending order to the representative's ascending order,
-    the zero flag, and the orbit size.  One BFS fills the cache for a whole
-    orbit.
+    Caches, per forest set, the record ``(rep, parity, zero, size, key)`` of
+    its orbit: the representative mask, the transport parity from the set's
+    ascending order to the representative's ascending order, the zero flag,
+    the orbit size, and the canonical key of the representative.  One BFS
+    fills the cache for a whole orbit, and the members share at most two
+    record tuples (one per parity) and one key, so every boundary term into
+    the orbit holds the same key object.
     """
 
     def __init__(self, graph: GraphClass):
         self.graph = graph
         g = graph.canon
         self.edge_count = g.edge_count
+        self.vertex_count = g.vertex_count
         self.endpoints = g.edges
-        self.loop_mask = 0
-        for pos, (u, v) in enumerate(g.edges):
-            if u == v:
-                self.loop_mask |= 1 << pos
-        # mask -> (rep_mask, parity asc(mask)->asc(rep), zero, orbit size)
-        self._info: dict[int, tuple[int, int, bool, int]] = {}
-        # inversion masks on the first set of >= 2 edges: indexes live as
-        # long as their ClassStore, and most of them never see such a set
-        self._inversions: Optional[list[list[int]]] = None
+        # mask -> (rep_mask, parity asc(mask)->asc(rep), zero, orbit size, key)
+        self._info: dict[int, tuple[int, int, bool, int, ForestKey]] = {}
 
     def generators(self) -> Sequence[tuple[int, ...]]:
         """Edge permutations generating the edge automorphism group: the
@@ -82,126 +92,153 @@ class ForestIndex:
         parallel transpositions."""
         return self.graph.edge_perm_generators
 
+    @cached_property
+    def _tables(self) -> list[list[int]]:
+        """Per generator, ``table[i] = inv[i] << e | 1 << gen[i]``; see the
+        module docstring."""
+        e = self.edge_count
+        return [
+            [inv << e | 1 << gi for inv, gi in zip(_inversion_masks(gen), gen)]
+            for gen in self.generators()
+        ]
+
     def orbit_info(self, mask: int) -> tuple[int, int, bool, int]:
-        cached = self._info.get(mask)
-        if cached is not None:
-            return cached
-        if not mask or not self.graph.edge_perm_generators:
-            info = (mask, 1, False, 1)
-            self._info[mask] = info
-            return info
-        gens = self.generators()
-        # a set of <= 1 edge always transports with parity +1
-        inversions = None
-        if mask & (mask - 1):
-            if self._inversions is None:
-                self._inversions = [_inversion_masks(g) for g in gens]
-            inversions = self._inversions
-        # BFS over the orbit, transporting parity.
+        """``(rep_mask, parity, zero, orbit size)`` of the orbit of ``mask``."""
+        return (self._info.get(mask) or self._orbit(mask))[:4]
+
+    def _orbit(self, mask: int) -> tuple[int, int, bool, int, ForestKey]:
+        """BFS over the orbit of ``mask``, transporting parity; caches the
+        record of every member and returns that of ``mask``."""
         par = {mask: 1}
-        queue = [mask]
         zero = False
-        while queue:
-            cur = queue.pop()
-            pcur = par[cur]
-            positions = _mask_positions(cur)
-            for k, gen in enumerate(gens):
-                img = 0
-                for i in positions:
-                    img |= 1 << gen[i]
-                q = pcur
-                if inversions is not None:
-                    inv = inversions[k]
-                    if sum((inv[i] & cur).bit_count() for i in positions) & 1:
-                        q = -q
-                known = par.get(img)
-                if known is None:
-                    par[img] = q
-                    queue.append(img)
-                elif known != q:
-                    zero = True
+        if mask and self.graph.edge_perm_generators:
+            e = self.edge_count
+            full = (1 << e) - 1
+            tables = self._tables
+            queue = [mask]
+            while queue:
+                cur = queue.pop()
+                pcur = par[cur]
+                positions = _mask_positions(cur)
+                for table in tables:
+                    acc = 0
+                    for i in positions:
+                        acc ^= table[i]
+                    img = acc & full
+                    q = -pcur if (acc >> e & cur).bit_count() & 1 else pcur
+                    known = par.get(img)
+                    if known is None:
+                        par[img] = q
+                        queue.append(img)
+                    elif known != q:
+                        zero = True
         rep = min(par)
-        prep = par[rep]
+        key = (self.graph.canonical_key, tuple(_mask_positions(rep)))
         size = len(par)
+        # parity asc(m) -> asc(rep) composes the two transports
+        records = {1: (rep, 1, zero, size, key), -1: (rep, -1, zero, size, key)}
+        prep = par[rep]
+        info = self._info
         for m, pm in par.items():
-            # parity asc(m) -> asc(rep) composes the two transports
-            self._info[m] = (rep, prep * pm, zero, size)
-        return self._info[mask]
+            info[m] = records[prep * pm]
+        return info[mask]
 
     def normalize(self, ordered_forest: Sequence[int]) -> SignedRef:
         """Signed canonical reference of an ordered forest.
 
         Raises ``ValueError`` on duplicate positions or a cyclic edge set.
         """
-        positions = list(ordered_forest)
         mask = 0
-        for i in positions:
+        for i in ordered_forest:
             if not (0 <= i < self.edge_count):
                 raise ValueError(f"edge position {i} out of range")
-            if mask & (1 << i):
+            if mask >> i & 1:
                 raise ValueError("duplicate edge in forest")
             mask |= 1 << i
         # a cached mask lies in the orbit of a set that ``normalize`` or
-        # ``acyclic_subsets`` found acyclic, and automorphisms preserve
+        # ``orbit_representatives`` found acyclic, and automorphisms preserve
         # acyclicity, so only an unseen mask needs the union-find
-        if mask not in self._info and not self.is_acyclic(positions):
-            raise ValueError("forest contains a cycle")
-        rep, parity, zero, _ = self.orbit_info(mask)
-        rep_tuple = tuple(_mask_positions(rep))
+        record = self._info.get(mask)
+        if record is None:
+            if not self.is_acyclic(ordered_forest):
+                raise ValueError("forest contains a cycle")
+            record = self._orbit(mask)
+        _, parity, zero, _, key = record
         if zero:
-            return SignedRef(0, (self.graph.canonical_key, rep_tuple))
-        sign = _perm_parity_of_ranks(positions) * parity
-        return SignedRef(sign, (self.graph.canonical_key, rep_tuple))
+            return SignedRef(0, key)
+        return SignedRef(_perm_parity_of_ranks(ordered_forest) * parity, key)
 
     def is_acyclic(self, positions: Iterable[int]) -> bool:
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        parent = list(range(self.vertex_count))
+        endpoints = self.endpoints
         for i in positions:
-            u, v = self.endpoints[i]
-            ru, rv = find(u), find(v)
-            if ru == rv:
+            u, v = endpoints[i]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
                 return False
-            parent[ru] = rv
+            parent[u] = v
         return True
 
     def acyclic_subsets(self, p: int) -> Iterator[tuple[int, ...]]:
         """All acyclic p-subsets of edge positions, in lexicographic order."""
-        e = self.edge_count
-        endpoints = self.endpoints
-        out: list[int] = []
-        parent = list(range(self.graph.canon.vertex_count))
+        for mask in self._acyclic_masks(p):
+            yield tuple(_mask_positions(mask))
 
-        def find(x: int) -> int:
+    def _acyclic_masks(self, p: int) -> Iterator[int]:
+        """Bitmasks of the acyclic p-subsets, in lexicographic order of their
+        ascending position tuples.
+
+        A depth-first walk with an explicit stack: each chosen edge links two
+        union-find roots, and backtracking unlinks them again (no path
+        compression, so the undo is one assignment).  The last edge of a
+        subset only needs its two roots to differ.
+        """
+        e = self.edge_count
+        if p == 0:
+            yield 0
+            return
+        endpoints = self.endpoints
+        parent = list(range(self.vertex_count))
+
+        def root(x: int) -> int:
             while parent[x] != x:
                 x = parent[x]
             return x
 
-        def extend(start: int, chosen: int) -> Iterator[tuple[int, ...]]:
-            if chosen == p:
-                yield tuple(out)
-                return
-            # not enough edges left to finish
-            for i in range(start, e - (p - chosen) + 1):
-                u, v = endpoints[i]
-                ru, rv = find(u), find(v)
-                if ru == rv:
+        stack: list[tuple[int, int]] = []  # (position, root it linked)
+        mask = 0
+        start = 0
+        while True:
+            depth = len(stack)
+            if depth == p - 1:
+                for i in range(start, e):
+                    u, v = endpoints[i]
+                    if root(u) != root(v):
+                        yield mask | 1 << i
+            else:
+                # the last position that still leaves room to finish
+                last = e - p + depth
+                while start <= last:
+                    u, v = endpoints[start]
+                    ru, rv = root(u), root(v)
+                    if ru != rv:
+                        parent[ru] = rv
+                        stack.append((start, ru))
+                        mask |= 1 << start
+                        break
+                    start += 1
+                if start <= last:
+                    start += 1
                     continue
-                parent[ru] = rv
-                out.append(i)
-                yield from extend(i + 1, chosen + 1)
-                out.pop()
-                parent[ru] = ru
-
-        if p == 0:
-            yield ()
-            return
-        yield from extend(0, 0)
+            if not stack:
+                return
+            pos, ru = stack.pop()
+            parent[ru] = ru
+            mask ^= 1 << pos
+            start = pos + 1
 
     def orbit_representatives(self, p: int) -> list[tuple[tuple[int, ...], int, bool]]:
         """One (rep, orbit_size, zero) triple per orbit of acyclic p-subsets.
@@ -211,39 +248,46 @@ class ForestIndex:
         the orbit's representative.
         """
         reps: list[tuple[tuple[int, ...], int, bool]] = []
-        for subset in self.acyclic_subsets(p):
-            mask = 0
-            for i in subset:
-                mask |= 1 << i
-            cached = self._info.get(mask)
-            if cached is not None and cached[0] != mask:
-                continue
-            rep, _, zero, size = self.orbit_info(mask)
-            if rep == mask:
-                reps.append((subset, size, zero))
+        info = self._info
+        for mask in self._acyclic_masks(p):
+            record = info.get(mask) or self._orbit(mask)
+            if record[0] == mask:
+                reps.append((record[4][1], record[3], record[2]))
         return reps
 
 
+@cache
+def _byte_positions(k: int) -> tuple[tuple[int, ...], ...]:
+    """Per byte value b, the positions ``8k + j`` of the set bits j of b."""
+    return tuple(tuple(8 * k + j for j in range(8) if b >> j & 1) for b in range(256))
+
+
 def _mask_positions(mask: int) -> list[int]:
-    out = []
+    """Ascending positions of the set bits of ``mask``, a byte at a time."""
+    out: list[int] = []
+    k = 0
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        out += _byte_positions(k)[mask & 255]
+        mask >>= 8
+        k += 1
     return out
 
 
 def _inversion_masks(gen: Sequence[int]) -> list[int]:
     """``out[i]`` has bit j for every j > i with ``gen[j] < gen[i]``, so the
     parity of ``gen`` on an ascending set ``cur`` is the parity of the sum of
-    ``(out[i] & cur).bit_count()`` over the positions i of ``cur``."""
-    out = []
+    ``(out[i] & cur).bit_count()`` over the positions i of ``cur``.
+
+    One pass over the positions in ascending order of their images: the
+    positions met before i are those with a smaller image."""
+    by_image = [0] * len(gen)
     for i, gi in enumerate(gen):
-        m = 0
-        for j in range(i + 1, len(gen)):
-            if gen[j] < gi:
-                m |= 1 << j
-        out.append(m)
+        by_image[gi] = i
+    out = [0] * len(gen)
+    below = 0
+    for i in by_image:
+        out[i] = below >> i + 1 << i + 1
+        below |= 1 << i
     return out
 
 

@@ -53,6 +53,11 @@ CACHE_ENV_VAR = "OUTHOM_CACHE_DIR"
 
 DEFAULT_MAX_NNZ = 5_000_000
 DEFAULT_MAX_BASIS = 500_000
+DEFAULT_MAX_CLASSES = 10_000_000
+
+# the resource caps a report records; a cached report serves a request only
+# if each of the request's caps is at least the recorded one
+_CAPS = ("max_nnz", "max_basis", "max_classes")
 
 # what leaves a hole in a level instead of aborting the profile
 _HOLE_CAUSES = (ResourceCapError, MemoryError)
@@ -88,6 +93,9 @@ class RankProfile:
     holes: list[int]
     timings: dict[str, float]
     maxrss_kb: int
+    max_nnz: int = DEFAULT_MAX_NNZ
+    max_basis: int = DEFAULT_MAX_BASIS
+    max_classes: int = DEFAULT_MAX_CLASSES
     report_text: Optional[str] = None
     from_cache: bool = False
 
@@ -103,7 +111,22 @@ class RankProfile:
     @staticmethod
     def from_json(text: str) -> "RankProfile":
         """Parse a report; a missing or unknown key raises ``TypeError``."""
-        return RankProfile(**json.loads(text), report_text=text, from_cache=True)
+        payload = json.loads(text)
+        missing = [k for k in _CAPS if k not in payload]
+        if missing:
+            raise TypeError(f"report records no {', '.join(missing)}")
+        return RankProfile(**payload, report_text=text, from_cache=True)
+
+    def serves(self, field: str, p_range: list[int], caps: dict[str, int]) -> bool:
+        """Whether this report answers a request: same field and p_range, no
+        holes, and every cap of the request at least the recorded one, so a
+        fresh run could leave no hole either."""
+        return (
+            self.field == field
+            and self.p_range == p_range
+            and not self.holes
+            and all(caps[k] >= getattr(self, k) for k in _CAPS)
+        )
 
 
 def homology_dimensions(rp: RankProfile) -> list[Optional[int]]:
@@ -142,7 +165,7 @@ def compute_rank_profile(
     threads: int = 1,
     max_nnz: int = DEFAULT_MAX_NNZ,
     max_basis: int = DEFAULT_MAX_BASIS,
-    max_classes: int = 10_000_000,
+    max_classes: int = DEFAULT_MAX_CLASSES,
 ) -> RankProfile:
     """Compute a_p, b_p, c_p and homology dimensions for one n.
 
@@ -161,8 +184,9 @@ def compute_rank_profile(
         raise ValueError(f"p_range must lie within [0, {top}]")
 
     cache = ArtifactStore(cache_dir)
-    cached = cache.report(n, f.label(), p_list, RankProfile.from_json)
-    if cached is not None:
+    caps = {"max_nnz": max_nnz, "max_basis": max_basis, "max_classes": max_classes}
+    cached = cache.report(n, f.label(), RankProfile.from_json)
+    if cached is not None and cached.serves(f.label(), p_list, caps):
         return cached
 
     timings: dict[str, float] = {}
@@ -239,6 +263,7 @@ def compute_rank_profile(
             holes=[],
             timings=timings,
             maxrss_kb=0,
+            **caps,
         )
         for p in p_list:
             run_level(p, fld, rp)

@@ -1,16 +1,21 @@
-"""Dense fraction-free (Bareiss) elimination over the rationals.
+"""Reference linear algebra for the tests.
 
-The independent check of the sparse engine in ``outhom.exactla``: a second
+Dense fraction-free (Bareiss) elimination over the rationals is the
+independent check of the sparse engine in ``outhom.exactla``: a second
 algorithm, with column-order pivoting and no shared code, that tests compare
-ranks and kernels against.  Meant for small matrices only.
+ranks and kernels against.  The small helpers below it (matrix times vector,
+the rank of a few vectors over GF(p), and the entrywise check that a kernel
+is one) are used by tests only.  Meant for small matrices only.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
-from outhom.chain import SparseIntMat
+from outhom.chain import SparseIntMat, matmul
+from outhom.exactla import FieldSpec, NullspaceBasis
 
 
 def _to_dense(m: SparseIntMat) -> list[list[int]]:
@@ -74,3 +79,44 @@ def bareiss_nullspace(m: SparseIntMat) -> list[dict[int, int]]:
         lcm = math.lcm(*(v.denominator for v in x.values()))
         columns.append({k: int(v * lcm) for k, v in x.items() if v})
     return columns
+
+
+def mat_vec(m: SparseIntMat, vec: dict[int, int]) -> dict[int, int]:
+    """Integer matrix times sparse integer column vector."""
+    out: dict[int, int] = {}
+    cols = m.col_dicts()
+    for c, x in vec.items():
+        for r, a in cols[c].items():
+            out[r] = out.get(r, 0) + a * x
+    return {r: v for r, v in out.items() if v != 0}
+
+
+def rank_of_vectors(vectors: Sequence[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) of a small family of sparse vectors."""
+    basis: list[dict[int, int]] = []
+    for vec in vectors:
+        cur = {k: v % p for k, v in vec.items() if v % p}
+        for b in basis:
+            lead = next(iter(sorted(b)))
+            x = cur.get(lead)
+            if x:
+                for k, v in b.items():
+                    nv = (cur.get(k, 0) - x * v) % p
+                    if nv:
+                        cur[k] = nv
+                    else:
+                        cur.pop(k, None)
+        if cur:
+            lead = min(cur)
+            inv = pow(cur[lead], p - 2, p)
+            basis.append({k: v * inv % p for k, v in cur.items()})
+            basis.sort(key=lambda b: min(b))
+    return len(basis)
+
+
+def check_product_zero(m: SparseIntMat, ns: NullspaceBasis, f: FieldSpec) -> bool:
+    """Entrywise verification that M . N vanishes over f."""
+    product = matmul(m, ns.to_mat())
+    if f.kind == "prime":
+        return all(v % f.p == 0 for _, _, v in product.entries)
+    return not product.entries

@@ -26,13 +26,13 @@ from outhom.enumerator import EnumSpec, enumerate_graphs
 from outhom.exactla import (
     DEFAULT_PRIMES,
     FieldSpec,
-    mat_vec,
     nullspace_of,
     rank_of,
 )
 from outhom.forests import ForestIndex
 from outhom.multigraph import apply_vertex_perm, canonical_form
 from outhom.pipeline import compute_rank_profile, oracle_full_complex
+from reference_la import mat_vec
 
 
 def _report(criterion: str, message: str) -> None:

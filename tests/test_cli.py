@@ -211,6 +211,15 @@ class TestRunContract:
         assert "holes" not in out
         assert "dims: 1,0,0,0,1,0" in out
 
+    def test_lower_cap_exits_2_with_or_without_cache(self, tmp_path, capsys):
+        cache = ("--cache-dir", str(tmp_path))
+        capped = ("homology", "--n", "4", "--max-basis", "5")
+        assert run_cli(capsys, *capped)[0] == 2
+        assert run_cli(capsys, "homology", "--n", "4", *cache)[0] == 0
+        code, out, _ = run_cli(capsys, *capped, *cache)
+        assert code == 2
+        assert "holes (resource caps): 1,2,3,4,5" in out
+
 
 def test_cli_import_leaves_numpy_out():
     src = str(Path(outhom.__file__).resolve().parents[1])

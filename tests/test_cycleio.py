@@ -12,7 +12,8 @@ from outhom.cycleio import (
     serialize_cycle,
     verify_cycle,
 )
-from outhom.exactla import FieldSpec, mat_vec, nullspace_of
+from outhom.exactla import FieldSpec, nullspace_of
+from reference_la import mat_vec
 
 
 class TestParse:

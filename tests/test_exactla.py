@@ -11,14 +11,17 @@ from outhom.exactla import (
     FieldSpec,
     _backsolve,
     _eliminate,
-    check_product_zero,
-    mat_vec,
     nullspace_blockwise,
     nullspace_of,
     rank_of,
+)
+from reference_la import (
+    bareiss_nullspace,
+    bareiss_rank,
+    check_product_zero,
+    mat_vec,
     rank_of_vectors,
 )
-from reference_la import bareiss_nullspace, bareiss_rank
 
 GF1 = FieldSpec.prime(DEFAULT_PRIMES[0])
 GF2 = FieldSpec.prime(DEFAULT_PRIMES[1])

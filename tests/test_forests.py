@@ -6,8 +6,11 @@ import random
 import pytest
 
 from outhom.chain import ClassStore
+from outhom.enumerator import EnumSpec, enumerate_graphs
 from outhom.forests import (
     ForestIndex,
+    _inversion_masks,
+    _mask_positions,
     _perm_parity_of_ranks,
     block_key_of,
     forest_basis,
@@ -238,3 +241,115 @@ def test_parity_equals_inversion_count():
             1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
         )
         assert _perm_parity_of_ranks(seq) == (-1 if inversions & 1 else 1)
+
+
+def _root(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+class TestKernel:
+    """The bit-operation kernel against plain reference loops."""
+
+    @staticmethod
+    def _reference_subsets(cls, p):
+        """``itertools.combinations`` filtered by a fresh union-find."""
+        edges = cls.canon.edges
+        out = []
+        for subset in itertools.combinations(range(len(edges)), p):
+            parent = list(range(cls.canon.vertex_count))
+            for i in subset:
+                ru, rv = _root(parent, edges[i][0]), _root(parent, edges[i][1])
+                if ru == rv:
+                    break
+                parent[ru] = rv
+            else:
+                out.append(subset)
+        return out
+
+    @staticmethod
+    def _recursive_representatives(fi, p):
+        """Orbit representatives from the recursive depth-first walk."""
+        cls = fi.graph
+        edges = cls.canon.edges
+        e = len(edges)
+        parent = list(range(cls.canon.vertex_count))
+        out = []
+
+        def extend(start, chosen):
+            if chosen == p:
+                yield tuple(out)
+                return
+            for i in range(start, e - (p - chosen) + 1):
+                ru, rv = _root(parent, edges[i][0]), _root(parent, edges[i][1])
+                if ru == rv:
+                    continue
+                parent[ru] = rv
+                out.append(i)
+                yield from extend(i + 1, chosen + 1)
+                out.pop()
+                parent[ru] = ru
+
+        reps = []
+        for subset in extend(0, 0):
+            mask = sum(1 << i for i in subset)
+            rep, _, zero, size = fi.orbit_info(mask)
+            if rep == mask:
+                reps.append((subset, size, zero))
+        return reps
+
+    @pytest.fixture(scope="class")
+    def rank6(self):
+        return enumerate_graphs(EnumSpec(6))
+
+    def test_acyclic_subsets_match_combinations(self, trivalent_by_rank, rank6):
+        cases = [
+            (cls, p)
+            for n in (2, 3, 4, 5)
+            for cls in trivalent_by_rank[n]
+            for p in range(cls.canon.edge_count + 2)
+        ]
+        cases += [(cls, p) for cls in rank6 for p in (1, 8, 9)]
+        for cls, p in cases:
+            got = list(ForestIndex(cls).acyclic_subsets(p))
+            assert got == self._reference_subsets(cls, p), (cls.canonical_key, p)
+
+    def test_orbit_representatives_match_recursive_walk(self, trivalent_by_rank):
+        for n in (2, 3, 4, 5):
+            for cls in trivalent_by_rank[n]:
+                for p in range(cls.canon.vertex_count):
+                    expected = self._recursive_representatives(ForestIndex(cls), p)
+                    assert ForestIndex(cls).orbit_representatives(p) == expected
+
+    def test_mask_positions_match_bit_loop(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            mask = rng.getrandbits(rng.randint(0, 40))
+            expected = [i for i in range(40) if mask >> i & 1]
+            assert _mask_positions(mask) == expected
+
+    def test_xor_parity_equals_inversion_count(self):
+        rng = random.Random(5)
+        degree = 18
+        gen = list(range(degree))
+        rng.shuffle(gen)
+        inv = _inversion_masks(gen)
+        assert inv == [
+            sum(1 << j for j in range(i + 1, degree) if gen[j] < gen[i])
+            for i in range(degree)
+        ]
+        for _ in range(500):
+            subset = sorted(rng.sample(range(degree), rng.randint(0, degree)))
+            s = sum(1 << i for i in subset)
+            x = 0
+            for i in subset:
+                x ^= inv[i]
+            image = [gen[i] for i in subset]
+            inversions = sum(
+                1
+                for a in range(len(image))
+                for b in range(a + 1, len(image))
+                if image[a] > image[b]
+            )
+            assert (x & s).bit_count() & 1 == inversions & 1

@@ -12,6 +12,7 @@ from outhom.chain import boundary_contract, boundary_remove, matmul
 from outhom.exactla import DEFAULT_PRIMES, FieldSpec, nullspace_of, rank_of
 from outhom.multigraph import Multigraph, apply_vertex_perm
 from outhom.pipeline import (
+    DEFAULT_MAX_BASIS,
     CrossPrimeError,
     NegativeDimensionError,
     RankProfile,
@@ -229,6 +230,35 @@ class TestCaching:
         for f, first in ((None, prime), (FieldSpec.rational(), rational)):
             again = compute_rank_profile(3, f=f, cache_dir=cache)
             assert again.from_cache and again.report_text == first.report_text
+
+    def test_lower_cap_is_not_served_from_cache(self, tmp_path):
+        cache = str(tmp_path)
+        full = compute_rank_profile(4, cache_dir=cache)
+        assert not full.holes and full.max_basis == DEFAULT_MAX_BASIS
+        capped = compute_rank_profile(4, cache_dir=cache, max_basis=5)
+        fresh = compute_rank_profile(4, max_basis=5)
+        assert not capped.from_cache
+        assert capped.holes == fresh.holes == [1, 2, 3, 4, 5]
+
+    def test_higher_caps_are_served_from_cache(self, tmp_path):
+        cache = str(tmp_path)
+        compute_rank_profile(3, cache_dir=cache, max_nnz=1000, max_basis=100)
+        again = compute_rank_profile(3, cache_dir=cache, max_nnz=2000, max_basis=100)
+        assert again.from_cache and not again.holes
+
+    def test_report_without_caps_is_recomputed(self, tmp_path):
+        cache = str(tmp_path)
+        compute_rank_profile(3, cache_dir=cache)
+        path = tmp_path / "report-n3-65521.json"
+        payload = json.loads(path.read_text())
+        del payload["max_classes"]
+        text = json.dumps(payload)
+        with pytest.raises(TypeError):
+            RankProfile.from_json(text)
+        path.write_text(text)
+        again = compute_rank_profile(3, cache_dir=cache)
+        assert not again.from_cache and not again.holes
+        assert "max_classes" in json.loads(path.read_text())
 
     def test_json_round_trip(self):
         rp = compute_rank_profile(2)
