@@ -4,7 +4,7 @@ from .chain import ChainBasis, ClassStore, SparseIntMat, boundary_contract, boun
 from .cycleio import CycleVector, parse_cycle, serialize_cycle, verify_cycle
 from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs, pairing_classes
 from .exactla import DEFAULT_PRIMES, FieldSpec, NullspaceBasis, nullspace_of, rank_of
-from .forests import ForestedGraph, ForestIndex, SignedRef, forest_basis, normalize
+from .forests import ForestedGraph, ForestIndex, SignedRef, normalize
 from .multigraph import (
     GraphClass,
     GraphFacts,
@@ -45,7 +45,6 @@ __all__ = [
     "compute_rank_profile",
     "contract_edges",
     "enumerate_graphs",
-    "forest_basis",
     "homology_dimensions",
     "normalize",
     "nullspace_of",

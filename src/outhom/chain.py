@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .forests import ForestedGraph, ForestIndex, ForestKey, block_key_of
+from .forests import ForestedGraph, ForestIndex, ForestKey, block_key_of, xor_table
 from .multigraph import (
     GraphClass,
     canonical_form_mapped,
@@ -112,9 +112,11 @@ class ChainBasis:
 class ClassStore:
     """Interning table for graph classes plus contraction memoization.
 
-    Keeps one :class:`ForestIndex` per canonical key so forest orbits are
-    computed once per class, and memoizes single-edge contraction results
-    with their edge position maps.
+    Keeps one :class:`ForestIndex` per basis class it is asked for, so
+    forest orbits are computed once per class, and memoizes single-edge
+    contraction results with their edge position maps.  The forest indices
+    of contraction targets stay with the :class:`BoundaryKernel` that met
+    them.
     """
 
     def __init__(self) -> None:
@@ -195,72 +197,134 @@ def build_chain_basis(
     return ChainBasis(n=n, p=p, elements=tuple(elements))
 
 
-def basis_from_labels(
-    n: int, p: int, labels: Sequence[ForestKey], store: ClassStore
-) -> ChainBasis:
-    """Rebuild a basis-like object from hash-consed row labels."""
-    elements = [ForestedGraph(store.get(key), forest) for key, forest in labels]
-    return ChainBasis(n=n, p=p, elements=tuple(elements))
+class BoundaryKernel:
+    """Signed boundary terms of forested graphs, with integer row ids.
 
+    A kernel serves one assembly.  Rows are interned once per orbit of a
+    target class: numbered in the order met and labelled by the orbit's key,
+    or, given a ``target`` basis, looked up in its index.
 
-def boundary_terms(
-    el: ForestedGraph, kind: str, store: ClassStore
-) -> Iterator[tuple[int, ForestKey]]:
-    """Terms ``(sign, target key)`` of the ``"contract"`` or ``"remove"``
-    boundary of one generator: the i-th forest edge is contracted or dropped,
-    with sign ``(-1)^i``.  Targets zero by odd symmetry are skipped."""
-    if kind not in ("contract", "remove"):
-        raise ValueError(f"unknown boundary kind {kind!r}")
-    src = store.intern(el.graph)
-    forest = el.forest
-    for i, pos in enumerate(forest, start=1):
-        rest = [f for f in forest if f != pos]
-        if kind == "contract":
-            target, pos_map = store.contract_one(src, pos)
-            ref = store.forest_index(target).normalize([pos_map[f] for f in rest])
+    Removing the forest edge at ``pos`` leaves the mask ``F ^ 1 << pos``,
+    already in ascending order.  Contracting it goes through a table, one per
+    (source class, position), built from ``ClassStore.contract_one``'s
+    position map only once a term with a nonempty remaining forest needs it:
+    :func:`forests.xor_table`, whose XOR over the remaining forest gives the
+    target mask and the parity of the order the map puts on it.
+
+    Target classes get their forest index from the store when it holds one
+    and a fresh one otherwise, which lives and dies with the kernel: the
+    contracted classes of a trivalent basis are read by no other level.
+    """
+
+    def __init__(self, store: ClassStore, target: Optional[ChainBasis] = None):
+        self.store = store
+        self.target = target
+        # row id -> key, when rows are interned rather than looked up
+        self.labels: list[ForestKey] = []
+        # per target class: its forest index and the row id of each orbit
+        # met, by representative mask
+        self._targets: dict[bytes, tuple[ForestIndex, dict[int, int]]] = {}
+        # per source class, per position: [target, table or None]
+        self._contractions: dict[bytes, list[Optional[list]]] = {}
+
+    def _target_of(self, cls: GraphClass) -> tuple[ForestIndex, dict[int, int]]:
+        key = cls.canonical_key
+        t = self._targets.get(key)
+        if t is None:
+            fi = self.store._findex.get(key) or ForestIndex(cls)
+            t = self._targets[key] = (fi, {})
+        return t
+
+    def _row(self, key: ForestKey) -> int:
+        if self.target is None:
+            self.labels.append(key)
+            return len(self.labels) - 1
+        row = self.target.index.get(key)
+        if row is None:
+            raise InconsistencyError(
+                f"boundary target {key} missing from the p={self.target.p} basis"
+            )
+        return row
+
+    def add_terms(
+        self, acc: dict[int, int], el: ForestedGraph, kind: str, scale: int = 1
+    ) -> None:
+        """Add ``scale`` times the ``"contract"`` or ``"remove"`` boundary of
+        one generator into ``acc``, keyed by row id: the i-th forest edge is
+        contracted or dropped, with sign ``(-1)^i``.  Targets zero by odd
+        symmetry are skipped."""
+        src = el.graph
+        forest = el.forest
+        fmask = 0
+        for j in forest:
+            fmask |= 1 << j
+        if kind == "remove":
+            fi, rows = self._target_of(src)
+        elif kind == "contract":
+            per_pos = self._contractions.get(src.canonical_key)
+            if per_pos is None:
+                per_pos = [None] * src.canon.edge_count
+                self._contractions[src.canonical_key] = per_pos
         else:
-            ref = store.forest_index(src).normalize(rest)
-        if ref.sign != 0:
-            yield (-ref.sign if i & 1 else ref.sign), ref.key
-
-
-def accumulate_boundary(
-    acc: dict[tuple[ForestKey, int], int],
-    b: ChainBasis,
-    kind: str,
-    store: ClassStore,
-    scale: int = 1,
-) -> dict[tuple[ForestKey, int], int]:
-    """Add ``scale`` times one boundary of every basis column into ``acc``."""
-    for col, el in enumerate(b.elements):
-        for sign, key in boundary_terms(el, kind, store):
-            cell = (key, col)
-            acc[cell] = acc.get(cell, 0) + scale * sign
-    return acc
+            raise ValueError(f"unknown boundary kind {kind!r}")
+        for i, pos in enumerate(forest, start=1):
+            sign = -scale if i & 1 else scale
+            mask = fmask ^ 1 << pos
+            if kind == "contract":
+                entry = per_pos[pos]
+                if entry is None:
+                    target, _ = self.store.contract_one(src, pos)
+                    entry = per_pos[pos] = [self._target_of(target), None]
+                (fi, rows), table = entry
+                if mask:
+                    e = fi.edge_count
+                    if table is None:
+                        pos_map = self.store.contract_one(src, pos)[1]
+                        table = entry[1] = xor_table(pos_map, e)
+                    x = 0
+                    for j in forest:
+                        x ^= table[j]
+                    if (x >> e & mask).bit_count() & 1:
+                        sign = -sign
+                    mask = x & ~(-1 << e)
+            rep, parity, zero, _, key = fi.record(mask)
+            if zero:
+                continue
+            row = rows.get(rep)
+            if row is None:
+                row = rows[rep] = self._row(key)
+            acc[row] = acc.get(row, 0) + sign * parity
 
 
 def assemble(
-    acc: dict[tuple[ForestKey, int], int],
-    cols: int,
+    b: ChainBasis,
+    parts: Sequence[tuple[str, int]],
+    store: ClassStore,
     target: Optional[ChainBasis] = None,
 ) -> SparseIntMat:
-    """Matrix of ``{(row key, col): value}``.  Rows are the sorted keys of
-    nonzero cells, or the ``target`` basis, which must hold every key."""
+    """Matrix of the sum of ``scale`` times the ``kind`` boundary over the
+    ``(kind, scale)`` parts, on the columns of ``b``.
+
+    Rows are the keys of the nonzero rows in sorted order, or the ``target``
+    basis, which must hold every target key (else
+    :class:`InconsistencyError`)."""
+    kernel = BoundaryKernel(store, target)
+    entries: list[tuple[int, int, int]] = []
+    for col, el in enumerate(b.elements):
+        acc: dict[int, int] = {}
+        for kind, scale in parts:
+            kernel.add_terms(acc, el, kind, scale)
+        entries += [(row, col, v) for row, v in acc.items() if v]
     if target is None:
-        labels = tuple(sorted({key for (key, _), v in acc.items() if v != 0}))
-        row_of = {key: r for r, key in enumerate(labels)}
+        keys = kernel.labels
+        live = sorted({row for row, _, _ in entries}, key=keys.__getitem__)
+        rank = dict(zip(live, range(len(live))))
+        entries = [(rank[row], col, v) for row, col, v in entries]
+        labels = tuple(keys[row] for row in live)
     else:
         labels = tuple(e.key for e in target.elements)
-        row_of = target.index
-        missing = [key for key, _ in acc if key not in row_of]
-        if missing:
-            raise InconsistencyError(
-                f"boundary target {min(missing)} missing from the p={target.p} basis"
-            )
-    entries = tuple(
-        sorted((row_of[key], col, v) for (key, col), v in acc.items() if v != 0)
-    )
-    return SparseIntMat(len(labels), cols, entries, labels)
+    entries.sort()
+    return SparseIntMat(len(labels), b.dim, tuple(entries), labels)
 
 
 def boundary_contract(b: ChainBasis, store: Optional[ClassStore] = None) -> SparseIntMat:
@@ -270,8 +334,7 @@ def boundary_contract(b: ChainBasis, store: Optional[ClassStore] = None) -> Spar
     sorted by canonical key; all-zero rows are dropped.  For p = 0 the
     matrix is 0 x dim.
     """
-    store = store or ClassStore()
-    return assemble(accumulate_boundary({}, b, "contract", store), b.dim)
+    return assemble(b, (("contract", 1),), store or ClassStore())
 
 
 def boundary_remove(
@@ -286,8 +349,7 @@ def boundary_remove(
     hash-consed like in :func:`boundary_contract` (used at forest sizes
     whose predecessor basis is too large to enumerate).
     """
-    store = store or ClassStore()
-    return assemble(accumulate_boundary({}, b, "remove", store), b.dim, target)
+    return assemble(b, (("remove", 1),), store or ClassStore(), target)
 
 
 def matmul(a: SparseIntMat, b: SparseIntMat) -> SparseIntMat:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .chain import ChainBasis, ClassStore, boundary_terms
+from .chain import BoundaryKernel, ChainBasis, ClassStore
 from .forests import ForestKey, ForestedGraph
 from .multigraph import Multigraph, canonical_form_mapped
 
@@ -149,12 +149,12 @@ def verify_cycle(
     )
     if missing:
         return CycleVerdict(False, False, False, missing)
-    contract_acc: dict[ForestKey, int] = {}
-    remove_acc: dict[ForestKey, int] = {}
+    kernel = BoundaryKernel(store)
+    contract_acc: dict[int, int] = {}
+    remove_acc: dict[int, int] = {}
     for coeff, fg in w.terms:
-        for kind, acc in (("contract", contract_acc), ("remove", remove_acc)):
-            for sign, key in boundary_terms(fg, kind, store):
-                acc[key] = acc.get(key, 0) + coeff * sign
+        kernel.add_terms(contract_acc, fg, "contract", coeff)
+        kernel.add_terms(remove_acc, fg, "remove", coeff)
     d_c_zero = all(v == 0 for v in contract_acc.values())
     d_r_zero = all(v == 0 for v in remove_acc.values())
     return CycleVerdict(True, d_c_zero, d_r_zero)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .multigraph import GraphClass, canonical_form, contract_edges
 
@@ -96,11 +96,7 @@ class ForestIndex:
     def _tables(self) -> list[list[int]]:
         """Per generator, ``table[i] = inv[i] << e | 1 << gen[i]``; see the
         module docstring."""
-        e = self.edge_count
-        return [
-            [inv << e | 1 << gi for inv, gi in zip(_inversion_masks(gen), gen)]
-            for gen in self.generators()
-        ]
+        return [xor_table(gen, self.edge_count) for gen in self.generators()]
 
     def orbit_info(self, mask: int) -> tuple[int, int, bool, int]:
         """``(rep_mask, parity, zero, orbit size)`` of the orbit of ``mask``."""
@@ -155,18 +151,25 @@ class ForestIndex:
             if mask >> i & 1:
                 raise ValueError("duplicate edge in forest")
             mask |= 1 << i
-        # a cached mask lies in the orbit of a set that ``normalize`` or
-        # ``orbit_representatives`` found acyclic, and automorphisms preserve
-        # acyclicity, so only an unseen mask needs the union-find
-        record = self._info.get(mask)
-        if record is None:
-            if not self.is_acyclic(ordered_forest):
-                raise ValueError("forest contains a cycle")
-            record = self._orbit(mask)
-        _, parity, zero, _, key = record
+        _, parity, zero, _, key = self.record(mask)
         if zero:
             return SignedRef(0, key)
         return SignedRef(_perm_parity_of_ranks(ordered_forest) * parity, key)
+
+    def record(self, mask: int) -> tuple[int, int, bool, int, ForestKey]:
+        """The cached record ``(rep, parity, zero, size, key)`` of the orbit of
+        the forest ``mask``; raises ``ValueError`` if ``mask`` has a cycle.
+
+        A cached mask lies in the orbit of a set found acyclic before, and
+        automorphisms preserve acyclicity, so only an unseen mask needs the
+        union-find.
+        """
+        record = self._info.get(mask)
+        if record is None:
+            if not self.is_acyclic(_mask_positions(mask)):
+                raise ValueError("forest contains a cycle")
+            record = self._orbit(mask)
+        return record
 
     def is_acyclic(self, positions: Iterable[int]) -> bool:
         parent = list(range(self.vertex_count))
@@ -197,6 +200,8 @@ class ForestIndex:
         subset only needs its two roots to differ.
         """
         e = self.edge_count
+        if p < 0:
+            raise ValueError("forest size must be >= 0")
         if p == 0:
             yield 0
             return
@@ -273,22 +278,35 @@ def _mask_positions(mask: int) -> list[int]:
     return out
 
 
-def _inversion_masks(gen: Sequence[int]) -> list[int]:
-    """``out[i]`` has bit j for every j > i with ``gen[j] < gen[i]``, so the
-    parity of ``gen`` on an ascending set ``cur`` is the parity of the sum of
-    ``(out[i] & cur).bit_count()`` over the positions i of ``cur``.
+def _inversion_masks(images: Sequence[Optional[int]]) -> list[int]:
+    """``out[i]`` has bit j for every j > i with ``images[j] < images[i]``, so
+    the parity of the map on an ascending set ``cur`` is the parity of the sum
+    of ``(out[i] & cur).bit_count()`` over the positions i of ``cur``.
+    Positions whose image is ``None`` are left out (and get 0).
 
     One pass over the positions in ascending order of their images: the
     positions met before i are those with a smaller image."""
-    by_image = [0] * len(gen)
-    for i, gi in enumerate(gen):
-        by_image[gi] = i
-    out = [0] * len(gen)
+    out = [0] * len(images)
     below = 0
-    for i in by_image:
+    for i in sorted(
+        (i for i, m in enumerate(images) if m is not None), key=images.__getitem__
+    ):
         out[i] = below >> i + 1 << i + 1
         below |= 1 << i
     return out
+
+
+def xor_table(images: Sequence[Optional[int]], e: int) -> list[int]:
+    """Per position i, ``inv[i] << e | 1 << images[i]`` (0 where the image is
+    ``None``), with ``inv`` from :func:`_inversion_masks` and images below e.
+
+    The XOR of the words over an ascending set S holds the image of S in the
+    low e bits, and ``popcount((xor >> e) & S) & 1`` is the parity of the
+    order the map puts on S."""
+    return [
+        0 if m is None else inv << e | 1 << m
+        for inv, m in zip(_inversion_masks(images), images)
+    ]
 
 
 def _perm_parity_of_ranks(seq: Sequence[int]) -> int:
@@ -317,11 +335,3 @@ def block_key_of(graph: GraphClass, forest: Sequence[int]) -> bytes:
     if not forest:
         return graph.canonical_key
     return canonical_form(contract_edges(graph.canon, forest)).canonical_key
-
-
-def forest_basis(graph: GraphClass, p: int) -> list[ForestedGraph]:
-    """Normalized representatives of the nonzero forest orbits of size p."""
-    if p < 0:
-        raise ValueError("forest size must be >= 0")
-    reps = ForestIndex(graph).orbit_representatives(p)
-    return [ForestedGraph(graph, rep) for rep, _, zero in reps if not zero]

@@ -36,7 +36,6 @@ from .chain import (
     ChainBasis,
     ClassStore,
     SparseIntMat,
-    accumulate_boundary,
     assemble,
     boundary_contract,
     boundary_remove,
@@ -170,9 +169,9 @@ def compute_rank_profile(
     """Compute a_p, b_p, c_p and homology dimensions for one n.
 
     ``c_p`` needs the basis one level down, so it is computed only when
-    ``p - 1`` is also in range (or p = 0, where it is zero).  Resource caps,
-    and running out of memory, leave explicit holes instead of aborting the
-    whole profile.
+    ``p - 1`` is also in range (or p = 0, where it is zero); when that basis
+    is a hole, so is p.  Resource caps, and running out of memory, leave
+    explicit holes instead of aborting the whole profile.
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
@@ -199,7 +198,7 @@ def compute_rank_profile(
     bases: dict[int, ChainBasis] = {}
 
     def run_level(p: int, fld: FieldSpec, rp: RankProfile) -> None:
-        def hole(exc: Exception) -> None:
+        def hole(exc: Exception | str) -> None:
             if isinstance(exc, MemoryError):
                 exc = f"out of memory ({exc!r})"
             print(f"n={n} p={p}: {exc}; leaving a hole", file=sys.stderr)
@@ -238,7 +237,12 @@ def compute_rank_profile(
         if p == 0:
             rp.c[p] = 0
             return
-        if rank_dc is None or (p - 1) not in bases:
+        if p - 1 not in bases:
+            # a p - 1 outside the range leaves c_p undefined, not a hole
+            if p - 1 in p_list:
+                hole(f"c_{p} needs the p={p - 1} basis, which is a hole")
+            return
+        if rank_dc is None:
             return
         try:
             t = time.monotonic()
@@ -357,8 +361,7 @@ def oracle_full_complex(n: int, verify_d_squared: bool = True) -> list[int]:
 
 def _oracle_boundary(b: ChainBasis, target: ChainBasis, store: ClassStore) -> SparseIntMat:
     """Combined boundary (contraction minus removal) into the lower basis."""
-    acc = accumulate_boundary({}, b, "contract", store)
-    return assemble(accumulate_boundary(acc, b, "remove", store, -1), b.dim, target)
+    return assemble(b, (("contract", 1), ("remove", -1)), store, target)
 
 
 def _oracle_bases(n: int) -> tuple[list[ChainBasis], ClassStore]:
@@ -373,9 +376,3 @@ def _oracle_bases(n: int) -> tuple[list[ChainBasis], ClassStore]:
         if bases and basis.dim == 0:
             return bases, store
         bases.append(basis)
-
-
-def oracle_euler_characteristic(n: int) -> int:
-    """Alternating sum of full-complex dimensions (equals that of homology)."""
-    bases, _ = _oracle_bases(n)
-    return sum(-b.dim if k % 2 else b.dim for k, b in enumerate(bases))

@@ -16,7 +16,6 @@ import pytest
 
 from outhom.chain import (
     SparseIntMat,
-    basis_from_labels,
     boundary_contract,
     boundary_remove,
     matmul,
@@ -32,6 +31,7 @@ from outhom.exactla import (
 from outhom.forests import ForestIndex
 from outhom.multigraph import apply_vertex_perm, canonical_form
 from outhom.pipeline import compute_rank_profile, oracle_full_complex
+from reference_chain import basis_from_labels
 from reference_la import mat_vec
 
 

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from outhom.chain import (
+    ClassStore,
     InconsistencyError,
     SparseIntMat,
-    basis_from_labels,
+    assemble,
     boundary_contract,
     boundary_remove,
     build_chain_basis,
@@ -15,6 +16,8 @@ from outhom.chain import (
     vstack,
 )
 from outhom.forests import ForestIndex, block_key_of
+from outhom.pipeline import _oracle_bases, _oracle_boundary
+from reference_chain import basis_from_labels, reference_boundary
 
 
 def _entry_dict(mat: SparseIntMat) -> dict[tuple, int]:
@@ -136,6 +139,64 @@ class TestComplexIdentities:
         empty = basis_from_labels(2, 0, (), store)
         with pytest.raises(InconsistencyError):
             boundary_remove(basis1, empty, store)
+
+
+CONTRACT = (("contract", 1),)
+REMOVE = (("remove", 1),)
+FULL = (("contract", 1), ("remove", -1))
+
+
+class TestReferenceEquivalence:
+    """The kernel builds the same matrices, entries and row labels, as the
+    normalize-based reference generator.  Each side gets its own store, so
+    the kernel's forest indices for contraction targets are its own."""
+
+    @staticmethod
+    def _assert_same(got: SparseIntMat, want: SparseIntMat) -> None:
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got.row_labels == want.row_labels
+        assert got.entries == want.entries
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_trivalent_levels(self, n, bases_by_rank):
+        bases = bases_by_rank[n]
+        store, ref_store = ClassStore(), ClassStore()
+        for p, basis in enumerate(bases):
+            for got, want in (
+                (boundary_contract(basis, store), reference_boundary(basis, CONTRACT, ref_store)),
+                (boundary_remove(basis, None, store), reference_boundary(basis, REMOVE, ref_store)),
+            ):
+                self._assert_same(got, want)
+            if p:
+                self._assert_same(
+                    boundary_remove(basis, bases[p - 1], store),
+                    reference_boundary(basis, REMOVE, ref_store, bases[p - 1]),
+                )
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_oracle_levels(self, n):
+        # loop-bearing and parallel-edge graphs, into the next basis down
+        bases, store = _oracle_bases(n)
+        ref_store = ClassStore()
+        for k in range(1, len(bases)):
+            b, lower = bases[k], bases[k - 1]
+            self._assert_same(
+                _oracle_boundary(b, lower, store),
+                reference_boundary(b, FULL, ref_store, lower),
+            )
+            for parts in (CONTRACT, REMOVE, FULL):
+                for target in (lower, None):
+                    self._assert_same(
+                        assemble(b, parts, ClassStore(), target),
+                        reference_boundary(b, parts, ref_store, target),
+                    )
+
+    def test_missing_removal_target_raises_on_both(self, bases_by_rank):
+        basis1 = bases_by_rank[2][1]
+        empty = basis_from_labels(2, 0, (), ClassStore())
+        for build in (assemble, reference_boundary):
+            with pytest.raises(InconsistencyError):
+                build(basis1, REMOVE, ClassStore(), empty)
 
 
 class TestSparseIntMat:

@@ -63,6 +63,18 @@ class TestHomology:
         assert code == 2
         assert "holes" in out
 
+    def test_hole_below_makes_c_a_hole(self, capsys):
+        # the cap stops the p = 4 basis; c_5 needs it, so p = 5 is a hole too
+        code, out, err = run_cli(
+            capsys, "homology", "--n", "4", "--max-basis", "30",
+            "--format", "structured",
+        )
+        assert code == 2
+        report = json.loads(out)
+        assert report["holes"] == [4, 5]
+        assert report["a"][5] == 28 and report["c"][5] is None
+        assert "n=4 p=5: c_5 needs the p=4 basis, which is a hole" in err
+
     def test_rational_size_limit_exit_2(self, capsys):
         code, out, err = run_cli(
             capsys, "homology", "--n", "4", "--rational", "--max-nnz", "3",

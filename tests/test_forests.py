@@ -13,7 +13,6 @@ from outhom.forests import (
     _mask_positions,
     _perm_parity_of_ranks,
     block_key_of,
-    forest_basis,
     normalize,
 )
 from outhom.multigraph import Multigraph, canonical_form
@@ -156,15 +155,16 @@ class TestOrbitEnumeration:
 
 class TestForestBasis:
     def test_theta_bases(self, theta):
-        assert len(forest_basis(theta, 0)) == 1
-        basis1 = forest_basis(theta, 1)
-        assert len(basis1) == 1
-        assert block_key_of(theta, basis1[0].forest) == b"V=1 E=0-0,0-0"
-        assert forest_basis(theta, 2) == []
+        fi = ForestIndex(theta)
+        assert fi.orbit_representatives(0) == [((), 1, False)]
+        (rep, size, zero), = fi.orbit_representatives(1)
+        assert (size, zero) == (3, False)
+        assert block_key_of(theta, rep) == b"V=1 E=0-0,0-0"
+        assert fi.orbit_representatives(2) == []
 
     def test_negative_size_rejected(self, theta):
         with pytest.raises(ValueError):
-            forest_basis(theta, -1)
+            ForestIndex(theta).orbit_representatives(-1)
 
 
 def _edge_group(gens, degree):

@@ -20,10 +20,10 @@ from outhom.pipeline import (
     cross_prime_profile,
     default_p_range,
     homology_dimensions,
-    oracle_euler_characteristic,
     oracle_full_complex,
     oracle_graphs,
 )
+from reference_chain import oracle_euler_characteristic
 
 
 class TestSmallProfiles:
@@ -180,6 +180,16 @@ class TestCapsAndHoles:
         assert rp.holes
         assert all(x is not None for x in rp.a)
 
+    def test_c_above_a_basis_hole_is_a_hole(self, capsys):
+        rp = compute_rank_profile(4, max_basis=30)
+        assert rp.holes == [4, 5]
+        assert rp.a[5] is not None and rp.c[5] is None and rp.dims[5] is None
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "n=4 p=4: basis cap 30 exceeded at n=4 p=4; leaving a hole",
+            "n=4 p=5: c_5 needs the p=4 basis, which is a hole; leaving a hole",
+        ]
+
     def test_input_nnz_over_cap_leaves_hole(self):
         # no elimination at n = 3 grows past its input nnz, so only the
         # check of the input can see this cap
@@ -304,6 +314,15 @@ class TestArtifactBytes:
         )
         compute_rank_profile(7, p_range=[0, 1], cache_dir=str(tmp_path))
         assert _artifact_digests(tmp_path) == golden["n7-p01"]
+
+    def test_fresh_n6_top_matches_golden_digests(self, tmp_path):
+        # the top level of rank 6 is one 11035-column block, so this pins
+        # boundary assembly and the orbit kernel at the scale they are tuned for
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "artifact_digests.json").read_text()
+        )
+        compute_rank_profile(6, p_range=[0, 1, 9], cache_dir=str(tmp_path))
+        assert _artifact_digests(tmp_path) == golden["n6-p019"]
 
     def test_resumed_run_writes_same_artifacts(self, fresh_caches, tmp_path):
         # the resume reads graphs and bases, and must rebuild the matrices
