@@ -4,7 +4,7 @@ from .chain import ChainBasis, ClassStore, SparseIntMat, boundary_contract, boun
 from .cycleio import CycleVector, parse_cycle, serialize_cycle, verify_cycle
 from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs, pairing_classes
 from .exactla import DEFAULT_PRIMES, FieldSpec, NullspaceBasis, nullspace_of, rank_of
-from .forests import ForestedGraph, ForestIndex, SignedRef, normalize
+from .forests import ForestedGraph, ForestIndex, SignedRef
 from .multigraph import (
     GraphClass,
     GraphFacts,
@@ -46,7 +46,6 @@ __all__ = [
     "contract_edges",
     "enumerate_graphs",
     "homology_dimensions",
-    "normalize",
     "nullspace_of",
     "oracle_full_complex",
     "pairing_classes",

@@ -1,8 +1,11 @@
 """Command-line surface.
 
+Each subcommand takes only the flags it reads; any other flag is an error.
+
 Exit codes: 0 success, 1 bad configuration or input, 2 a resource cap was
 hit or memory ran out (partial artifacts remain valid), 3 rank disagreement
-between primes (or a negative dimension surviving every retry).
+between primes (or a negative dimension surviving every retry), or a
+``check`` whose pipeline dimensions differ from the oracle's.
 """
 
 from __future__ import annotations
@@ -10,12 +13,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .artifacts import ArtifactStore, label_text
 from .chain import ClassStore, boundary_contract, boundary_remove
-from .cycleio import CycleFormatError, parse_cycle, verify_cycle
+from .cycleio import parse_cycle, verify_cycle
 from .enumerator import EnumSpec, ResourceCapError
 from .exactla import DEFAULT_PRIMES, FieldSpec
 from .pipeline import (
@@ -43,75 +45,51 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-@dataclass
-class RunConfig:
-    """Validated flags shared by the compute subcommands."""
-
-    n: int
-    p_range: Optional[list[int]]
-    field: FieldSpec
-    second_prime: Optional[int]
-    threads: int
-    cache_dir: Optional[str]
-    fmt: str
-    count_only: bool
-    max_nnz: int
-    max_basis: int
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, required=True, help="rank of the free group")
-    sub.add_argument("--p", type=int, default=None, help="single forest size")
-    sub.add_argument("--p-max", type=int, default=None, help="forest sizes 0..p-max")
-    sub.add_argument("--prime", type=int, default=DEFAULT_PRIMES[0])
-    sub.add_argument("--second-prime", type=int, default=None,
-                     help="also run this prime and require agreement")
-    sub.add_argument("--rational", action="store_true", help="exact rationals")
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--cache-dir", default=None,
-                     help=f"artifact cache (default ${CACHE_ENV_VAR})")
-    sub.add_argument("--format", dest="fmt", choices=("table", "structured"),
-                     default="table")
-    sub.add_argument("--count-only", action="store_true")
-    sub.add_argument("--max-nnz", type=int, default=DEFAULT_MAX_NNZ)
-    sub.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS)
+# Every flag of the command line; each subcommand picks the ones it reads.
+_FLAGS = {
+    "--n": dict(type=int, required=True, help="rank of the free group"),
+    "--p": dict(type=int, default=None, help="single forest size"),
+    "--p-max": dict(type=int, default=None, help="forest sizes 0..p-max"),
+    "--prime": dict(type=int, default=DEFAULT_PRIMES[0]),
+    "--second-prime": dict(type=int, default=None,
+                           help="also run this prime and require agreement"),
+    "--rational": dict(action="store_true", help="exact rationals"),
+    "--threads": dict(type=int, default=1),
+    "--cache-dir": dict(default=None, help=f"artifact cache (default ${CACHE_ENV_VAR})"),
+    "--format": dict(dest="fmt", choices=("table", "structured"), default="table"),
+    "--count-only": dict(action="store_true"),
+    "--max-nnz": dict(type=int, default=DEFAULT_MAX_NNZ),
+    "--max-basis": dict(type=int, default=DEFAULT_MAX_BASIS),
+    "--max-degree": dict(type=int, default=0),
+    "--allow-loops": dict(action="store_true"),
+}
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
+def _rank(args: argparse.Namespace) -> int:
     if args.n < 2:
-        raise SystemExit(_fail("--n must be at least 2"))
-    top = 2 * args.n - 3
-    p_range: Optional[list[int]] = None
-    if args.p is not None and args.p_max is not None:
-        raise SystemExit(_fail("--p and --p-max are mutually exclusive"))
-    if args.p is not None:
-        p_range = [args.p]
-    elif args.p_max is not None:
-        p_range = list(range(args.p_max + 1))
-    if p_range is not None and not all(0 <= p <= top for p in p_range):
-        raise SystemExit(_fail(f"forest sizes must lie in [0, {top}]"))
-    try:
-        field = FieldSpec.rational() if args.rational else FieldSpec.prime(args.prime)
-    except ValueError as exc:
-        raise SystemExit(_fail(str(exc)))
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
-    return RunConfig(
-        n=args.n,
-        p_range=p_range,
-        field=field,
-        second_prime=args.second_prime,
-        threads=max(1, args.threads),
-        cache_dir=cache_dir,
-        fmt=args.fmt,
-        count_only=args.count_only,
-        max_nnz=args.max_nnz,
-        max_basis=args.max_basis,
-    )
+        raise ValueError("--n must be at least 2")
+    return args.n
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_VALIDATION
+def _size(n: int, p: int) -> int:
+    top = 2 * n - 3
+    if not 0 <= p <= top:
+        raise ValueError(f"forest sizes must lie in [0, {top}]")
+    return p
+
+
+def _field(args: argparse.Namespace) -> FieldSpec:
+    return FieldSpec.rational() if args.rational else FieldSpec.prime(args.prime)
+
+
+def _cache_dir(args: argparse.Namespace) -> Optional[str]:
+    return args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
+
+
+def _trivalent_graphs(args: argparse.Namespace, n: int) -> tuple[ArtifactStore, list]:
+    """The artifact store of ``--cache-dir`` and the trivalent classes of rank n."""
+    cache = ArtifactStore(_cache_dir(args))
+    return cache, cache.graphs(EnumSpec(n), max(1, args.threads))
 
 
 def _profile_table(rp: RankProfile) -> str:
@@ -128,18 +106,10 @@ def _profile_table(rp: RankProfile) -> str:
     return "\n".join(lines)
 
 
-def _emit_profile(rp: RankProfile, fmt: str) -> None:
-    if fmt == "structured":
-        sys.stdout.write(rp.report_text or rp.to_json())
-    else:
-        print(_profile_table(rp))
-
-
 def _cmd_graphs(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    spec = EnumSpec(cfg.n, max_degree=args.max_degree, allow_loops=args.allow_loops)
-    graphs = ArtifactStore(cfg.cache_dir).graphs(spec, cfg.threads)
-    if cfg.count_only:
+    spec = EnumSpec(_rank(args), max_degree=args.max_degree, allow_loops=args.allow_loops)
+    graphs = ArtifactStore(_cache_dir(args)).graphs(spec, max(1, args.threads))
+    if args.count_only:
         print(len(graphs))
     else:
         for g in graphs:
@@ -148,12 +118,11 @@ def _cmd_graphs(args: argparse.Namespace) -> int:
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    p = args.p if args.p is not None else 0
-    cache = ArtifactStore(cfg.cache_dir)
-    graphs = cache.graphs(EnumSpec(cfg.n), cfg.threads)
-    basis = cache.basis(cfg.n, p, graphs, ClassStore(), cfg.max_basis)
-    if cfg.count_only:
+    n = _rank(args)
+    p = _size(n, 0 if args.p is None else args.p)
+    cache, graphs = _trivalent_graphs(args, n)
+    basis = cache.basis(n, p, graphs, ClassStore(), args.max_basis)
+    if args.count_only:
         print(basis.dim)
     else:
         for el in basis.elements:
@@ -162,61 +131,71 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrices(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    p = args.p if args.p is not None else 1
-    cache = ArtifactStore(cfg.cache_dir)
+    n = _rank(args)
+    p = _size(n, 1 if args.p is None else args.p)
+    cache, graphs = _trivalent_graphs(args, n)
     store = ClassStore()
-    graphs = cache.graphs(EnumSpec(cfg.n), cfg.threads)
-    basis = cache.basis(cfg.n, p, graphs, store, cfg.max_basis)
+    basis = cache.basis(n, p, graphs, store, args.max_basis)
     dc = cache.matrix("dc", basis, lambda: boundary_contract(basis, store))
     print(f"contraction boundary: {dc.rows} x {dc.cols}, nnz {len(dc.entries)}")
     if p >= 1:
-        lower = cache.basis(cfg.n, p - 1, graphs, store, cfg.max_basis)
+        lower = cache.basis(n, p - 1, graphs, store, args.max_basis)
         dr = cache.matrix("dr", basis, lambda: boundary_remove(basis, lower, store))
         print(f"removal boundary:     {dr.rows} x {dr.cols}, nnz {len(dr.entries)}")
     return EXIT_OK
 
 
 def _cmd_homology(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    n = _rank(args)
+    if args.p is not None and args.p_max is not None:
+        raise ValueError("--p and --p-max are mutually exclusive")
+    p_range: Optional[list[int]] = None
+    if args.p is not None:
+        p_range = [_size(n, args.p)]
+    elif args.p_max is not None:
+        p_range = [_size(n, p) for p in range(args.p_max + 1)]
+    field = _field(args)
+    if args.rational and args.second_prime is not None:
+        raise ValueError("--second-prime compares two primes; it cannot run with --rational")
     kwargs = dict(
-        p_range=cfg.p_range,
-        cache_dir=cfg.cache_dir,
-        threads=cfg.threads,
-        max_nnz=cfg.max_nnz,
-        max_basis=cfg.max_basis,
+        p_range=p_range,
+        cache_dir=_cache_dir(args),
+        threads=max(1, args.threads),
+        max_nnz=args.max_nnz,
+        max_basis=args.max_basis,
     )
-    if cfg.second_prime is not None and cfg.field.kind == "prime":
-        rp = cross_prime_profile(
-            cfg.n, primes=(cfg.field.p, cfg.second_prime), **kwargs
-        )
+    if args.second_prime is None:
+        rp = compute_rank_profile(n, f=field, **kwargs)
     else:
-        rp = compute_rank_profile(cfg.n, f=cfg.field, **kwargs)
-    _emit_profile(rp, cfg.fmt)
+        rp = cross_prime_profile(n, primes=(field.p, args.second_prime), **kwargs)
+    if args.fmt == "structured":
+        sys.stdout.write(rp.report_text or rp.to_json())
+    else:
+        print(_profile_table(rp))
     return EXIT_RESOURCE if rp.holes else EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if cfg.n not in (2, 3):
-        return _fail("the full-complex oracle supports --n 2 and --n 3 only")
-    dims = oracle_full_complex(cfg.n)
+    if _rank(args) not in (2, 3):
+        raise ValueError("the full-complex oracle supports --n 2 and --n 3 only")
+    dims = oracle_full_complex(args.n)
     print("dims: " + ",".join(map(str, dims)))
     return EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if cfg.n not in (2, 3):
-        return _fail("check compares against the oracle; --n 2 or 3 only")
-    oracle_dims = oracle_full_complex(cfg.n)
+    n = _rank(args)
+    field = _field(args)
+    if n not in (2, 3):
+        raise ValueError("check compares against the oracle; --n 2 or 3 only")
+    oracle_dims = oracle_full_complex(n)
     rp = compute_rank_profile(
-        cfg.n,
-        f=cfg.field,
-        cache_dir=cfg.cache_dir,
-        threads=cfg.threads,
-        max_nnz=cfg.max_nnz,
-        max_basis=cfg.max_basis,
+        n,
+        f=field,
+        cache_dir=_cache_dir(args),
+        threads=max(1, args.threads),
+        max_nnz=args.max_nnz,
+        max_basis=args.max_basis,
     )
     print("oracle dims:   " + ",".join(map(str, oracle_dims)))
     print("pipeline dims: " + ",".join("-" if d is None else str(d) for d in rp.dims))
@@ -228,24 +207,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_cycle(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if args.p is None:
-        return _fail("verify-cycle needs --p (the forest size of the basis)")
+    n = _rank(args)
+    p = _size(n, args.p)
     store = ClassStore()
     try:
         with open(args.file, "r", encoding="ascii") as fh:
             w = parse_cycle(fh, store)
     except OSError as exc:
-        return _fail(str(exc))
-    except CycleFormatError as exc:
-        return _fail(str(exc))
-    if w.n != cfg.n or w.p != args.p:
-        return _fail(
-            f"cycle file has (n={w.n}, p={w.p}), expected (n={cfg.n}, p={args.p})"
-        )
-    cache = ArtifactStore(cfg.cache_dir)
-    graphs = cache.graphs(EnumSpec(cfg.n), cfg.threads)
-    basis = cache.basis(cfg.n, args.p, graphs, store, cfg.max_basis)
+        raise ValueError(str(exc)) from None
+    if w.n != n or w.p != p:
+        raise ValueError(f"cycle file has (n={w.n}, p={w.p}), expected (n={n}, p={p})")
+    cache, graphs = _trivalent_graphs(args, n)
+    basis = cache.basis(n, p, graphs, store, args.max_basis)
     verdict = verify_cycle(w, basis, store)
     print(f"terms: {len(w.terms)}")
     print(f"is_in_basis: {verdict.is_in_basis}")
@@ -262,39 +235,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="outhom", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("graphs", help="enumerate admissible graph classes")
-    _add_common(sp)
-    sp.add_argument("--trivalent", action="store_true", default=True,
-                    help="trivalent classes (default)")
-    sp.add_argument("--max-degree", type=int, default=0)
-    sp.add_argument("--allow-loops", action="store_true")
-    sp.set_defaults(fn=_cmd_graphs)
+    def add(name, fn, summary, *flags):
+        # no abbreviations: `check --p 1` must not be read as `--prime 1`
+        sp = subs.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = subs.add_parser("basis", help="forest basis for one (n, p)")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_basis)
-
-    sp = subs.add_parser("matrices", help="assemble boundary matrices")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_matrices)
-
-    sp = subs.add_parser("homology", help="full rank profile and dimensions")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_homology)
-
-    sp = subs.add_parser("oracle", help="full-complex homology (n <= 3)")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_oracle)
-
-    sp = subs.add_parser("check", help="oracle vs pipeline comparison")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_check)
-
-    sp = subs.add_parser("verify-cycle", help="check a cycle file")
+    add("graphs", _cmd_graphs, "enumerate admissible graph classes",
+        "--n", "--threads", "--cache-dir", "--count-only", "--max-degree", "--allow-loops")
+    add("basis", _cmd_basis, "forest basis for one (n, p)",
+        "--n", "--p", "--threads", "--cache-dir", "--count-only", "--max-basis")
+    add("matrices", _cmd_matrices, "assemble boundary matrices",
+        "--n", "--p", "--threads", "--cache-dir", "--max-basis")
+    add("homology", _cmd_homology, "full rank profile and dimensions",
+        "--n", "--p", "--p-max", "--prime", "--second-prime", "--rational",
+        "--threads", "--cache-dir", "--format", "--max-nnz", "--max-basis")
+    add("oracle", _cmd_oracle, "full-complex homology (n <= 3)", "--n")
+    add("check", _cmd_check, "oracle vs pipeline comparison",
+        "--n", "--prime", "--rational", "--threads", "--cache-dir", "--max-nnz",
+        "--max-basis")
+    sp = add("verify-cycle", _cmd_verify_cycle, "check a cycle file",
+             "--n", "--threads", "--cache-dir", "--max-basis")
     sp.add_argument("file")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_verify_cycle)
-
+    sp.add_argument("--p", type=int, required=True,
+                    help="forest size of the basis")
     return parser
 
 

@@ -43,7 +43,6 @@ class EnumSpec:
     n: int
     max_degree: int = 0  # 0 = trivalent only
     allow_loops: bool = False
-    require_bridgeless: bool = True
     max_classes: int = 10_000_000
 
     def __post_init__(self) -> None:
@@ -85,9 +84,7 @@ def _passes(g: Multigraph, spec: EnumSpec) -> bool:
         return False
     if not spec.allow_loops and not facts.loopless:
         return False
-    if spec.require_bridgeless and not facts.bridgeless:
-        return False
-    return True
+    return facts.bridgeless
 
 
 # ---------------------------------------------------------------------------

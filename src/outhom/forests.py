@@ -86,21 +86,13 @@ class ForestIndex:
         # mask -> (rep_mask, parity asc(mask)->asc(rep), zero, orbit size, key)
         self._info: dict[int, tuple[int, int, bool, int, ForestKey]] = {}
 
-    def generators(self) -> Sequence[tuple[int, ...]]:
-        """Edge permutations generating the edge automorphism group: the
-        search's vertex automorphism generators, induced on edges, plus the
-        parallel transpositions."""
-        return self.graph.edge_perm_generators
-
     @cached_property
     def _tables(self) -> list[list[int]]:
-        """Per generator, ``table[i] = inv[i] << e | 1 << gen[i]``; see the
-        module docstring."""
-        return [xor_table(gen, self.edge_count) for gen in self.generators()]
-
-    def orbit_info(self, mask: int) -> tuple[int, int, bool, int]:
-        """``(rep_mask, parity, zero, orbit size)`` of the orbit of ``mask``."""
-        return (self._info.get(mask) or self._orbit(mask))[:4]
+        """Per edge generator ``gen`` (the search's automorphism generators
+        induced on edges, plus the parallel transpositions),
+        ``table[i] = inv[i] << e | 1 << gen[i]``; see the module docstring."""
+        gens = self.graph.edge_perm_generators
+        return [xor_table(gen, self.edge_count) for gen in gens]
 
     def _orbit(self, mask: int) -> tuple[int, int, bool, int, ForestKey]:
         """BFS over the orbit of ``mask``, transporting parity; caches the
@@ -318,11 +310,6 @@ def _perm_parity_of_ranks(seq: Sequence[int]) -> int:
         inv += (seen >> x).bit_count()
         seen |= 1 << x
     return -1 if inv & 1 else 1
-
-
-def normalize(graph: GraphClass, ordered_forest: Sequence[int]) -> SignedRef:
-    """Sign-normalized canonical reference; see :meth:`ForestIndex.normalize`."""
-    return ForestIndex(graph).normalize(ordered_forest)
 
 
 def block_key_of(graph: GraphClass, forest: Sequence[int]) -> bytes:

@@ -306,10 +306,14 @@ def cross_prime_profile(
     """Run the profile under two primes; any rank disagreement aborts.
 
     Both runs share the cached bases and matrices, which hold integers; each
-    prime keeps its own report.
+    prime keeps its own report.  Equal primes raise ``ValueError``: one prime
+    run twice always agrees with itself.
     """
-    first = compute_rank_profile(n, p_range, FieldSpec.prime(primes[0]), **kwargs)
-    second = compute_rank_profile(n, p_range, FieldSpec.prime(primes[1]), **kwargs)
+    if primes[0] == primes[1]:
+        raise ValueError(f"the two primes must differ, both are {primes[0]}")
+    fields = [FieldSpec.prime(q) for q in primes]
+    first = compute_rank_profile(n, p_range, fields[0], **kwargs)
+    second = compute_rank_profile(n, p_range, fields[1], **kwargs)
     if first.b != second.b or first.c != second.c:
         raise CrossPrimeError(
             f"rank disagreement between GF({primes[0]}) and GF({primes[1]}) at n={n}: "

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import outhom
-from outhom.cli import main
+from outhom.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +59,18 @@ class TestHomology:
             capsys, "homology", "--n", "2", "--second-prime", "65519"
         )
         assert code == 0 and "dims: 1,0" in out
+
+    def test_second_prime_rejected_with_rational(self, capsys):
+        code, out, err = run_cli(
+            capsys, "homology", "--n", "2", "--rational", "--second-prime", "65519"
+        )
+        assert code == 1 and out == ""
+        assert "--rational" in err
+
+    def test_second_prime_equal_to_prime_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "homology", "--n", "2", "--second-prime", "65521")
+        assert code == 1 and out == ""
+        assert "the two primes must differ" in err
 
     def test_resource_cap_exit_2(self, capsys):
         code, out, _ = run_cli(capsys, "homology", "--n", "3", "--max-basis", "1")
@@ -112,9 +126,73 @@ class TestValidation:
         assert main(["homology", "--bogus"]) == 1
 
 
+# The flags each subcommand reads, positionals by name.
+SUBCOMMAND_FLAGS = {
+    "graphs": {"--n", "--threads", "--cache-dir", "--count-only", "--max-degree",
+               "--allow-loops"},
+    "basis": {"--n", "--p", "--threads", "--cache-dir", "--count-only", "--max-basis"},
+    "matrices": {"--n", "--p", "--threads", "--cache-dir", "--max-basis"},
+    "homology": {"--n", "--p", "--p-max", "--prime", "--second-prime", "--rational",
+                 "--threads", "--cache-dir", "--format", "--max-nnz", "--max-basis"},
+    "oracle": {"--n"},
+    "check": {"--n", "--prime", "--rational", "--threads", "--cache-dir", "--max-nnz",
+              "--max-basis"},
+    "verify-cycle": {"file", "--n", "--p", "--threads", "--cache-dir", "--max-basis"},
+}
+
+
+class TestFlagSets:
+    def test_each_subcommand_has_exactly_its_flags(self):
+        subs = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        got = {
+            name: {
+                a.option_strings[0] if a.option_strings else a.dest
+                for a in sp._actions
+                if a.dest != "help"
+            }
+            for name, sp in subs.choices.items()
+        }
+        assert got == SUBCOMMAND_FLAGS
+        assert sum(map(len, got.values())) == 42
+
+    @pytest.mark.parametrize("argv, unread", [
+        (("basis", "--n", "4", "--p-max", "2", "--count-only"), "--p-max 2"),
+        (("matrices", "--n", "3", "--p-max", "1"), "--p-max 1"),
+        (("graphs", "--n", "3", "--p", "1"), "--p 1"),
+        (("graphs", "--n", "3", "--trivalent"), "--trivalent"),
+        (("homology", "--n", "2", "--count-only"), "--count-only"),
+        (("oracle", "--n", "2", "--prime", "65519"), "--prime 65519"),
+        (("check", "--n", "2", "--second-prime", "65519"), "--second-prime 65519"),
+        (("check", "--n", "2", "--p", "1"), "--p 1"),
+    ])
+    def test_flag_not_read_is_rejected(self, capsys, argv, unread):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: outhom ")
+        assert f"unrecognized arguments: {unread}\n" in err
+
+
+def test_readme_command_lines_parse():
+    """Every ``outhom ...`` line of README's Command line block parses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    argvs = [shlex.split(line)[1:] for line in lines if line.startswith("outhom ")]
+    assert len(argvs) >= 8
+    parser = build_parser()
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: outhom {' '.join(argv)}")
+
+
 class TestGraphsBasisMatrices:
     def test_graphs_count_only(self, capsys):
-        code, out, _ = run_cli(capsys, "graphs", "--n", "3", "--trivalent", "--count-only")
+        code, out, _ = run_cli(capsys, "graphs", "--n", "3", "--count-only")
         assert code == 0 and out.strip() == "2"
 
     def test_graphs_listing(self, capsys):

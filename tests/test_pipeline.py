@@ -431,6 +431,11 @@ class TestCrossPrime:
         again = cross_prime_profile(3, cache_dir=str(tmp_path))
         assert again.from_cache and again.report_text == rp.report_text
 
+    def test_equal_primes_rejected(self):
+        # one prime run twice always agrees with itself
+        with pytest.raises(ValueError, match="must differ"):
+            cross_prime_profile(2, primes=(DEFAULT_PRIMES[0], DEFAULT_PRIMES[0]))
+
     def test_threads_do_not_change_results(self):
         rp1 = compute_rank_profile(3, threads=1)
         rp2 = compute_rank_profile(3, threads=2)
