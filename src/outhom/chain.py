@@ -8,6 +8,11 @@ re-sorted by canonical key so the matrix does not depend on sweep order.
 The removal boundary stays on the same graph, so its rows are the basis one
 forest size down.
 
+A matrix keeps its entries in three integer arrays (row, column, value) in
+(row, column) order.  Assembly appends each column's terms to the arrays,
+renumbers the rows in place and puts the entries in order with one counting
+sort by row; no per-entry Python object is kept.
+
 Loop-bearing contraction targets are genuine codomain generators here: a
 target is dropped only when it is zero by odd symmetry or when its entries
 cancel.  Dropping loop-bearing targets instead would make the degree-zero
@@ -16,8 +21,10 @@ homology of rank 2 vanish, which the acceptance suite rejects.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .forests import ForestedGraph, ForestIndex, ForestKey, block_key_of, xor_table
@@ -32,39 +39,109 @@ class InconsistencyError(RuntimeError):
     """A nonzero boundary target is missing from the expected basis."""
 
 
-@dataclass(frozen=True)
 class SparseIntMat:
-    """Sparse integer matrix; entries hold no zeros and no duplicates."""
+    """Sparse integer matrix of shape ``rows x cols``.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]
-    row_labels: Optional[tuple[ForestKey, ...]] = None
+    The nonzero entries sit in three ``array('q')`` columns, ``row_ids``,
+    ``col_ids`` and ``values``, in (row, col) order and without duplicates,
+    so an entry costs 24 bytes and values must fit in 64 bits.  The
+    constructor takes ``(row, col, value)`` triples in any order and sorts
+    them; :meth:`from_arrays` wraps arrays that are already in order.
+    """
+
+    __slots__ = ("rows", "cols", "row_ids", "col_ids", "values", "row_labels")
+
+    def __init__(
+        self,
+        rows: int,
+        cols: int,
+        entries: Iterable[tuple[int, int, int]] = (),
+        row_labels: Optional[tuple[ForestKey, ...]] = None,
+    ) -> None:
+        triples = sorted(entries)
+        self.rows = rows
+        self.cols = cols
+        self.row_ids = array("q", [t[0] for t in triples])
+        self.col_ids = array("q", [t[1] for t in triples])
+        self.values = array("q", [t[2] for t in triples])
+        self.row_labels = row_labels
+
+    @classmethod
+    def from_arrays(
+        cls, rows: int, cols: int, row_ids: array, col_ids: array, values: array,
+        row_labels: Optional[tuple[ForestKey, ...]] = None,
+    ) -> "SparseIntMat":
+        """The matrix on these arrays, not copied; they must be in (row, col)
+        order."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.row_labels = rows, cols, row_labels
+        m.row_ids, m.col_ids, m.values = row_ids, col_ids, values
+        return m
+
+    @property
+    def nnz(self) -> int:
+        return len(self.values)
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
+        """The ``(row, col, value)`` triples in (row, col) order, built anew on
+        every read; for tests and small matrices, never for the pipeline."""
+        return tuple(zip(self.row_ids, self.col_ids, self.values))
 
     def col_dicts(self) -> list[dict[int, int]]:
         out: list[dict[int, int]] = [dict() for _ in range(self.cols)]
-        for r, c, v in self.entries:
+        for r, c, v in zip(self.row_ids, self.col_ids, self.values):
             out[c][r] = v
         return out
 
     def to_lines(self) -> list[str]:
-        lines = [f"{self.rows} {self.cols} {len(self.entries)}"]
-        for r, c, v in sorted(self.entries, key=lambda t: (t[1], t[0])):
-            lines.append(f"{r} {c} {v}")
+        """The file form: a ``rows cols nnz`` header, then ``row col value``
+        lines in (col, row) order."""
+        r, c, v = self.row_ids, self.col_ids, self.values
+        lines = [f"{self.rows} {self.cols} {self.nnz}"]
+        lines += [f"{r[k]} {c[k]} {v[k]}" for k in _counting_order(c, self.cols)]
         return lines
 
     @staticmethod
     def from_lines(lines: Sequence[str], row_labels=None) -> "SparseIntMat":
+        """Inverse of :meth:`to_lines`; the entry lines may come in any order.
+        Raises ``ValueError`` on a count or an index that does not fit."""
         rows, cols, nnz = (int(x) for x in lines[0].split())
         if len(lines) != nnz + 1:
             raise ValueError(f"{nnz} entries declared, {len(lines) - 1} given")
-        entries = []
+        r, c, v = array("q"), array("q"), array("q")
         for line in lines[1:]:
-            r, c, v = line.split()
-            entries.append((int(r), int(c), int(v)))
-        # (row, col) order, as ``assemble`` returns it: the order of entries
-        # fixes the block row numbering and so the kernel basis
-        return SparseIntMat(rows, cols, tuple(sorted(entries)), row_labels)
+            a, b, x = line.split()
+            r.append(int(a))
+            c.append(int(b))
+            v.append(int(x))
+        if nnz and not (0 <= min(r) and max(r) < rows and 0 <= min(c) and max(c) < cols):
+            raise ValueError(f"an entry lies outside the {rows} x {cols} shape")
+        # (row, col) order, as ``assemble`` leaves it: a least-significant-
+        # digit radix sort, by column and then stably by row
+        r, c, v = _take(_counting_order(c, cols), r, c, v)
+        r, c, v = _take(_counting_order(r, rows), r, c, v)
+        return SparseIntMat.from_arrays(rows, cols, r, c, v, row_labels)
+
+
+def _counting_order(keys: array, size: int) -> array:
+    """Positions of ``keys`` (each in ``range(size)``) ordered stably by key:
+    one counting sort, O(len(keys) + size)."""
+    start = [0] * (size + 1)
+    for k in keys:
+        start[k + 1] += 1
+    for i in range(size):
+        start[i + 1] += start[i]
+    order = array("q", bytes(8 * len(keys)))
+    for pos, k in enumerate(keys):
+        order[start[k]] = pos
+        start[k] += 1
+    return order
+
+
+def _take(order: array, *columns: array) -> tuple[array, ...]:
+    """Each column rearranged into ``order``."""
+    return tuple(array("q", (a[k] for k in order)) for a in columns)
 
 
 def vstack(top: SparseIntMat, bottom: SparseIntMat) -> SparseIntMat:
@@ -73,8 +150,14 @@ def vstack(top: SparseIntMat, bottom: SparseIntMat) -> SparseIntMat:
         raise ValueError(
             f"shape mismatch: {top.rows}x{top.cols} over {bottom.rows}x{bottom.cols}"
         )
-    shifted = tuple((r + top.rows, c, v) for r, c, v in bottom.entries)
-    return SparseIntMat(top.rows + bottom.rows, top.cols, top.entries + shifted)
+    shift = top.rows
+    return SparseIntMat.from_arrays(
+        top.rows + bottom.rows,
+        top.cols,
+        top.row_ids + array("q", (r + shift for r in bottom.row_ids)),
+        top.col_ids + bottom.col_ids,
+        top.values + bottom.values,
+    )
 
 
 @dataclass
@@ -287,7 +370,7 @@ class BoundaryKernel:
                     if (x >> e & mask).bit_count() & 1:
                         sign = -sign
                     mask = x & ~(-1 << e)
-            rep, parity, zero, _, key = fi.record(mask)
+            rep, parity, zero, _, key = fi.orbit(mask)
             if zero:
                 continue
             row = rows.get(rep)
@@ -309,22 +392,40 @@ def assemble(
     basis, which must hold every target key (else
     :class:`InconsistencyError`)."""
     kernel = BoundaryKernel(store, target)
-    entries: list[tuple[int, int, int]] = []
+    row_ids, col_ids, values = array("q"), array("q"), array("q")
     for col, el in enumerate(b.elements):
         acc: dict[int, int] = {}
         for kind, scale in parts:
             kernel.add_terms(acc, el, kind, scale)
-        entries += [(row, col, v) for row, v in acc.items() if v]
+        for row, v in acc.items():
+            if v:
+                row_ids.append(row)
+                col_ids.append(col)
+                values.append(v)
+    keys = kernel.labels
+    # the forest indices of the targets are most of the kernel's memory, and
+    # the sort below needs room for a second copy of the arrays
+    del kernel
     if target is None:
-        keys = kernel.labels
-        live = sorted({row for row, _, _ in entries}, key=keys.__getitem__)
-        rank = dict(zip(live, range(len(live))))
-        entries = [(rank[row], col, v) for row, col, v in entries]
+        # renumber the interned ids that kept an entry in key order
+        used = bytearray(len(keys))
+        for row in row_ids:
+            used[row] = 1
+        live = sorted(compress(range(len(keys)), used), key=keys.__getitem__)
+        renumber = array("q", bytes(8 * len(keys)))
+        for new, row in enumerate(live):
+            renumber[row] = new
+        for k, row in enumerate(row_ids):
+            row_ids[k] = renumber[row]
         labels = tuple(keys[row] for row in live)
     else:
         labels = tuple(e.key for e in target.elements)
-    entries.sort()
-    return SparseIntMat(len(labels), b.dim, tuple(entries), labels)
+    # columns ascend within each row already, so a stable sort by row puts
+    # the entries in (row, col) order
+    row_ids, col_ids, values = _take(
+        _counting_order(row_ids, len(labels)), row_ids, col_ids, values
+    )
+    return SparseIntMat.from_arrays(len(labels), b.dim, row_ids, col_ids, values, labels)
 
 
 def boundary_contract(b: ChainBasis, store: Optional[ClassStore] = None) -> SparseIntMat:
@@ -357,17 +458,14 @@ def matmul(a: SparseIntMat, b: SparseIntMat) -> SparseIntMat:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
     a_cols = a.col_dicts()
-    out: dict[tuple[int, int], int] = {}
+    out: list[tuple[int, int, int]] = []
     b_by_col: list[list[tuple[int, int]]] = [[] for _ in range(b.cols)]
-    for r, c, v in b.entries:
+    for r, c, v in zip(b.row_ids, b.col_ids, b.values):
         b_by_col[c].append((r, v))
     for c in range(b.cols):
         col_acc: dict[int, int] = {}
         for k, bv in b_by_col[c]:
             for r, av in a_cols[k].items():
                 col_acc[r] = col_acc.get(r, 0) + av * bv
-        for r, v in col_acc.items():
-            if v != 0:
-                out[(r, c)] = v
-    entries = tuple(sorted((r, c, v) for (r, c), v in out.items()))
-    return SparseIntMat(a.rows, b.cols, entries)
+        out += [(r, c, v) for r, v in col_acc.items() if v]
+    return SparseIntMat(a.rows, b.cols, out)

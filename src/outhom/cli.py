@@ -137,11 +137,11 @@ def _cmd_matrices(args: argparse.Namespace) -> int:
     store = ClassStore()
     basis = cache.basis(n, p, graphs, store, args.max_basis)
     dc = cache.matrix("dc", basis, lambda: boundary_contract(basis, store))
-    print(f"contraction boundary: {dc.rows} x {dc.cols}, nnz {len(dc.entries)}")
+    print(f"contraction boundary: {dc.rows} x {dc.cols}, nnz {dc.nnz}")
     if p >= 1:
         lower = cache.basis(n, p - 1, graphs, store, args.max_basis)
         dr = cache.matrix("dr", basis, lambda: boundary_remove(basis, lower, store))
-        print(f"removal boundary:     {dr.rows} x {dr.cols}, nnz {len(dr.entries)}")
+        print(f"removal boundary:     {dr.rows} x {dr.cols}, nnz {dr.nnz}")
     return EXIT_OK
 
 
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = subs.add_parser(name, help=summary, allow_abbrev=False)
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, parser=sp)
         return sp
 
     add("graphs", _cmd_graphs, "enumerate admissible graph classes",
@@ -267,7 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unread = parser.parse_known_args(argv)
+        if unread:
+            # argparse hands a subcommand's unknown arguments back to the
+            # top-level parser; report them with the subcommand's usage
+            args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
         return args.fn(args)
     except SystemExit as exc:  # argparse help/validation paths
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION

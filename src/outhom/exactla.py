@@ -4,17 +4,29 @@ One sparse Gaussian elimination serves both fields: GF(p) reduces every
 entry mod p and inverts by Fermat, the rationals keep ``Fraction`` entries
 and invert by division.  Pivot selection is Markowitz-flavored: pick the
 active column with fewest entries, then the shortest row in it, ties broken
-by index, so results are reproducible.  Ranks are the pivot counts; kernels
-back-substitute through the pivot rows, and over the rationals each kernel
-vector is cleared to integers.
+by index, so results are reproducible.
+
+``rank_of`` first runs a structural peel over the matrix's entry arrays
+(Bouillaguet & Delaplace, "Sparse Gaussian elimination modulo p: an
+update", CASC 2016): a row or column with one live entry is a pivot that
+needs no arithmetic, and taking it can leave new ones.  Only the core that
+stays is loaded into per-row dicts and eliminated, so the rank is the peeled
+count plus the rank of the core.  Kernels skip the peel: ``nullspace_of``
+eliminates the whole matrix and back-substitutes through the pivot rows,
+and over the rationals each kernel vector is cleared to integers.
+
+The ``max_nnz`` cap bounds the live entries of the whole input, before the
+peel, and the fill of the elimination that follows.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
 from typing import Optional, Sequence
 
 from .chain import SparseIntMat
@@ -88,13 +100,15 @@ class NullspaceBasis:
         for c, vec in enumerate(self.columns):
             for r, v in vec.items():
                 entries.append((r, c, v))
-        return SparseIntMat(self.source_dim, self.dim, tuple(sorted(entries)))
+        return SparseIntMat(self.source_dim, self.dim, entries)
 
 
 def rank_of(m: SparseIntMat, f: FieldSpec, max_nnz: Optional[int] = None) -> int:
-    """Exact rank of m over f."""
-    pivots, _, _ = _eliminate(m, f.p, max_nnz)
-    return len(pivots)
+    """Exact rank of m over f: the pivots of the structural peel plus the
+    rank of the core it leaves (:func:`_peel`)."""
+    peeled, rows, col_rows = _peel(m, f.p, max_nnz)
+    pivots, _, _ = _reduce(rows, col_rows, f.p, max_nnz)
+    return peeled + len(pivots)
 
 
 def nullspace_of(
@@ -128,12 +142,12 @@ def _split_blocks(
     """Column submatrices in one pass over ``m``.
 
     Each block numbers its rows in order of first appearance in
-    ``m.entries``, which fixes the pivot order and so the kernel basis.
+    ``m``, which fixes the pivot order and so the kernel basis.
     """
     where = {c: (k, i) for k, cols in enumerate(col_blocks) for i, c in enumerate(cols)}
     rows_seen: list[dict[int, int]] = [{} for _ in col_blocks]
     entries: list[list[tuple[int, int, int]]] = [[] for _ in col_blocks]
-    for r, c, v in m.entries:
+    for r, c, v in zip(m.row_ids, m.col_ids, m.values):
         hit = where.get(c)
         if hit is None:
             continue
@@ -141,7 +155,7 @@ def _split_blocks(
         seen = rows_seen[k]
         entries[k].append((seen.setdefault(r, len(seen)), ci, v))
     return [
-        SparseIntMat(len(seen), len(cols), tuple(ents))
+        SparseIntMat(len(seen), len(cols), ents)
         for cols, seen, ents in zip(col_blocks, rows_seen, entries)
     ]
 
@@ -149,19 +163,104 @@ def _split_blocks(
 # ---------------------------------------------------------------------------
 # sparse elimination over GF(p) (modulus p) or Q (modulus None)
 
-def _eliminate(m: SparseIntMat, p: Optional[int], max_nnz: Optional[int] = None):
-    """Returns (pivots, pivot rows, nnz peak).
+def _peel(m: SparseIntMat, p: Optional[int], max_nnz: Optional[int] = None):
+    """Structural peel: returns (pivot count, core rows, core column sets).
 
-    Entries are reduced mod p, or kept as ``Fraction`` when p is None.
-    Pivot rows are normalized to 1 at the pivot column.  Once a row is
-    pivotal it leaves the active set, so the stored dict never changes
-    afterwards; its remaining entries sit in later pivot columns and free
-    columns only, which is what the back-substitution requires.  The nnz
-    cap bounds the input as well as the fill.
+    An entry is live when it is nonzero mod p (nonzero over Q).  A column
+    whose only live entry sits in row r spans a coordinate that no other
+    column reaches, so the rank is 1 plus the rank without row r and that
+    column; a row with one live entry is the transposed case.  The peel takes
+    such pivots until none is left, with no arithmetic: live counts per row
+    and per column, over CSR offsets into ``m``'s (row, col) order and a CSC
+    list of the live rows of each column.  The core is what stays: rows as
+    dicts of reduced entries, renumbered in row order, and per column the
+    set of its core rows, as :func:`_reduce` takes them.
+
+    The nnz cap bounds the live entries of the whole matrix here and the
+    fill of the core in :func:`_reduce`.
     """
+    row_ids, col_ids, values = m.row_ids, m.col_ids, m.values
+    live = bytes(v % p != 0 for v in values) if p else bytes(v != 0 for v in values)
+    nnz = live.count(1)
+    if max_nnz is not None and nnz > max_nnz:
+        raise ResourceCapError(f"input nnz {nnz} exceeded cap {max_nnz}")
+    # live entries per row and per column; 0 once a row or column is gone
+    rc = array("q", bytes(8 * m.rows))
+    cc = array("q", bytes(8 * m.cols))
+    for r in compress(row_ids, live):
+        rc[r] += 1
+    for c in compress(col_ids, live):
+        cc[c] += 1
+    # the entries of row r are rptr[r]:rptr[r + 1]; the live rows of column
+    # c are crow[cptr[c]:cptr[c + 1]]
+    per_row = array("q", bytes(8 * m.rows))
+    for r in row_ids:
+        per_row[r] += 1
+    rptr = array("q", accumulate(per_row, initial=0))
+    del per_row
+    cptr = array("q", accumulate(cc, initial=0))
+    fill = cptr[:-1]
+    crow = array("q", bytes(8 * nnz))
+    for r, c in compress(zip(row_ids, col_ids), live):
+        crow[fill[c]] = r
+        fill[c] += 1
+    del fill
+
+    peeled = 0
+    col_stack = [c for c in range(m.cols) if cc[c] == 1]
+    row_stack = [r for r in range(m.rows) if rc[r] == 1]
+    while col_stack or row_stack:
+        if col_stack:
+            c = col_stack.pop()
+            if cc[c] != 1:
+                continue
+            # pivot on the one live entry of column c and drop its row r
+            r = next(r for r in crow[cptr[c]:cptr[c + 1]] if rc[r])
+            for k in range(rptr[r], rptr[r + 1]):
+                other = col_ids[k]
+                if live[k] and cc[other]:
+                    cc[other] -= 1
+                    if cc[other] == 1:
+                        col_stack.append(other)
+            rc[r] = 0
+        else:
+            r = row_stack.pop()
+            if rc[r] != 1:
+                continue
+            # pivot on the one live entry of row r and drop its column c
+            c = next(
+                col_ids[k] for k in range(rptr[r], rptr[r + 1]) if live[k] and cc[col_ids[k]]
+            )
+            for other in crow[cptr[c]:cptr[c + 1]]:
+                if rc[other]:
+                    rc[other] -= 1
+                    if rc[other] == 1:
+                        row_stack.append(other)
+            cc[c] = 0
+        peeled += 1
+
+    rows: list[dict] = []
+    col_rows: dict[int, set[int]] = {}
+    for r in range(m.rows):
+        if not rc[r]:
+            continue
+        i = len(rows)
+        row = {}
+        for k in range(rptr[r], rptr[r + 1]):
+            c = col_ids[k]
+            if live[k] and cc[c]:
+                row[c] = values[k] % p if p else Fraction(values[k])
+                col_rows.setdefault(c, set()).add(i)
+        rows.append(row)
+    return peeled, rows, col_rows
+
+
+def _eliminate(m: SparseIntMat, p: Optional[int], max_nnz: Optional[int] = None):
+    """Returns (pivots, pivot rows, nnz peak) of :func:`_reduce` on all of
+    ``m``; the nnz cap bounds the input as well as the fill."""
     rows: list[dict] = [dict() for _ in range(m.rows)]
     col_rows: dict[int, set[int]] = {}
-    for r, c, v in m.entries:
+    for r, c, v in zip(m.row_ids, m.col_ids, m.values):
         v = v % p if p else Fraction(v)
         if v:
             rows[r][c] = v
@@ -169,6 +268,24 @@ def _eliminate(m: SparseIntMat, p: Optional[int], max_nnz: Optional[int] = None)
     nnz = sum(len(rw) for rw in rows)
     if max_nnz is not None and nnz > max_nnz:
         raise ResourceCapError(f"input nnz {nnz} exceeded cap {max_nnz}")
+    return _reduce(rows, col_rows, p, max_nnz)
+
+
+def _reduce(
+    rows: list[dict], col_rows: dict[int, set[int]], p: Optional[int],
+    max_nnz: Optional[int] = None,
+):
+    """Returns (pivots, pivot rows, nnz peak).
+
+    ``rows[r]`` maps column to entry, reduced mod p or a ``Fraction`` when
+    p is None, and ``col_rows[c]`` is the set of rows with an entry in c.
+    Pivot rows are normalized to 1 at the pivot column.  Once a row is
+    pivotal it leaves the active set, so the stored dict never changes
+    afterwards; its remaining entries sit in later pivot columns and free
+    columns only, which is what the back-substitution requires.  The nnz
+    cap bounds the fill.
+    """
+    nnz = sum(len(rw) for rw in rows)
     peak = nnz
     pivots: list[tuple[int, int]] = []
     piv_rows: list[dict] = []

@@ -156,12 +156,15 @@ class ForestIndex:
         automorphisms preserve acyclicity, so only an unseen mask needs the
         union-find.
         """
-        record = self._info.get(mask)
-        if record is None:
-            if not self.is_acyclic(_mask_positions(mask)):
-                raise ValueError("forest contains a cycle")
-            record = self._orbit(mask)
-        return record
+        if mask not in self._info and not self.is_acyclic(_mask_positions(mask)):
+            raise ValueError("forest contains a cycle")
+        return self.orbit(mask)
+
+    def orbit(self, mask: int) -> tuple[int, int, bool, int, ForestKey]:
+        """The record of :meth:`record` without the acyclicity check, for a
+        mask known to be a forest: a subset of one, or its image under a
+        contraction, as every boundary target is."""
+        return self._info.get(mask) or self._orbit(mask)
 
     def is_acyclic(self, positions: Iterable[int]) -> bool:
         parent = list(range(self.vertex_count))

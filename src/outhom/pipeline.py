@@ -349,7 +349,7 @@ def oracle_full_complex(n: int, verify_d_squared: bool = True) -> list[int]:
     if verify_d_squared:
         for k in range(1, len(mats)):
             square = matmul(mats[k - 1], mats[k])
-            if square.entries:
+            if square.nnz:
                 raise AssertionError(f"oracle boundary squared nonzero at k={k + 1}")
     rational = FieldSpec.rational()
     ranks = [rank_of(m, rational) for m in mats] + [0]

@@ -229,3 +229,16 @@ def test_criterion_8_stretch_n7_top_filtration():
     assert rp.c[11] == 178
     assert rp.b[11] - rp.c[11] == 1  # dim H_11
     print("ACCEPTANCE 8: PASS - a_11 = 376365, b_11 = 179, c_11 = 178, dim H_11 = 1")
+
+
+def test_stretch_n6_second_morita_class():
+    """H_8(Out(F_6); Q) = Q from p = 7, 8, 9 under GF(65521) (22 s on a
+    2-core x86_64 VM)."""
+    if not os.environ.get("OUTHOM_STRETCH"):
+        pytest.skip("stretch target, set OUTHOM_STRETCH=1 to run")
+    rp = compute_rank_profile(6, p_range=[7, 8, 9])
+    assert rp.holes == []
+    assert rp.a[7:] == [44453, 29864, 11035]
+    assert rp.b[7:] == [399, 160, 35]
+    assert rp.c[8:] == [124, 35]
+    assert rp.dims[8] == 1

@@ -207,6 +207,45 @@ class TestSparseIntMat:
         assert sorted(again.entries) == sorted(dc.entries)
         assert again.entries == dc.entries
 
+    def test_arrays_match_a_tuple_reference(self):
+        """``to_lines``, ``from_lines`` and ``vstack`` on the array layout
+        against the plain sorted-triples form they replace."""
+
+        def reference_lines(rows, cols, triples):
+            body = sorted(triples, key=lambda t: (t[1], t[0]))
+            return [f"{rows} {cols} {len(body)}"] + [f"{r} {c} {v}" for r, c, v in body]
+
+        rng = random.Random(11)
+        for _ in range(40):
+            shapes = [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(2)]
+            cols = shapes[0][1]
+            mats, refs = [], []
+            for rows, _ in shapes:
+                cells = {
+                    (rng.randrange(rows), rng.randrange(cols)): rng.choice((-3, -1, 1, 2, 2**40))
+                    for _ in range(rng.randint(0, rows * cols))
+                }
+                triples = [(r, c, v) for (r, c), v in cells.items()]
+                rng.shuffle(triples)
+                mat = SparseIntMat(rows, cols, triples)
+                assert mat.entries == tuple(sorted(triples)) and mat.nnz == len(triples)
+                lines = mat.to_lines()
+                assert lines == reference_lines(rows, cols, triples)
+                shuffled = lines[:1] + rng.sample(lines[1:], len(lines) - 1)
+                again = SparseIntMat.from_lines(shuffled)
+                assert (again.rows, again.cols, again.entries) == (rows, cols, mat.entries)
+                mats.append(mat)
+                refs.append(sorted(triples))
+            both = vstack(*mats)
+            top_rows = mats[0].rows
+            assert (both.rows, both.cols) == (top_rows + mats[1].rows, cols)
+            assert both.entries == tuple(refs[0] + [(r + top_rows, c, v) for r, c, v in refs[1]])
+
+    def test_from_lines_rejects_entries_outside_the_shape(self):
+        for line in ("-1 0 1", "2 0 1", "0 3 1"):
+            with pytest.raises(ValueError):
+                SparseIntMat.from_lines(["2 3 1", line])
+
     def test_matmul_matches_dense(self):
         rng = random.Random(3)
         for _ in range(20):

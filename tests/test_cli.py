@@ -170,8 +170,8 @@ class TestFlagSets:
     def test_flag_not_read_is_rejected(self, capsys, argv, unread):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
-        assert err.startswith("usage: outhom ")
-        assert f"unrecognized arguments: {unread}\n" in err
+        assert err.startswith(f"usage: outhom {argv[0]} [-h] ")
+        assert f"outhom {argv[0]}: error: unrecognized arguments: {unread}\n" in err
 
 
 def test_readme_command_lines_parse():

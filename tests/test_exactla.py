@@ -11,6 +11,7 @@ from outhom.exactla import (
     FieldSpec,
     _backsolve,
     _eliminate,
+    _peel,
     nullspace_blockwise,
     nullspace_of,
     rank_of,
@@ -77,6 +78,90 @@ class TestRank:
             assert rank_of(m, QQ) == r_q
             assert rank_of(m, GF1) == r_q
             assert rank_of(m, GF2) == r_q
+
+
+def _peel_case(rng, p):
+    """A random matrix built to reach every branch of the structural peel:
+    a random part (rank-deficient when it is a product of thin factors),
+    duplicated rows, entries that are nonzero multiples of ``p`` (dead over
+    GF(p), live over Q), empty rows and columns, and a staircase whose
+    singletons peel one after the other."""
+    rows, cols = rng.randint(0, 30), rng.randint(0, 30)
+    cells: dict[tuple[int, int], int] = {}
+    if rows and cols:
+        if rng.random() < 0.5:
+            k = rng.randint(1, 4)
+            left = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(k)] for _ in range(rows)]
+            right = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(cols)] for _ in range(k)]
+            for r in range(rows):
+                for c in range(cols):
+                    cells[r, c] = sum(left[r][t] * right[t][c] for t in range(k))
+        else:
+            for _ in range(rng.randint(0, rows * cols // 3 + 1)):
+                cells[rng.randrange(rows), rng.randrange(cols)] = rng.randint(-4, 4)
+        for _ in range(rng.randint(0, 3)):
+            src, dst = rng.randrange(rows), rng.randrange(rows)
+            for c in range(cols):
+                cells[dst, c] = cells.get((src, c), 0)
+        for _ in range(rng.randint(0, 4)):
+            cells[rng.randrange(rows), rng.randrange(cols)] = p * rng.choice((-2, -1, 1, 3))
+    # a staircase: row i holds columns i and i + 1, so its first column and,
+    # transposed, its last row are singletons, and each peel frees the next
+    length = rng.randint(0, 12)
+    transposed = rng.random() < 0.5
+    for i in range(length):
+        for j in (i, i + 1):
+            r, c = (rows + j, cols + i) if transposed else (rows + i, cols + j)
+            cells[r, c] = rng.choice((-1, 1, 2, p))
+    rows += (length + 1 if transposed else length) + rng.randint(0, 2)
+    cols += (length if transposed else length + 1) + rng.randint(0, 2)
+    entries = [(r, c, v) for (r, c), v in cells.items() if v]
+    rng.shuffle(entries)
+    return SparseIntMat(rows, cols, entries)
+
+
+class TestPeel:
+    """The peel plus the elimination of its core counts the pivots of the
+    plain elimination of the whole matrix."""
+
+    @pytest.mark.parametrize("f", [GF1, GF2, QQ], ids=["65521", "65519", "rational"])
+    def test_rank_matches_unpeeled_elimination(self, f):
+        rng = random.Random(2016)
+        p = f.p or DEFAULT_PRIMES[0]
+        peeled_total = core_rows = 0
+        for _ in range(300):
+            m = _peel_case(rng, p)
+            want = len(_eliminate(m, f.p)[0])
+            assert rank_of(m, f) == want
+            peeled, rows, _ = _peel(m, f.p)
+            assert peeled <= want
+            peeled_total += peeled
+            core_rows += len(rows)
+        assert peeled_total and core_rows
+
+    def test_multiples_of_p_are_dead(self):
+        p = DEFAULT_PRIMES[0]
+        m = SparseIntMat(2, 2, ((0, 0, p), (0, 1, 1), (1, 0, 1), (1, 1, -p)))
+        assert rank_of(m, GF1) == 2 and _peel(m, GF1.p)[0] == 2
+        assert rank_of(m, QQ) == 2 and _peel(m, None)[0] == 0
+
+    def test_singleton_chain_peels_whole(self):
+        # an upper bidiagonal 40 x 41, where one column singleton frees the
+        # next, and its transpose, where row singletons do
+        chain = [(i, j, 1) for i in range(40) for j in (i, i + 1)]
+        transposed = [(j, i, v) for i, j, v in chain]
+        for m in (SparseIntMat(40, 41, chain), SparseIntMat(41, 40, transposed)):
+            for f in (GF1, QQ):
+                peeled, rows, col_rows = _peel(m, f.p)
+                assert (peeled, rows, col_rows) == (40, [], {})
+                assert rank_of(m, f) == 40
+
+    def test_input_cap_counts_live_entries_of_the_whole(self):
+        p = DEFAULT_PRIMES[0]
+        m = SparseIntMat(3, 3, ((0, 0, 1), (1, 1, 1), (2, 2, p)))
+        assert rank_of(m, GF1, max_nnz=2) == 2
+        with pytest.raises(ResourceCapError, match="input nnz 3 exceeded cap 2"):
+            rank_of(m, QQ, max_nnz=2)
 
 
 class TestNullspace:

@@ -368,3 +368,26 @@ class TestKernel:
                 if image[a] > image[b]
             )
             assert (x & s).bit_count() & 1 == inversions & 1
+
+    def test_boundary_targets_are_forests(self, bases_by_rank, monkeypatch):
+        """The assembly looks target orbits up without the acyclicity check
+        of ``record``; every target it meets at n <= 5 passes that check."""
+        from outhom.chain import boundary_contract, boundary_remove
+
+        real = ForestIndex.orbit
+        met = 0
+
+        def orbit(fi, mask):
+            nonlocal met
+            met += 1
+            assert fi.is_acyclic(_mask_positions(mask)), (fi.graph.canonical_key, mask)
+            return real(fi, mask)
+
+        monkeypatch.setattr(ForestIndex, "orbit", orbit)
+        for n in (2, 3, 4, 5):
+            bases = bases_by_rank[n]
+            store = ClassStore()
+            for p, basis in enumerate(bases):
+                boundary_contract(basis, store)
+                boundary_remove(basis, bases[p - 1] if p else None, store)
+        assert met

@@ -180,6 +180,18 @@ class TestCapsAndHoles:
         assert rp.holes
         assert all(x is not None for x in rp.a)
 
+    @pytest.mark.parametrize("f", [None, FieldSpec.rational()], ids=["65521", "rational"])
+    def test_nnz_cap_hole_sets_n4(self, f):
+        # the cap bounds the live nnz of the whole matrix before the peel and
+        # the fill of the core after it, so each set is the one computed
+        # when the elimination ran on the whole matrix
+        want = {
+            3: [1, 2, 3, 4, 5], 50: [2, 3, 4, 5], 100: [3, 4, 5], 150: [4, 5], 188: [4],
+            200: [], 1000: [],
+        }
+        for cap, holes in want.items():
+            assert compute_rank_profile(4, f=f, max_nnz=cap).holes == holes, cap
+
     def test_c_above_a_basis_hole_is_a_hole(self, capsys):
         rp = compute_rank_profile(4, max_basis=30)
         assert rp.holes == [4, 5]
@@ -401,6 +413,22 @@ class TestArtifactStore:
         fresh = compute_rank_profile(4, max_basis=5)
         assert resumed.holes == fresh.holes == [1, 2, 3, 4, 5]
         assert resumed.a == fresh.a
+
+
+def test_pipeline_never_builds_entry_tuples(tmp_path, monkeypatch):
+    """Profiles, fresh and resumed from a cache, and the oracle read the
+    entry arrays only; ``SparseIntMat.entries`` is for tests."""
+    from outhom.chain import SparseIntMat
+
+    def entries(self):
+        raise AssertionError("SparseIntMat.entries read")
+
+    monkeypatch.setattr(SparseIntMat, "entries", property(entries))
+    for _ in range(2):
+        assert compute_rank_profile(4, cache_dir=str(tmp_path)).dims == [1, 0, 0, 0, 1, 0]
+        (tmp_path / "report-n4-65521.json").unlink()
+    assert compute_rank_profile(3, f=FieldSpec.rational()).dims == [1, 0, 0, 0]
+    assert oracle_full_complex(3) == [1, 0, 0, 0]
 
 
 def test_cli_imports_no_private_name():
