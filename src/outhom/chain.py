@@ -22,7 +22,7 @@ homology of rank 2 vanish, which the acceptance suite rejects.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Iterable, Optional, Sequence
@@ -174,11 +174,12 @@ class ChainBasis:
     n: int
     p: int
     elements: tuple[ForestedGraph, ...]
-    index: dict[ForestKey, int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.index:
-            self.index = {el.key: i for i, el in enumerate(self.elements)}
+    @cached_property
+    def index(self) -> dict[ForestKey, int]:
+        """Column of each element key; read by ``d_R`` into this basis and
+        by ``verify_cycle``."""
+        return {el.key: i for i, el in enumerate(self.elements)}
 
     @cached_property
     def blocks(self) -> dict[bytes, tuple[int, ...]]:

@@ -6,17 +6,17 @@ and invert by division.  Pivot selection is Markowitz-flavored: pick the
 active column with fewest entries, then the shortest row in it, ties broken
 by index, so results are reproducible.
 
-``rank_of`` first runs a structural peel over the matrix's entry arrays
-(Bouillaguet & Delaplace, "Sparse Gaussian elimination modulo p: an
+Every elimination starts with a structural peel over the matrix's entry
+arrays (Bouillaguet & Delaplace, "Sparse Gaussian elimination modulo p: an
 update", CASC 2016): a row or column with one live entry is a pivot that
 needs no arithmetic, and taking it can leave new ones.  Only the core that
-stays is loaded into per-row dicts and eliminated, so the rank is the peeled
-count plus the rank of the core.  Kernels skip the peel: ``nullspace_of``
-eliminates the whole matrix and back-substitutes through the pivot rows,
-and over the rationals each kernel vector is cleared to integers.
+stays is loaded into per-row dicts and eliminated, so the rank is the count
+of peel pivots plus the rank of the core.  ``nullspace_of`` back-substitutes
+through the peel pivots, in peel order, and then the core's pivot rows; over
+the rationals each kernel vector is cleared to integers.
 
 The ``max_nnz`` cap bounds the live entries of the whole input, before the
-peel, and the fill of the elimination that follows.
+peel, and the fill of the elimination of the core.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
@@ -106,18 +107,29 @@ class NullspaceBasis:
 def rank_of(m: SparseIntMat, f: FieldSpec, max_nnz: Optional[int] = None) -> int:
     """Exact rank of m over f: the pivots of the structural peel plus the
     rank of the core it leaves (:func:`_peel`)."""
-    peeled, rows, col_rows = _peel(m, f.p, max_nnz)
+    peel_rows, _, rows, col_rows = _peel(m, f.p, max_nnz)
     pivots, _, _ = _reduce(rows, col_rows, f.p, max_nnz)
-    return peeled + len(pivots)
+    return len(peel_rows) + len(pivots)
 
 
 def nullspace_of(
     m: SparseIntMat, f: FieldSpec, max_nnz: Optional[int] = None
 ) -> NullspaceBasis:
     """Kernel basis with M . N = 0 exactly over f; deterministic.  Over the
-    rationals every column is an integer vector."""
-    pivots, piv_rows, _ = _eliminate(m, f.p, max_nnz)
-    return _backsolve(m.cols, pivots, piv_rows, f.p)
+    rationals every column is an integer vector.
+
+    The back-substitution runs through the peel pivots, in peel order, and
+    then the core's.  A peel pivot's row is its whole row of ``m``: a column
+    singleton's row has no live entry in an earlier column singleton's
+    column (that column's one live row was another row), and its entries in
+    earlier row singletons' columns meet a 0 there, since a row singleton
+    forces its column to 0 in every kernel vector.
+    """
+    peel_rows, peel_cols, rows, col_rows = _peel(m, f.p, max_nnz)
+    pivots, piv_rows, _ = _reduce(rows, col_rows, f.p, max_nnz)
+    peel = list(zip(peel_rows, peel_cols))
+    peel_piv_rows = [_pivot_row(m, r, c, f.p) for r, c in peel]
+    return _backsolve(m.cols, peel + pivots, peel_piv_rows + piv_rows, f.p)
 
 
 def nullspace_blockwise(
@@ -164,7 +176,8 @@ def _split_blocks(
 # sparse elimination over GF(p) (modulus p) or Q (modulus None)
 
 def _peel(m: SparseIntMat, p: Optional[int], max_nnz: Optional[int] = None):
-    """Structural peel: returns (pivot count, core rows, core column sets).
+    """Structural peel: returns (pivot rows, pivot columns, core rows, core
+    column sets), the pivots as two ``array('q')`` in peel order.
 
     An entry is live when it is nonzero mod p (nonzero over Q).  A column
     whose only live entry sits in row r spans a coordinate that no other
@@ -206,7 +219,8 @@ def _peel(m: SparseIntMat, p: Optional[int], max_nnz: Optional[int] = None):
         fill[c] += 1
     del fill
 
-    peeled = 0
+    peel_rows = array("q")
+    peel_cols = array("q")
     col_stack = [c for c in range(m.cols) if cc[c] == 1]
     row_stack = [r for r in range(m.rows) if rc[r] == 1]
     while col_stack or row_stack:
@@ -237,7 +251,8 @@ def _peel(m: SparseIntMat, p: Optional[int], max_nnz: Optional[int] = None):
                     if rc[other] == 1:
                         row_stack.append(other)
             cc[c] = 0
-        peeled += 1
+        peel_rows.append(r)
+        peel_cols.append(c)
 
     rows: list[dict] = []
     col_rows: dict[int, set[int]] = {}
@@ -252,23 +267,20 @@ def _peel(m: SparseIntMat, p: Optional[int], max_nnz: Optional[int] = None):
                 row[c] = values[k] % p if p else Fraction(values[k])
                 col_rows.setdefault(c, set()).add(i)
         rows.append(row)
-    return peeled, rows, col_rows
+    return peel_rows, peel_cols, rows, col_rows
 
 
-def _eliminate(m: SparseIntMat, p: Optional[int], max_nnz: Optional[int] = None):
-    """Returns (pivots, pivot rows, nnz peak) of :func:`_reduce` on all of
-    ``m``; the nnz cap bounds the input as well as the fill."""
-    rows: list[dict] = [dict() for _ in range(m.rows)]
-    col_rows: dict[int, set[int]] = {}
-    for r, c, v in zip(m.row_ids, m.col_ids, m.values):
-        v = v % p if p else Fraction(v)
-        if v:
-            rows[r][c] = v
-            col_rows.setdefault(c, set()).add(r)
-    nnz = sum(len(rw) for rw in rows)
-    if max_nnz is not None and nnz > max_nnz:
-        raise ResourceCapError(f"input nnz {nnz} exceeded cap {max_nnz}")
-    return _reduce(rows, col_rows, p, max_nnz)
+def _pivot_row(m: SparseIntMat, r: int, c: int, p: Optional[int]) -> dict:
+    """Row r of ``m`` (a slice of its (row, col) order) as a pivot row:
+    live entries only, normalized to 1 at column c."""
+    lo = bisect_left(m.row_ids, r)
+    hi = bisect_left(m.row_ids, r + 1, lo)
+    row = {
+        k: v % p if p else Fraction(v)
+        for k, v in zip(m.col_ids[lo:hi], m.values[lo:hi])
+    }
+    inv = pow(row[c], p - 2, p) if p else 1 / row[c]
+    return {k: v * inv % p if p else v * inv for k, v in row.items() if v}
 
 
 def _reduce(

@@ -55,25 +55,8 @@ class Multigraph:
             mult[e] = mult.get(e, 0) + 1
         return mult
 
-    def neighbors(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        adj = self.neighbors()
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        return _connected_without(self, -1)
 
     def to_text(self) -> str:
         """Line format used by every cache file: ``V=<k> E=<u>-<v>,...``."""
@@ -144,6 +127,8 @@ def _has_bridge(g: Multigraph) -> bool:
 
 
 def _connected_without(g: Multigraph, skip: int) -> bool:
+    """Whether ``g`` is connected once the edge at position ``skip`` is
+    left out (none when ``skip`` is -1); an empty graph is not."""
     if g.vertex_count == 0:
         return False
     adj: list[list[int]] = [[] for _ in range(g.vertex_count)]

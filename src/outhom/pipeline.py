@@ -335,10 +335,12 @@ def oracle_graphs(n: int) -> list[GraphClass]:
     return [classes[k] for k in sorted(classes)]
 
 
-def oracle_full_complex(n: int, verify_d_squared: bool = True) -> list[int]:
+def oracle_full_complex(n: int) -> list[int]:
     """Homology dimensions of the full signed complex, exactly over Q.
 
     Only ranks 2 and 3 are allowed; beyond that the graph counts blow up.
+    Raises ``AssertionError`` if a composite of consecutive boundaries is
+    nonzero.
     """
     if n not in (2, 3):
         raise ValueError("full-complex oracle is limited to ranks 2 and 3")
@@ -346,11 +348,9 @@ def oracle_full_complex(n: int, verify_d_squared: bool = True) -> list[int]:
     mats: list[SparseIntMat] = []
     for k in range(1, len(bases)):
         mats.append(_oracle_boundary(bases[k], bases[k - 1], store))
-    if verify_d_squared:
-        for k in range(1, len(mats)):
-            square = matmul(mats[k - 1], mats[k])
-            if square.nnz:
-                raise AssertionError(f"oracle boundary squared nonzero at k={k + 1}")
+    for k in range(1, len(mats)):
+        if matmul(mats[k - 1], mats[k]).nnz:
+            raise AssertionError(f"oracle boundary squared nonzero at k={k + 1}")
     rational = FieldSpec.rational()
     ranks = [rank_of(m, rational) for m in mats] + [0]
     dims = []

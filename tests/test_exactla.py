@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from outhom.chain import SparseIntMat, boundary_contract, matmul
+from outhom.chain import SparseIntMat, boundary_contract, boundary_remove, matmul, vstack
 from outhom.enumerator import ResourceCapError
 from outhom.exactla import (
     DEFAULT_PRIMES,
     FieldSpec,
     _backsolve,
-    _eliminate,
     _peel,
+    _pivot_row,
+    _reduce,
     nullspace_blockwise,
     nullspace_of,
     rank_of,
@@ -80,6 +82,28 @@ class TestRank:
             assert rank_of(m, GF2) == r_q
 
 
+def _unpeeled(m, p, max_nnz=None):
+    """:func:`_reduce` on every live entry of ``m``, with no peel in front."""
+    rows = [dict() for _ in range(m.rows)]
+    col_rows = {}
+    for r, c, v in m.entries:
+        v = v % p if p else Fraction(v)
+        if v:
+            rows[r][c] = v
+            col_rows.setdefault(c, set()).add(r)
+    return _reduce(rows, col_rows, p, max_nnz)
+
+
+def _is_kernel(m, ns, f):
+    """M . x vanishes over f for every column x of ``ns``, in Python ints:
+    rational kernel vectors of the random cases below can outgrow the
+    64-bit entries of a ``SparseIntMat``."""
+    products = (mat_vec(m, x).values() for x in ns.columns)
+    if f.p:
+        return not any(v % f.p for mx in products for v in mx)
+    return not any(products)
+
+
 def _peel_case(rng, p):
     """A random matrix built to reach every branch of the structural peel:
     a random part (rank-deficient when it is a product of thin factors),
@@ -122,28 +146,57 @@ def _peel_case(rng, p):
 
 class TestPeel:
     """The peel plus the elimination of its core counts the pivots of the
-    plain elimination of the whole matrix."""
+    plain elimination of the whole matrix, and kernels back-solved through
+    both sets of pivots are kernels of that dimension."""
 
     @pytest.mark.parametrize("f", [GF1, GF2, QQ], ids=["65521", "65519", "rational"])
     def test_rank_matches_unpeeled_elimination(self, f):
         rng = random.Random(2016)
         p = f.p or DEFAULT_PRIMES[0]
-        peeled_total = core_rows = 0
+        peeled_total = core_rows = peeled_kernels = 0
         for _ in range(300):
             m = _peel_case(rng, p)
-            want = len(_eliminate(m, f.p)[0])
+            want = len(_unpeeled(m, f.p)[0])
             assert rank_of(m, f) == want
-            peeled, rows, _ = _peel(m, f.p)
-            assert peeled <= want
-            peeled_total += peeled
+            peel_rows, peel_cols, rows, col_rows = _peel(m, f.p)
+            assert peel_rows.typecode == peel_cols.typecode == "q"
+            # distinct rows and columns, each pivot a live entry out of the core
+            assert len(set(peel_rows)) == len(set(peel_cols)) == len(peel_rows) <= want
+            cells = {(r, c): v for r, c, v in m.entries}
+            for r, c in zip(peel_rows, peel_cols):
+                assert cells[r, c] % p if f.p else cells[r, c]
+                assert c not in col_rows
+            ns = nullspace_of(m, f)
+            assert ns.dim == m.cols - want
+            assert _is_kernel(m, ns, f)
+            peeled_total += len(peel_rows)
             core_rows += len(rows)
-        assert peeled_total and core_rows
+            peeled_kernels += bool(peel_rows and ns.dim)
+        assert peeled_total and core_rows and peeled_kernels
+
+    def test_kernels_of_boundaries_n3_to_n5(self, bases_by_rank, store):
+        # d_C and d_C stacked over d_R at every level, the matrices whose
+        # kernels cycle work reads
+        for n in (3, 4, 5):
+            bases = bases_by_rank[n]
+            for p, basis in enumerate(bases):
+                if basis.dim == 0:
+                    continue
+                dc = boundary_contract(basis, store)
+                mats = [dc]
+                if p >= 1:
+                    mats.append(vstack(dc, boundary_remove(basis, bases[p - 1], store)))
+                for m in mats:
+                    for f in (GF1, GF2, QQ):
+                        ns = nullspace_of(m, f)
+                        assert ns.dim == m.cols - rank_of(m, f)
+                        assert check_product_zero(m, ns, f)
 
     def test_multiples_of_p_are_dead(self):
         p = DEFAULT_PRIMES[0]
         m = SparseIntMat(2, 2, ((0, 0, p), (0, 1, 1), (1, 0, 1), (1, 1, -p)))
-        assert rank_of(m, GF1) == 2 and _peel(m, GF1.p)[0] == 2
-        assert rank_of(m, QQ) == 2 and _peel(m, None)[0] == 0
+        assert rank_of(m, GF1) == 2 and len(_peel(m, GF1.p)[0]) == 2
+        assert rank_of(m, QQ) == 2 and len(_peel(m, None)[0]) == 0
 
     def test_singleton_chain_peels_whole(self):
         # an upper bidiagonal 40 x 41, where one column singleton frees the
@@ -152,8 +205,8 @@ class TestPeel:
         transposed = [(j, i, v) for i, j, v in chain]
         for m in (SparseIntMat(40, 41, chain), SparseIntMat(41, 40, transposed)):
             for f in (GF1, QQ):
-                peeled, rows, col_rows = _peel(m, f.p)
-                assert (peeled, rows, col_rows) == (40, [], {})
+                peel_rows, _, rows, col_rows = _peel(m, f.p)
+                assert (len(peel_rows), rows, col_rows) == (40, [], {})
                 assert rank_of(m, f) == 40
 
     def test_input_cap_counts_live_entries_of_the_whole(self):
@@ -352,7 +405,7 @@ class TestGuards:
 def _reference_eliminate(m, p, max_nnz=None, events=None):
     """Elimination that scans every active column for the pivot column.
 
-    The specification of ``_eliminate``: the pivot column is
+    The specification of :func:`_reduce` on a whole matrix: the pivot column is
     ``min((count, column))`` over active columns, the pivot row
     ``min((length, row))`` within it.  ``events`` counts fill and
     cancellation so a test can show it exercised both.
@@ -459,7 +512,7 @@ class TestEliminationOrder:
     def test_same_pivots_rows_and_peak(self):
         events = {"fill": 0, "cancel": 0}
         for p, m in self._samples():
-            assert _eliminate(m, p) == _reference_eliminate(m, p, events=events)
+            assert _unpeeled(m, p) == _reference_eliminate(m, p, events=events)
         assert events["fill"] > 0 and events["cancel"] > 0
 
     def test_same_fill_cap(self):
@@ -472,15 +525,32 @@ class TestEliminationOrder:
             capped += 1
             for cap in (peak - 1, (start + peak) // 2):
                 with pytest.raises(ResourceCapError) as got:
-                    _eliminate(m, p, cap)
+                    _unpeeled(m, p, cap)
                 with pytest.raises(ResourceCapError) as want:
                     _reference_eliminate(m, p, cap)
                 assert str(got.value) == str(want.value)
-            assert _eliminate(m, p, peak)[2] == peak
+            assert _unpeeled(m, p, peak)[2] == peak
         assert capped > 0
 
     def test_same_kernels(self):
         for p, m in self._samples():
-            pivots, piv_rows, _ = _eliminate(m, p)
+            pivots, piv_rows, _ = _unpeeled(m, p)
             got = _backsolve(m.cols, pivots, piv_rows, p)
             assert list(got.columns) == _reference_backsolve(m.cols, pivots, piv_rows, p)
+
+    def test_same_kernels_through_the_peel(self):
+        # the pivots nullspace_of hands to _backsolve: the peel's, whose rows
+        # are whole rows of m and can mention earlier pivot columns, then
+        # the core's
+        peeled = 0
+        for p, m in self._samples():
+            got = nullspace_of(m, FieldSpec.prime(p))
+            peel_rows, peel_cols, rows, col_rows = _peel(m, p)
+            pivots, piv_rows, _ = _reduce(rows, col_rows, p)
+            peel = list(zip(peel_rows, peel_cols))
+            whole = [_pivot_row(m, r, c, p) for r, c in peel]
+            want = _reference_backsolve(m.cols, peel + pivots, whole + piv_rows, p)
+            assert list(got.columns) == want
+            assert check_product_zero(m, got, FieldSpec.prime(p))
+            peeled += bool(peel and got.dim)
+        assert peeled
