@@ -11,10 +11,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .chain import ChainBasis, ClassStore, SparseIntMat, build_chain_basis
+from .chain import ChainBasis, ClassStore, SparseIntMat, assemble, build_chain_basis
 from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs
 from .forests import ForestedGraph, ForestKey
 from .multigraph import GraphClass, Multigraph, canonical_form
+
+
+# the (kind, scale) parts of each boundary matrix, as ``assemble`` takes them
+_PARTS = {"dc": (("contract", 1),), "dr": (("remove", 1),)}
 
 
 def label_text(key: ForestKey) -> str:
@@ -83,24 +87,31 @@ class ArtifactStore:
         return basis
 
     def matrix(
-        self, kind: str, basis: ChainBasis, build: Callable[[], SparseIntMat]
+        self, kind: str, basis: ChainBasis, store: ClassStore,
+        target: Optional[ChainBasis] = None,
     ) -> SparseIntMat:
         """The ``"dc"`` (contraction) or ``"dr"`` (removal) boundary on
-        ``basis``; ``build`` computes it unless a file holds one that fits."""
+        ``basis``, with rows hash-consed or, given ``target``, that basis;
+        assembled unless a file holds one that fits.  Raises ``ValueError``
+        on another kind."""
+        if kind not in _PARTS:
+            raise ValueError(f"unknown boundary kind {kind!r}")
         name = f"{kind}-n{basis.n}-p{basis.p}"
         lines = self._read(f"{name}.txt")
         labels = self._read(f"{name}.rows.txt")
         if lines is not None and labels is not None:
             try:
-                mat = SparseIntMat.from_lines(lines, tuple(map(parse_label, labels)))
+                for line in labels:
+                    parse_label(line)
+                mat = SparseIntMat.from_lines(lines)
             except (ValueError, IndexError):
                 mat = None
             if mat is not None and (mat.rows, mat.cols) == (len(labels), basis.dim):
                 return mat
-        mat = build()
+        mat, labels = assemble(basis, _PARTS[kind], store, target)
         if self.root is not None:
             # rows first: a matrix file is served only beside its row labels
-            self._write(f"{name}.rows.txt", [label_text(k) for k in mat.row_labels])
+            self._write(f"{name}.rows.txt", [label_text(k) for k in labels])
             self._write(f"{name}.txt", mat.to_lines())
         return mat
 

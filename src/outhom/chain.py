@@ -27,6 +27,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Optional, Sequence
 
+from .enumerator import ResourceCapError
 from .forests import ForestedGraph, ForestIndex, ForestKey, block_key_of, xor_table
 from .multigraph import (
     GraphClass,
@@ -49,14 +50,10 @@ class SparseIntMat:
     them; :meth:`from_arrays` wraps arrays that are already in order.
     """
 
-    __slots__ = ("rows", "cols", "row_ids", "col_ids", "values", "row_labels")
+    __slots__ = ("rows", "cols", "row_ids", "col_ids", "values")
 
     def __init__(
-        self,
-        rows: int,
-        cols: int,
-        entries: Iterable[tuple[int, int, int]] = (),
-        row_labels: Optional[tuple[ForestKey, ...]] = None,
+        self, rows: int, cols: int, entries: Iterable[tuple[int, int, int]] = ()
     ) -> None:
         triples = sorted(entries)
         self.rows = rows
@@ -64,17 +61,15 @@ class SparseIntMat:
         self.row_ids = array("q", [t[0] for t in triples])
         self.col_ids = array("q", [t[1] for t in triples])
         self.values = array("q", [t[2] for t in triples])
-        self.row_labels = row_labels
 
     @classmethod
     def from_arrays(
-        cls, rows: int, cols: int, row_ids: array, col_ids: array, values: array,
-        row_labels: Optional[tuple[ForestKey, ...]] = None,
+        cls, rows: int, cols: int, row_ids: array, col_ids: array, values: array
     ) -> "SparseIntMat":
         """The matrix on these arrays, not copied; they must be in (row, col)
         order."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m.row_labels = rows, cols, row_labels
+        m.rows, m.cols = rows, cols
         m.row_ids, m.col_ids, m.values = row_ids, col_ids, values
         return m
 
@@ -103,7 +98,7 @@ class SparseIntMat:
         return lines
 
     @staticmethod
-    def from_lines(lines: Sequence[str], row_labels=None) -> "SparseIntMat":
+    def from_lines(lines: Sequence[str]) -> "SparseIntMat":
         """Inverse of :meth:`to_lines`; the entry lines may come in any order.
         Raises ``ValueError`` on a count or an index that does not fit."""
         rows, cols, nnz = (int(x) for x in lines[0].split())
@@ -121,7 +116,7 @@ class SparseIntMat:
         # digit radix sort, by column and then stably by row
         r, c, v = _take(_counting_order(c, cols), r, c, v)
         r, c, v = _take(_counting_order(r, rows), r, c, v)
-        return SparseIntMat.from_arrays(rows, cols, r, c, v, row_labels)
+        return SparseIntMat.from_arrays(rows, cols, r, c, v)
 
 
 def _counting_order(keys: array, size: int) -> array:
@@ -265,8 +260,6 @@ def build_chain_basis(
         orbit_lists = (
             store.forest_index(cls).orbit_representatives(p) for cls in graphs
         )
-    from .enumerator import ResourceCapError
-
     for cls, reps in zip(graphs, orbit_lists):
         cls = store.intern(cls)
         for rep, _, zero in reps:
@@ -385,9 +378,9 @@ def assemble(
     parts: Sequence[tuple[str, int]],
     store: ClassStore,
     target: Optional[ChainBasis] = None,
-) -> SparseIntMat:
+) -> tuple[SparseIntMat, tuple[ForestKey, ...]]:
     """Matrix of the sum of ``scale`` times the ``kind`` boundary over the
-    ``(kind, scale)`` parts, on the columns of ``b``.
+    ``(kind, scale)`` parts, on the columns of ``b``, and the key of each row.
 
     Rows are the keys of the nonzero rows in sorted order, or the ``target``
     basis, which must hold every target key (else
@@ -426,7 +419,7 @@ def assemble(
     row_ids, col_ids, values = _take(
         _counting_order(row_ids, len(labels)), row_ids, col_ids, values
     )
-    return SparseIntMat.from_arrays(len(labels), b.dim, row_ids, col_ids, values, labels)
+    return SparseIntMat.from_arrays(len(labels), b.dim, row_ids, col_ids, values), labels
 
 
 def boundary_contract(b: ChainBasis, store: Optional[ClassStore] = None) -> SparseIntMat:
@@ -436,7 +429,7 @@ def boundary_contract(b: ChainBasis, store: Optional[ClassStore] = None) -> Spar
     sorted by canonical key; all-zero rows are dropped.  For p = 0 the
     matrix is 0 x dim.
     """
-    return assemble(b, (("contract", 1),), store or ClassStore())
+    return assemble(b, (("contract", 1),), store or ClassStore())[0]
 
 
 def boundary_remove(
@@ -451,7 +444,7 @@ def boundary_remove(
     hash-consed like in :func:`boundary_contract` (used at forest sizes
     whose predecessor basis is too large to enumerate).
     """
-    return assemble(b, (("remove", 1),), store or ClassStore(), target)
+    return assemble(b, (("remove", 1),), store or ClassStore(), target)[0]
 
 
 def matmul(a: SparseIntMat, b: SparseIntMat) -> SparseIntMat:

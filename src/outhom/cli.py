@@ -16,7 +16,7 @@ import sys
 from typing import Optional, Sequence
 
 from .artifacts import ArtifactStore, label_text
-from .chain import ClassStore, boundary_contract, boundary_remove
+from .chain import ClassStore
 from .cycleio import parse_cycle, verify_cycle
 from .enumerator import EnumSpec, ResourceCapError
 from .exactla import DEFAULT_PRIMES, FieldSpec
@@ -136,11 +136,11 @@ def _cmd_matrices(args: argparse.Namespace) -> int:
     cache, graphs = _trivalent_graphs(args, n)
     store = ClassStore()
     basis = cache.basis(n, p, graphs, store, args.max_basis)
-    dc = cache.matrix("dc", basis, lambda: boundary_contract(basis, store))
+    dc = cache.matrix("dc", basis, store)
     print(f"contraction boundary: {dc.rows} x {dc.cols}, nnz {dc.nnz}")
     if p >= 1:
         lower = cache.basis(n, p - 1, graphs, store, args.max_basis)
-        dr = cache.matrix("dr", basis, lambda: boundary_remove(basis, lower, store))
+        dr = cache.matrix("dr", basis, store, lower)
         print(f"removal boundary:     {dr.rows} x {dr.cols}, nnz {dr.nnz}")
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .multigraph import GraphClass, Multigraph, canonical_form, classify
+from .multigraph import GraphClass, GraphFacts, Multigraph, canonical_form, classify
 from .parallel import pmap
 
 
@@ -65,19 +65,15 @@ def enumerate_graphs(spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
         out = [
             cls
             for cls in cubic_level(spec.n, spec.max_classes, threads).values()
-            if _passes(cls.canon, spec)
+            if _passes(classify(cls.canon, spec.n), spec)
         ]
     else:
-        out = [
-            cls
-            for cls in pairing_classes(spec).values()
-        ]
+        out = list(pairing_classes(spec).values())
     out.sort(key=lambda c: c.canonical_key)
     return out
 
 
-def _passes(g: Multigraph, spec: EnumSpec) -> bool:
-    facts = classify(g, spec.n)
+def _passes(facts: GraphFacts, spec: EnumSpec) -> bool:
     if not facts.connected or facts.rank != spec.n or not facts.min_valence_ok:
         return False
     if facts.degree > spec.max_degree:
@@ -198,7 +194,8 @@ def pairing_classes(spec: EnumSpec) -> dict[bytes, GraphClass]:
             continue
         for valences in _valence_sequences(2 * e_cnt, v_cnt):
             for g in _pair_half_edges(valences, spec.allow_loops):
-                if not _passes(g, spec) or classify(g, spec.n).degree != degree:
+                facts = classify(g, spec.n)
+                if facts.degree != degree or not _passes(facts, spec):
                     continue
                 cls = canonical_form(g)
                 found.setdefault(cls.canonical_key, cls)

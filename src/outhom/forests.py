@@ -38,7 +38,7 @@ from .multigraph import GraphClass, canonical_form, contract_edges
 ForestKey = tuple[bytes, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForestedGraph:
     """A canonical graph with a normalized forest.
 

@@ -37,13 +37,11 @@ from .chain import (
     ClassStore,
     SparseIntMat,
     assemble,
-    boundary_contract,
-    boundary_remove,
     build_chain_basis,
     matmul,
     vstack,
 )
-from .enumerator import EnumSpec, ResourceCapError, pairing_classes
+from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs
 from .exactla import DEFAULT_PRIMES, FieldSpec, rank_of
 from .forests import ForestIndex
 from .multigraph import GraphClass
@@ -52,11 +50,10 @@ CACHE_ENV_VAR = "OUTHOM_CACHE_DIR"
 
 DEFAULT_MAX_NNZ = 5_000_000
 DEFAULT_MAX_BASIS = 500_000
-DEFAULT_MAX_CLASSES = 10_000_000
 
 # the resource caps a report records; a cached report serves a request only
 # if each of the request's caps is at least the recorded one
-_CAPS = ("max_nnz", "max_basis", "max_classes")
+_CAPS = ("max_nnz", "max_basis")
 
 # what leaves a hole in a level instead of aborting the profile
 _HOLE_CAUSES = (ResourceCapError, MemoryError)
@@ -94,7 +91,6 @@ class RankProfile:
     maxrss_kb: int
     max_nnz: int = DEFAULT_MAX_NNZ
     max_basis: int = DEFAULT_MAX_BASIS
-    max_classes: int = DEFAULT_MAX_CLASSES
     report_text: Optional[str] = None
     from_cache: bool = False
 
@@ -164,7 +160,6 @@ def compute_rank_profile(
     threads: int = 1,
     max_nnz: int = DEFAULT_MAX_NNZ,
     max_basis: int = DEFAULT_MAX_BASIS,
-    max_classes: int = DEFAULT_MAX_CLASSES,
 ) -> RankProfile:
     """Compute a_p, b_p, c_p and homology dimensions for one n.
 
@@ -183,14 +178,14 @@ def compute_rank_profile(
         raise ValueError(f"p_range must lie within [0, {top}]")
 
     cache = ArtifactStore(cache_dir)
-    caps = {"max_nnz": max_nnz, "max_basis": max_basis, "max_classes": max_classes}
+    caps = {"max_nnz": max_nnz, "max_basis": max_basis}
     cached = cache.report(n, f.label(), RankProfile.from_json)
     if cached is not None and cached.serves(f.label(), p_list, caps):
         return cached
 
     timings: dict[str, float] = {}
     t0 = time.monotonic()
-    graphs = cache.graphs(EnumSpec(n, max_classes=max_classes), threads)
+    graphs = cache.graphs(EnumSpec(n), threads)
     timings["graphs"] = time.monotonic() - t0
 
     store = ClassStore()
@@ -225,7 +220,7 @@ def compute_rank_profile(
         rank_dc: Optional[int] = None
         try:
             t = time.monotonic()
-            dc = cache.matrix("dc", basis, lambda: boundary_contract(basis, store))
+            dc = cache.matrix("dc", basis, store)
             timings[f"dc-p{p}"] = time.monotonic() - t
             t = time.monotonic()
             rank_dc = rank_of(dc, fld, max_nnz)
@@ -246,9 +241,7 @@ def compute_rank_profile(
             return
         try:
             t = time.monotonic()
-            dr = cache.matrix(
-                "dr", basis, lambda: boundary_remove(basis, bases[p - 1], store)
-            )
+            dr = cache.matrix("dr", basis, store, bases[p - 1])
             rp.c[p] = rank_of(vstack(dc, dr), fld, max_nnz) - rank_dc
             timings[f"c-p{p}"] = time.monotonic() - t
         except _HOLE_CAUSES as exc:
@@ -330,9 +323,7 @@ def cross_prime_profile(
 def oracle_graphs(n: int) -> list[GraphClass]:
     """Every connected bridgeless min-valence-3 graph of rank n, loops
     allowed: this is the contraction closure of the trivalent classes."""
-    spec = EnumSpec(n, max_degree=2 * n - 3, allow_loops=True)
-    classes = pairing_classes(spec)
-    return [classes[k] for k in sorted(classes)]
+    return enumerate_graphs(EnumSpec(n, max_degree=2 * n - 3, allow_loops=True))
 
 
 def oracle_full_complex(n: int) -> list[int]:
@@ -365,7 +356,7 @@ def oracle_full_complex(n: int) -> list[int]:
 
 def _oracle_boundary(b: ChainBasis, target: ChainBasis, store: ClassStore) -> SparseIntMat:
     """Combined boundary (contraction minus removal) into the lower basis."""
-    return assemble(b, (("contract", 1), ("remove", -1)), store, target)
+    return assemble(b, (("contract", 1), ("remove", -1)), store, target)[0]
 
 
 def _oracle_bases(n: int) -> tuple[list[ChainBasis], ClassStore]:

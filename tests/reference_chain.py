@@ -41,9 +41,9 @@ def reference_boundary(
     parts: Sequence[tuple[str, int]],
     store: ClassStore,
     target: Optional[ChainBasis] = None,
-) -> SparseIntMat:
-    """The matrix :func:`outhom.chain.assemble` builds, summed term by term
-    over ``(target key, column)`` cells."""
+) -> tuple[SparseIntMat, tuple[ForestKey, ...]]:
+    """The matrix and row labels :func:`outhom.chain.assemble` returns,
+    summed term by term over ``(target key, column)`` cells."""
     acc: dict[tuple[ForestKey, int], int] = {}
     for kind, scale in parts:
         for col, el in enumerate(b.elements):
@@ -64,7 +64,7 @@ def reference_boundary(
     entries = tuple(
         sorted((row_of[key], col, v) for (key, col), v in acc.items() if v != 0)
     )
-    return SparseIntMat(len(labels), b.dim, entries, labels)
+    return SparseIntMat(len(labels), b.dim, entries), labels
 
 
 def basis_from_labels(

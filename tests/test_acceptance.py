@@ -16,6 +16,7 @@ import pytest
 
 from outhom.chain import (
     SparseIntMat,
+    assemble,
     boundary_contract,
     boundary_remove,
     matmul,
@@ -33,6 +34,10 @@ from outhom.multigraph import apply_vertex_perm, canonical_form
 from outhom.pipeline import compute_rank_profile, oracle_full_complex
 from reference_chain import basis_from_labels
 from reference_la import mat_vec
+
+
+CONTRACT = (("contract", 1),)
+REMOVE = (("remove", 1),)
 
 
 def _report(criterion: str, message: str) -> None:
@@ -92,8 +97,8 @@ def test_criterion_6_property_suite(bases_by_rank, store, doubled_4_cycle):
             basis = bases_by_rank[n][p]
             if basis.dim == 0:
                 continue
-            dc1 = boundary_contract(basis, store)
-            mid = basis_from_labels(n, p - 1, dc1.row_labels, store)
+            dc1, labels = assemble(basis, CONTRACT, store)
+            mid = basis_from_labels(n, p - 1, labels, store)
             assert matmul(boundary_contract(mid, store), dc1).entries == ()
             dr1 = boundary_remove(basis, bases_by_rank[n][p - 1], store)
             dr0 = boundary_remove(
@@ -109,14 +114,14 @@ def test_criterion_6_property_suite(bases_by_rank, store, doubled_4_cycle):
             if basis.dim == 0:
                 continue
             dr = boundary_remove(basis, bases_by_rank[n][p - 1], store)
-            dc_low = boundary_contract(bases_by_rank[n][p - 1], store)
+            dc_low, dc_low_rows = assemble(bases_by_rank[n][p - 1], CONTRACT, store)
             path_a = matmul(dc_low, dr)
-            dc = boundary_contract(basis, store)
-            mid = basis_from_labels(n, p - 1, dc.row_labels, store)
-            dr_hashed = boundary_remove(mid, None, store)
+            dc, dc_rows = assemble(basis, CONTRACT, store)
+            mid = basis_from_labels(n, p - 1, dc_rows, store)
+            dr_hashed, dr_hashed_rows = assemble(mid, REMOVE, store)
             path_b = matmul(dr_hashed, dc)
-            da = {(dc_low.row_labels[r], c): v for r, c, v in path_a.entries}
-            db = {(dr_hashed.row_labels[r], c): v for r, c, v in path_b.entries}
+            da = {(dc_low_rows[r], c): v for r, c, v in path_a.entries}
+            db = {(dr_hashed_rows[r], c): v for r, c, v in path_b.entries}
             assert da == {k: -v for k, v in db.items()}
 
     # canonical-form invariance: 1000 random relabelings per graph, n <= 4

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from outhom.artifacts import label_text, parse_label
 from outhom.chain import (
     ClassStore,
     InconsistencyError,
@@ -19,19 +20,18 @@ from outhom.forests import ForestIndex, block_key_of
 from outhom.pipeline import _oracle_bases, _oracle_boundary
 from reference_chain import basis_from_labels, reference_boundary
 
-
-def _entry_dict(mat: SparseIntMat) -> dict[tuple, int]:
-    labels = mat.row_labels
-    return {(labels[r], c): v for r, c, v in mat.entries}
+CONTRACT = (("contract", 1),)
+REMOVE = (("remove", 1),)
+FULL = (("contract", 1), ("remove", -1))
 
 
 class TestSmallExamples:
     def test_theta_contraction_boundary(self, bases_by_rank, store):
         basis = bases_by_rank[2][1]
-        dc = boundary_contract(basis, store)
+        dc, labels = assemble(basis, CONTRACT, store)
         assert (dc.rows, dc.cols) == (1, 1)
         assert dc.entries == ((0, 0, -1),)
-        assert dc.row_labels == ((b"V=1 E=0-0,0-0", ()),)
+        assert labels == ((b"V=1 E=0-0,0-0", ()),)
 
     def test_theta_removal_boundary(self, bases_by_rank, store):
         dr = boundary_remove(bases_by_rank[2][1], bases_by_rank[2][0], store)
@@ -80,8 +80,8 @@ class TestComplexIdentities:
             basis = bases_by_rank[n][p]
             if basis.dim == 0:
                 continue
-            dc1 = boundary_contract(basis, store)
-            mid = basis_from_labels(n, p - 1, dc1.row_labels, store)
+            dc1, labels = assemble(basis, CONTRACT, store)
+            mid = basis_from_labels(n, p - 1, labels, store)
             dc2 = boundary_contract(mid, store)
             assert matmul(dc2, dc1).entries == ()
 
@@ -100,15 +100,13 @@ class TestComplexIdentities:
             if basis.dim == 0:
                 continue
             dr = boundary_remove(basis, bases_by_rank[n][p - 1], store)
-            dc_low = boundary_contract(bases_by_rank[n][p - 1], store)
+            dc_low, path_a_rows = assemble(bases_by_rank[n][p - 1], CONTRACT, store)
             path_a = matmul(dc_low, dr)
-            path_a_rows = dc_low.row_labels
 
-            dc = boundary_contract(basis, store)
-            mid = basis_from_labels(n, p - 1, dc.row_labels, store)
-            dr_hashed = boundary_remove(mid, None, store)
+            dc, dc_rows = assemble(basis, CONTRACT, store)
+            mid = basis_from_labels(n, p - 1, dc_rows, store)
+            dr_hashed, path_b_rows = assemble(mid, REMOVE, store)
             path_b = matmul(dr_hashed, dc)
-            path_b_rows = dr_hashed.row_labels
 
             da = {(path_a_rows[r], c): v for r, c, v in path_a.entries}
             db = {(path_b_rows[r], c): v for r, c, v in path_b.entries}
@@ -120,9 +118,9 @@ class TestComplexIdentities:
             basis = bases_by_rank[n][p]
             if basis.dim == 0:
                 continue
-            dc = boundary_contract(basis, store)
+            dc, labels = assemble(basis, CONTRACT, store)
             for r, c, _ in dc.entries:
-                key, forest = dc.row_labels[r]
+                key, forest = labels[r]
                 el = basis.elements[c]
                 row_block = block_key_of(store.get(key), forest)
                 assert row_block == block_key_of(el.graph, el.forest)
@@ -141,37 +139,37 @@ class TestComplexIdentities:
             boundary_remove(basis1, empty, store)
 
 
-CONTRACT = (("contract", 1),)
-REMOVE = (("remove", 1),)
-FULL = (("contract", 1), ("remove", -1))
-
-
 class TestReferenceEquivalence:
     """The kernel builds the same matrices, entries and row labels, as the
     normalize-based reference generator.  Each side gets its own store, so
     the kernel's forest indices for contraction targets are its own."""
 
     @staticmethod
-    def _assert_same(got: SparseIntMat, want: SparseIntMat) -> None:
+    def _assert_same_matrix(got: SparseIntMat, want: SparseIntMat) -> None:
         assert (got.rows, got.cols) == (want.rows, want.cols)
-        assert got.row_labels == want.row_labels
         assert got.entries == want.entries
+
+    @classmethod
+    def _assert_same(cls, got: tuple, want: tuple) -> None:
+        """``(matrix, labels)`` pairs, as ``assemble`` returns them."""
+        cls._assert_same_matrix(got[0], want[0])
+        assert got[1] == want[1]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_trivalent_levels(self, n, bases_by_rank):
+        # assemble for the row labels, the wrappers for the matrices they return
         bases = bases_by_rank[n]
         store, ref_store = ClassStore(), ClassStore()
         for p, basis in enumerate(bases):
-            for got, want in (
-                (boundary_contract(basis, store), reference_boundary(basis, CONTRACT, ref_store)),
-                (boundary_remove(basis, None, store), reference_boundary(basis, REMOVE, ref_store)),
-            ):
-                self._assert_same(got, want)
-            if p:
-                self._assert_same(
-                    boundary_remove(basis, bases[p - 1], store),
-                    reference_boundary(basis, REMOVE, ref_store, bases[p - 1]),
-                )
+            targets = (None, bases[p - 1]) if p else (None,)
+            for parts, target in [(CONTRACT, None)] + [(REMOVE, t) for t in targets]:
+                want = reference_boundary(basis, parts, ref_store, target)
+                self._assert_same(assemble(basis, parts, store, target), want)
+                if parts is CONTRACT:
+                    wrapped = boundary_contract(basis, store)
+                else:
+                    wrapped = boundary_remove(basis, target, store)
+                self._assert_same_matrix(wrapped, want[0])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_oracle_levels(self, n):
@@ -180,9 +178,9 @@ class TestReferenceEquivalence:
         ref_store = ClassStore()
         for k in range(1, len(bases)):
             b, lower = bases[k], bases[k - 1]
-            self._assert_same(
+            self._assert_same_matrix(
                 _oracle_boundary(b, lower, store),
-                reference_boundary(b, FULL, ref_store, lower),
+                reference_boundary(b, FULL, ref_store, lower)[0],
             )
             for parts in (CONTRACT, REMOVE, FULL):
                 for target in (lower, None):
@@ -201,11 +199,14 @@ class TestReferenceEquivalence:
 
 class TestSparseIntMat:
     def test_file_round_trip(self, bases_by_rank, store):
-        dc = boundary_contract(bases_by_rank[4][2], store)
-        again = SparseIntMat.from_lines(dc.to_lines(), dc.row_labels)
+        dc, labels = assemble(bases_by_rank[4][2], CONTRACT, store)
+        again = SparseIntMat.from_lines(dc.to_lines())
         assert again.rows == dc.rows and again.cols == dc.cols
         assert sorted(again.entries) == sorted(dc.entries)
         assert again.entries == dc.entries
+        # the row file: one line per row, each parsing back to its key
+        assert len(labels) == dc.rows
+        assert tuple(parse_label(label_text(k)) for k in labels) == labels
 
     def test_arrays_match_a_tuple_reference(self):
         """``to_lines``, ``from_lines`` and ``vstack`` on the array layout

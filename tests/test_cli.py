@@ -274,16 +274,17 @@ class TestRunContract:
         assert "leaving a hole" in err
 
     def test_memory_error_is_a_hole(self, capsys, monkeypatch):
-        import outhom.pipeline as pipeline
+        import outhom.artifacts as artifacts
 
-        real = pipeline.boundary_contract
+        real = artifacts.assemble
 
-        def boundary_contract(basis, store=None):
-            if basis.p == 2:
+        def assemble(b, parts, store, target=None):
+            # d_C at p = 2 is the first assembly on that basis
+            if b.p == 2:
                 raise MemoryError
-            return real(basis, store)
+            return real(b, parts, store, target)
 
-        monkeypatch.setattr(pipeline, "boundary_contract", boundary_contract)
+        monkeypatch.setattr(artifacts, "assemble", assemble)
         code, out, err = run_cli(capsys, "homology", "--n", "3", "--format", "structured")
         assert code == 2
         assert json.loads(out)["holes"] == [2]

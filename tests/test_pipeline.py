@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from outhom.chain import boundary_contract, boundary_remove, matmul
+from outhom.artifacts import ArtifactStore
+from outhom.chain import ClassStore, boundary_contract, boundary_remove, matmul
 from outhom.exactla import DEFAULT_PRIMES, FieldSpec, nullspace_of, rank_of
 from outhom.multigraph import Multigraph, apply_vertex_perm
 from outhom.pipeline import (
@@ -273,14 +274,24 @@ class TestCaching:
         compute_rank_profile(3, cache_dir=cache)
         path = tmp_path / "report-n3-65521.json"
         payload = json.loads(path.read_text())
-        del payload["max_classes"]
+        del payload["max_basis"]
         text = json.dumps(payload)
         with pytest.raises(TypeError):
             RankProfile.from_json(text)
         path.write_text(text)
         again = compute_rank_profile(3, cache_dir=cache)
         assert not again.from_cache and not again.holes
-        assert "max_classes" in json.loads(path.read_text())
+        assert "max_basis" in json.loads(path.read_text())
+        # a report of the format that still recorded a class cap
+        payload = json.loads(path.read_text())
+        payload["max_classes"] = 10_000_000
+        text = json.dumps(payload)
+        with pytest.raises(TypeError):
+            RankProfile.from_json(text)
+        path.write_text(text)
+        again = compute_rank_profile(3, cache_dir=cache)
+        assert not again.from_cache and not again.holes
+        assert "max_classes" not in json.loads(path.read_text())
 
     def test_json_round_trip(self):
         rp = compute_rank_profile(2)
@@ -367,11 +378,12 @@ class TestArtifactStore:
     canonical searches than there are classes."""
 
     @pytest.mark.parametrize(
-        "name", ["graphs-n4-trivalent.txt", "basis-n4-p2.txt", "dc-n4-p3.txt"]
+        "name",
+        ["graphs-n4-trivalent.txt", "basis-n4-p2.txt", "dc-n4-p3.txt", "dc-n4-p3.rows.txt"],
     )
     def test_stale_file_is_recomputed(self, fresh_caches, tmp_path, name):
         # graph and basis files get one line relabeled, so that it is not
-        # canonical; the matrix file loses its last entry
+        # canonical; the matrix and row-label files lose their last line
         cache = _resumable_copy(fresh_caches[4], tmp_path / "cache")
         path = cache / name
         lines = path.read_text().splitlines()
@@ -388,6 +400,20 @@ class TestArtifactStore:
             (Path(__file__).parent / "data" / "artifact_digests.json").read_text()
         )
         assert _artifact_digests(cache) == golden["n4"]
+
+    def test_matrix_checks_row_labels_and_kind(self, bases_by_rank, tmp_path):
+        basis = bases_by_rank[4][3]
+        cache = ArtifactStore(str(tmp_path))
+        want = cache.matrix("dc", basis, ClassStore())
+        rows = tmp_path / "dc-n4-p3.rows.txt"
+        good = rows.read_bytes()
+        lines = good.decode("ascii").splitlines()
+        rows.write_text("\n".join([lines[0].replace(" | F=", " F=")] + lines[1:]) + "\n")
+        got = cache.matrix("dc", basis, ClassStore())
+        assert rows.read_bytes() == good
+        assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+        with pytest.raises(ValueError):
+            cache.matrix("dx", basis, ClassStore())
 
     def test_resume_searches_once_per_class(self, fresh_caches, tmp_path, monkeypatch):
         import outhom.multigraph as multigraph
