@@ -110,8 +110,9 @@ class ArtifactStore:
                 return mat
         mat, labels = assemble(basis, _PARTS[kind], store, target)
         if self.root is not None:
+            keys = labels if target is None else (el.key for el in target.elements)
             # rows first: a matrix file is served only beside its row labels
-            self._write(f"{name}.rows.txt", [label_text(k) for k in labels])
+            self._write(f"{name}.rows.txt", [label_text(k) for k in keys])
             self._write(f"{name}.txt", mat.to_lines())
         return mat
 

@@ -100,7 +100,8 @@ class SparseIntMat:
     @staticmethod
     def from_lines(lines: Sequence[str]) -> "SparseIntMat":
         """Inverse of :meth:`to_lines`; the entry lines may come in any order.
-        Raises ``ValueError`` on a count or an index that does not fit."""
+        Raises ``ValueError`` on a count or an index that does not fit, or on
+        a (row, col) cell given twice."""
         rows, cols, nnz = (int(x) for x in lines[0].split())
         if len(lines) != nnz + 1:
             raise ValueError(f"{nnz} entries declared, {len(lines) - 1} given")
@@ -116,6 +117,8 @@ class SparseIntMat:
         # digit radix sort, by column and then stably by row
         r, c, v = _take(_counting_order(c, cols), r, c, v)
         r, c, v = _take(_counting_order(r, rows), r, c, v)
+        if any(r[k] == r[k - 1] and c[k] == c[k - 1] for k in range(1, nnz)):
+            raise ValueError("an entry is given twice")
         return SparseIntMat.from_arrays(rows, cols, r, c, v)
 
 
@@ -378,13 +381,13 @@ def assemble(
     parts: Sequence[tuple[str, int]],
     store: ClassStore,
     target: Optional[ChainBasis] = None,
-) -> tuple[SparseIntMat, tuple[ForestKey, ...]]:
+) -> tuple[SparseIntMat, Optional[tuple[ForestKey, ...]]]:
     """Matrix of the sum of ``scale`` times the ``kind`` boundary over the
     ``(kind, scale)`` parts, on the columns of ``b``, and the key of each row.
 
     Rows are the keys of the nonzero rows in sorted order, or the ``target``
-    basis, which must hold every target key (else
-    :class:`InconsistencyError`)."""
+    basis, which must hold every target key (else :class:`InconsistencyError`)
+    and whose elements name the rows, so the keys are ``None``."""
     kernel = BoundaryKernel(store, target)
     row_ids, col_ids, values = array("q"), array("q"), array("q")
     for col, el in enumerate(b.elements):
@@ -411,15 +414,15 @@ def assemble(
             renumber[row] = new
         for k, row in enumerate(row_ids):
             row_ids[k] = renumber[row]
-        labels = tuple(keys[row] for row in live)
+        labels, rows = tuple(keys[row] for row in live), len(live)
     else:
-        labels = tuple(e.key for e in target.elements)
+        labels, rows = None, target.dim
     # columns ascend within each row already, so a stable sort by row puts
     # the entries in (row, col) order
     row_ids, col_ids, values = _take(
-        _counting_order(row_ids, len(labels)), row_ids, col_ids, values
+        _counting_order(row_ids, rows), row_ids, col_ids, values
     )
-    return SparseIntMat.from_arrays(len(labels), b.dim, row_ids, col_ids, values), labels
+    return SparseIntMat.from_arrays(rows, b.dim, row_ids, col_ids, values), labels
 
 
 def boundary_contract(b: ChainBasis, store: Optional[ClassStore] = None) -> SparseIntMat:

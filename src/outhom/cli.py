@@ -169,7 +169,7 @@ def _cmd_homology(args: argparse.Namespace) -> int:
     else:
         rp = cross_prime_profile(n, primes=(field.p, args.second_prime), **kwargs)
     if args.fmt == "structured":
-        sys.stdout.write(rp.report_text or rp.to_json())
+        sys.stdout.write(rp.to_json())
     else:
         print(_profile_table(rp))
     return EXIT_RESOURCE if rp.holes else EXIT_OK

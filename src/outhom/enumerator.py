@@ -4,13 +4,13 @@ Two generators live here.
 
 The production generator for trivalent classes grows graphs rank by rank:
 subdivide two (possibly equal, possibly parallel) edges and join the two new
-midpoints by a fresh edge.  Every connected loopless cubic multigraph on at
-least four vertices can be reduced by the reverse move - removing a parallel
-copy when one exists, otherwise any cycle edge - so iterating the move from
-the theta graph reaches every class.  Insertions at edge pairs in one orbit
+midpoints by a fresh edge.  Insertion preserves connectivity, looplessness,
+cubicity and 2-edge-connectivity and raises the rank by one, so every graph
+grown from the theta graph is admissible and none is filtered out.  Iterating
+the move from the theta graph reaches every class; the half-edge pairing
+oracle checks this at small ranks.  Insertions at edge pairs in one orbit
 of the parent's automorphism group give isomorphic graphs, so only one pair
-per orbit is canonicalized.  Bridged intermediates are kept during
-generation and filtered at the end.
+per orbit is canonicalized.
 
 The second generator enumerates perfect matchings of half-edges over all
 valence sequences.  It is slower but entirely independent of the first, and
@@ -62,11 +62,8 @@ def enumerate_graphs(spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
     ``threads`` applies to trivalent classes; half-edge pairing is serial.
     """
     if spec.trivalent and not spec.allow_loops:
-        out = [
-            cls
-            for cls in cubic_level(spec.n, spec.max_classes, threads).values()
-            if _passes(classify(cls.canon, spec.n), spec)
-        ]
+        # admissible by construction (see the module docstring)
+        out = list(cubic_level(spec.n, spec.max_classes, threads).values())
     else:
         out = list(pairing_classes(spec).values())
     out.sort(key=lambda c: c.canonical_key)
@@ -135,8 +132,8 @@ def _children(parent: GraphClass) -> list[GraphClass]:
 def cubic_level(
     n: int, max_classes: int = 10_000_000, threads: int = 1
 ) -> dict[bytes, GraphClass]:
-    """All connected loopless cubic multigraph classes of rank n (bridged
-    ones included); keyed by canonical key.
+    """All 2-edge-connected loopless cubic multigraph classes of rank n, keyed
+    by canonical key; insertion never builds a bridge.
 
     Parents are expanded in key order on ``threads`` processes and their
     children deduplicated as they arrive, so the result is thread-invariant.

@@ -38,54 +38,31 @@ DEFAULT_PRIMES = (65521, 65519)
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Either the rationals or GF(p) for an odd prime p < 2**31."""
+    """GF(p) for an odd prime p < 2**31, or the rationals when p is None."""
 
-    kind: str  # "rational" | "prime"
     p: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind == "prime":
-            if self.p is None or not (2 < self.p < 2**31) or not _is_prime(self.p):
-                raise ValueError(f"not an odd prime below 2^31: {self.p}")
-        elif self.kind == "rational":
-            if self.p is not None:
-                raise ValueError("rational field takes no prime")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+        if self.p is not None and not (2 < self.p < 2**31 and _is_prime(self.p)):
+            raise ValueError(f"not an odd prime below 2^31: {self.p}")
 
     @staticmethod
     def prime(p: int) -> "FieldSpec":
-        return FieldSpec("prime", p)
+        return FieldSpec(p)
 
     @staticmethod
     def rational() -> "FieldSpec":
-        return FieldSpec("rational")
+        return FieldSpec()
 
     def label(self) -> str:
-        return "rational" if self.kind == "rational" else str(self.p)
+        return "rational" if self.p is None else str(self.p)
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Exact trial division by 2 and the odd numbers up to sqrt(n)."""
+    if n < 3:
+        return n == 2
+    return n % 2 == 1 and all(n % q for q in range(3, math.isqrt(n) + 1, 2))
 
 
 @dataclass(frozen=True)

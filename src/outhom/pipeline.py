@@ -91,7 +91,6 @@ class RankProfile:
     maxrss_kb: int
     max_nnz: int = DEFAULT_MAX_NNZ
     max_basis: int = DEFAULT_MAX_BASIS
-    report_text: Optional[str] = None
     from_cache: bool = False
 
     @property
@@ -99,7 +98,7 @@ class RankProfile:
         return 2 * self.n - 3
 
     def to_json(self) -> str:
-        payload = {k: v for k, v in vars(self).items() if k not in ("report_text", "from_cache")}
+        payload = {k: v for k, v in vars(self).items() if k != "from_cache"}
         payload["timings"] = {k: round(v, 3) for k, v in self.timings.items()}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -110,7 +109,7 @@ class RankProfile:
         missing = [k for k in _CAPS if k not in payload]
         if missing:
             raise TypeError(f"report records no {', '.join(missing)}")
-        return RankProfile(**payload, report_text=text, from_cache=True)
+        return RankProfile(**payload, from_cache=True)
 
     def serves(self, field: str, p_range: list[int], caps: dict[str, int]) -> bool:
         """Whether this report answers a request: same field and p_range, no
@@ -251,7 +250,7 @@ def compute_rank_profile(
         rp = RankProfile(
             n=n,
             field=fld.label(),
-            primes=[fld.p] if fld.kind == "prime" else [],
+            primes=[] if fld.p is None else [fld.p],
             p_range=p_list,
             a=[None] * size,
             b=[None] * size,
@@ -272,7 +271,7 @@ def compute_rank_profile(
     # Retry policy for a rank lost to an unlucky prime: rerun every level
     # under a second prime, then over the rationals.
     fields = [f]
-    if f.kind == "prime":
+    if f.p is not None:
         alt = next(q for q in DEFAULT_PRIMES if q != f.p)
         fields += [FieldSpec.prime(alt), FieldSpec.rational()]
     for fld in fields:
@@ -285,8 +284,7 @@ def compute_rank_profile(
         raise NegativeDimensionError(
             f"negative dimensions persisted for n={n} after prime retry"
         )
-    profile.report_text = profile.to_json()
-    cache.write_report(n, profile.field, profile.report_text)
+    cache.write_report(n, profile.field, profile.to_json())
     return profile
 
 
@@ -313,7 +311,6 @@ def cross_prime_profile(
             f"b {first.b} vs {second.b}; c {first.c} vs {second.c}"
         )
     first.primes = list(primes)
-    first.report_text = first.to_json()
     return first
 
 

@@ -42,8 +42,9 @@ def reference_boundary(
     store: ClassStore,
     target: Optional[ChainBasis] = None,
 ) -> tuple[SparseIntMat, tuple[ForestKey, ...]]:
-    """The matrix and row labels :func:`outhom.chain.assemble` returns,
-    summed term by term over ``(target key, column)`` cells."""
+    """The matrix :func:`outhom.chain.assemble` returns, summed term by term
+    over ``(target key, column)`` cells, and the key of each row: the sorted
+    nonzero keys, or the ``target`` basis keys."""
     acc: dict[tuple[ForestKey, int], int] = {}
     for kind, scale in parts:
         for col, el in enumerate(b.elements):

@@ -117,6 +117,6 @@ def rank_of_vectors(vectors: Sequence[dict[int, int]], p: int) -> int:
 def check_product_zero(m: SparseIntMat, ns: NullspaceBasis, f: FieldSpec) -> bool:
     """Entrywise verification that M . N vanishes over f."""
     product = matmul(m, ns.to_mat())
-    if f.kind == "prime":
+    if f.p is not None:
         return all(v % f.p == 0 for _, _, v in product.entries)
     return not product.entries

@@ -150,10 +150,16 @@ class TestReferenceEquivalence:
         assert got.entries == want.entries
 
     @classmethod
-    def _assert_same(cls, got: tuple, want: tuple) -> None:
-        """``(matrix, labels)`` pairs, as ``assemble`` returns them."""
+    def _assert_same(cls, got: tuple, want: tuple, target) -> None:
+        """``(matrix, labels)`` pairs, as ``assemble`` returns them; into a
+        ``target`` basis its elements name the rows and ``assemble`` gives
+        no labels."""
         cls._assert_same_matrix(got[0], want[0])
-        assert got[1] == want[1]
+        if target is None:
+            assert got[1] == want[1]
+        else:
+            assert got[1] is None
+            assert list(want[1]) == [e.key for e in target.elements]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_trivalent_levels(self, n, bases_by_rank):
@@ -164,7 +170,7 @@ class TestReferenceEquivalence:
             targets = (None, bases[p - 1]) if p else (None,)
             for parts, target in [(CONTRACT, None)] + [(REMOVE, t) for t in targets]:
                 want = reference_boundary(basis, parts, ref_store, target)
-                self._assert_same(assemble(basis, parts, store, target), want)
+                self._assert_same(assemble(basis, parts, store, target), want, target)
                 if parts is CONTRACT:
                     wrapped = boundary_contract(basis, store)
                 else:
@@ -187,6 +193,7 @@ class TestReferenceEquivalence:
                     self._assert_same(
                         assemble(b, parts, ClassStore(), target),
                         reference_boundary(b, parts, ref_store, target),
+                        target,
                     )
 
     def test_missing_removal_target_raises_on_both(self, bases_by_rank):
@@ -246,6 +253,13 @@ class TestSparseIntMat:
         for line in ("-1 0 1", "2 0 1", "0 3 1"):
             with pytest.raises(ValueError):
                 SparseIntMat.from_lines(["2 3 1", line])
+
+    def test_from_lines_rejects_a_repeated_cell(self):
+        # summed, the two (0, 0) entries would make the rank 1; kept, 2
+        with pytest.raises(ValueError):
+            SparseIntMat.from_lines(["2 2 3", "0 0 1", "1 1 1", "0 0 -1"])
+        with pytest.raises(ValueError):
+            SparseIntMat.from_lines(["2 2 2", "1 0 4", "1 0 4"])
 
     def test_matmul_matches_dense(self):
         rng = random.Random(3)

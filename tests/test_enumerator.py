@@ -51,6 +51,14 @@ class TestTrivalentEnumeration:
                 assert cls.canon.vertex_count == 2 * n - 2
                 assert cls.canon.edge_count == 3 * n - 3
 
+    def test_rank6_outputs_are_admissible(self):
+        # past the n <= 5 fixture: cubic_level's classes go out unfiltered
+        graphs = enumerate_graphs(EnumSpec(6))
+        assert len(graphs) == 66
+        for cls in graphs:
+            facts = classify(cls.canon, 6)
+            assert facts.admissible and facts.degree == 0
+
     def test_sorted_and_duplicate_free(self, trivalent_by_rank):
         for graphs in trivalent_by_rank.values():
             keys = [g.canonical_key for g in graphs]

@@ -11,6 +11,7 @@ from outhom.exactla import (
     DEFAULT_PRIMES,
     FieldSpec,
     _backsolve,
+    _is_prime,
     _peel,
     _pivot_row,
     _reduce,
@@ -49,13 +50,38 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec.prime(65520)
 
-    def test_rational_takes_no_prime(self):
+    def test_prime_above_the_bound_rejected(self):
+        # 2**31 + 11 is prime, but above the bound
+        assert _is_prime(2**31 + 11)
         with pytest.raises(ValueError):
-            FieldSpec("rational", 7)
+            FieldSpec.prime(2**31 + 11)
+        with pytest.raises(ValueError):
+            FieldSpec.prime(2)
+
+    def test_rational_takes_no_prime(self):
+        assert QQ == FieldSpec(None) == FieldSpec()
+        assert QQ.p is None and GF1 == FieldSpec(DEFAULT_PRIMES[0])
 
     def test_labels(self):
         assert GF1.label() == "65521"
         assert QQ.label() == "rational"
+
+    def test_is_prime_matches_a_sieve(self):
+        bound = 2**17
+        sieve = bytearray([1]) * bound
+        sieve[0] = sieve[1] = 0
+        for q in range(2, int(bound**0.5) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = bytes(len(range(q * q, bound, q)))
+        assert [n for n in range(bound) if _is_prime(n)] == [
+            n for n in range(bound) if sieve[n]
+        ]
+
+    def test_is_prime_on_pseudoprimes_and_the_largest_prime(self):
+        # strong pseudoprimes to small bases, and Carmichael numbers
+        for n in (2047, 1373653, 25326001, 561, 1105, 1729):
+            assert not _is_prime(n)
+        assert _is_prime(2**31 - 1)
 
 
 class TestRank:

@@ -218,7 +218,22 @@ class TestCaching:
         text1 = (tmp_path / "report-n3-65521.json").read_text()
         rp2 = compute_rank_profile(3, cache_dir=cache)
         assert rp2.from_cache
-        assert rp2.report_text == text1 == rp1.report_text
+        assert rp2.to_json() == text1 == rp1.to_json()
+
+    def test_report_round_trips_byte_for_byte(self):
+        # the report a cached run prints is to_json of the parsed file
+        profiles = [
+            compute_rank_profile(3),
+            compute_rank_profile(4, f=FieldSpec.rational()),
+            compute_rank_profile(4, max_basis=5),
+            compute_rank_profile(5, p_range=[0, 1, 4]),
+            cross_prime_profile(3),
+        ]
+        assert profiles[2].holes
+        for rp in profiles:
+            text = rp.to_json()
+            again = RankProfile.from_json(text)
+            assert again.from_cache and again.to_json() == text
 
     def test_artifacts_resume_to_same_ranks(self, tmp_path):
         cache = str(tmp_path)
@@ -252,7 +267,7 @@ class TestCaching:
         assert (tmp_path / "report-n3-rational.json").exists()
         for f, first in ((None, prime), (FieldSpec.rational(), rational)):
             again = compute_rank_profile(3, f=f, cache_dir=cache)
-            assert again.from_cache and again.report_text == first.report_text
+            assert again.from_cache and again.to_json() == first.to_json()
 
     def test_lower_cap_is_not_served_from_cache(self, tmp_path):
         cache = str(tmp_path)
@@ -401,6 +416,20 @@ class TestArtifactStore:
         )
         assert _artifact_digests(cache) == golden["n4"]
 
+    def test_repeated_matrix_entry_is_recomputed(self, fresh_caches, tmp_path):
+        # one entry line twice, with the header's count raised to match
+        cache = _resumable_copy(fresh_caches[4], tmp_path / "cache")
+        path = cache / "dc-n4-p3.txt"
+        header, *entries = path.read_text().splitlines()
+        rows, cols, nnz = header.split()
+        lines = [f"{rows} {cols} {int(nnz) + 1}", *entries, entries[-1]]
+        path.write_text("\n".join(lines) + "\n")
+        compute_rank_profile(4, cache_dir=str(cache))
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "artifact_digests.json").read_text()
+        )
+        assert _artifact_digests(cache) == golden["n4"]
+
     def test_matrix_checks_row_labels_and_kind(self, bases_by_rank, tmp_path):
         basis = bases_by_rank[4][3]
         cache = ArtifactStore(str(tmp_path))
@@ -483,7 +512,7 @@ class TestCrossPrime:
         names = {f.name for f in tmp_path.glob("report-*")}
         assert names == {f"report-n3-{q}.json" for q in DEFAULT_PRIMES}
         again = cross_prime_profile(3, cache_dir=str(tmp_path))
-        assert again.from_cache and again.report_text == rp.report_text
+        assert again.from_cache and again.to_json() == rp.to_json()
 
     def test_equal_primes_rejected(self):
         # one prime run twice always agrees with itself
