@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from .chain import ChainBasis, ClassStore, SparseIntMat, assemble, build_chain_basis
 from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs
 from .forests import ForestedGraph, ForestKey
-from .multigraph import GraphClass, Multigraph, canonical_form
+from .multigraph import GraphClass, Multigraph, canonical_labeling
 
 
 # the (kind, scale) parts of each boundary matrix, as ``assemble`` takes them
@@ -103,11 +103,12 @@ class ArtifactStore:
             try:
                 for line in labels:
                     parse_label(line)
-                mat = SparseIntMat.from_lines(lines)
+                # checked before parsing: the parse allocates by the header's shape
+                if lines[0].split()[:2] != [str(len(labels)), str(basis.dim)]:
+                    raise ValueError(f"{name}.txt does not fit its rows and basis")
+                return SparseIntMat.from_lines(lines)
             except (ValueError, IndexError):
-                mat = None
-            if mat is not None and (mat.rows, mat.cols) == (len(labels), basis.dim):
-                return mat
+                pass
         mat, labels = assemble(basis, _PARTS[kind], store, target)
         if self.root is not None:
             keys = labels if target is None else (el.key for el in target.elements)
@@ -167,12 +168,12 @@ def _canonical_classes(lines: Sequence[str]) -> Optional[list[GraphClass]]:
     graphs: list[GraphClass] = []
     for line in lines:
         try:
-            cls = canonical_form(Multigraph.from_text(line))
+            lab = canonical_labeling(Multigraph.from_text(line))
         except ValueError:
             return None
-        if cls.canonical_key != line.encode("ascii") or (
-            graphs and graphs[-1].canonical_key >= cls.canonical_key
+        if lab.key != line.encode("ascii") or (
+            graphs and graphs[-1].canonical_key >= lab.key
         ):
             return None
-        graphs.append(cls)
+        graphs.append(lab.graph_class())
     return graphs

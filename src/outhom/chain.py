@@ -29,11 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from .enumerator import ResourceCapError
 from .forests import ForestedGraph, ForestIndex, ForestKey, block_key_of, xor_table
-from .multigraph import (
-    GraphClass,
-    canonical_form_mapped,
-    contract_edges_mapped,
-)
+from .multigraph import GraphClass, canonical_labeling, contract_edges_mapped
 
 
 class InconsistencyError(RuntimeError):
@@ -100,17 +96,23 @@ class SparseIntMat:
     @staticmethod
     def from_lines(lines: Sequence[str]) -> "SparseIntMat":
         """Inverse of :meth:`to_lines`; the entry lines may come in any order.
-        Raises ``ValueError`` on a count or an index that does not fit, or on
-        a (row, col) cell given twice."""
+        Raises ``ValueError`` on a count or an index that does not fit, on a
+        count, index or value outside 64 bits, or on a (row, col) cell given
+        twice."""
         rows, cols, nnz = (int(x) for x in lines[0].split())
+        if not all(0 <= x < 1 << 63 for x in (rows, cols, nnz)):
+            raise ValueError("a count is negative or does not fit in 64 bits")
         if len(lines) != nnz + 1:
             raise ValueError(f"{nnz} entries declared, {len(lines) - 1} given")
         r, c, v = array("q"), array("q"), array("q")
-        for line in lines[1:]:
-            a, b, x = line.split()
-            r.append(int(a))
-            c.append(int(b))
-            v.append(int(x))
+        try:
+            for line in lines[1:]:
+                a, b, x = line.split()
+                r.append(int(a))
+                c.append(int(b))
+                v.append(int(x))
+        except OverflowError as exc:
+            raise ValueError("an entry does not fit in 64 bits") from exc
         if nnz and not (0 <= min(r) and max(r) < rows and 0 <= min(c) and max(c) < cols):
             raise ValueError(f"an entry lies outside the {rows} x {cols} shape")
         # (row, col) order, as ``assemble`` leaves it: a least-significant-
@@ -223,7 +225,8 @@ class ClassStore:
     def contract_one(
         self, cls: GraphClass, pos: int
     ) -> tuple[GraphClass, tuple[Optional[int], ...]]:
-        """Contract one edge of the canonical graph; canonicalize the result.
+        """Contract one edge of the canonical graph; canonicalize the result,
+        building its class only when the key is not interned yet.
 
         Returns the interned target class and the map from source edge
         positions to target canonical positions (``None`` for ``pos``).
@@ -233,8 +236,11 @@ class ClassStore:
             key, pos_map = cached
             return self._classes[key], pos_map
         contracted, raw_map = contract_edges_mapped(cls.canon, [pos])
-        target, _, edge_map = canonical_form_mapped(contracted)
-        target = self.intern(target)
+        lab = canonical_labeling(contracted)
+        target = self._classes.get(lab.key)
+        if target is None:
+            target = self.intern(lab.graph_class())
+        edge_map = lab.edge_map(contracted)
         pos_map = tuple(
             None if m is None else edge_map[m] for m in raw_map
         )

@@ -24,7 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .multigraph import GraphClass, GraphFacts, Multigraph, canonical_form, classify
+from .multigraph import (
+    GraphClass,
+    GraphFacts,
+    Labeling,
+    Multigraph,
+    canonical_form,
+    canonical_labeling,
+    classify,
+)
 from .parallel import pmap
 
 
@@ -101,16 +109,17 @@ def _insert_edge(g: Multigraph, e: int, f: int) -> Multigraph:
     return Multigraph(g.vertex_count + 2, tuple(edges))
 
 
-def _children(parent: GraphClass) -> list[GraphClass]:
-    """Classes of the edge insertions into ``parent``, one per orbit of edge
-    pairs {e <= f} under its edge automorphisms (McKay 1998): insertions at
-    pairs in one orbit are isomorphic.  Orbits are taken in (e, f) order, so
-    every class first appears where it does in the unpruned list."""
+def _children(parent: GraphClass) -> list[Labeling]:
+    """Labelings of the edge insertions into ``parent``, one per orbit of
+    edge pairs {e <= f} under its edge automorphisms (McKay 1998):
+    insertions at pairs in one orbit are isomorphic.  Orbits are taken in
+    (e, f) order, so every class first appears where it does in the
+    unpruned list; only the first labeling of each key is kept."""
     g = parent.canon
     gens = parent.edge_perm_generators
     e_cnt = g.edge_count
     seen: set[tuple[int, int]] = set()
-    out = []
+    out: dict[bytes, Labeling] = {}
     for e in range(e_cnt):
         for f in range(e, e_cnt):
             if (e, f) in seen:
@@ -125,8 +134,9 @@ def _children(parent: GraphClass) -> list[GraphClass]:
                     if pair not in seen:
                         seen.add(pair)
                         stack.append(pair)
-            out.append(canonical_form(_insert_edge(g, e, f)))
-    return out
+            lab = canonical_labeling(_insert_edge(g, e, f))
+            out.setdefault(lab.key, lab)
+    return list(out.values())
 
 
 def cubic_level(
@@ -135,8 +145,9 @@ def cubic_level(
     """All 2-edge-connected loopless cubic multigraph classes of rank n, keyed
     by canonical key; insertion never builds a bridge.
 
-    Parents are expanded in key order on ``threads`` processes and their
-    children deduplicated as they arrive, so the result is thread-invariant.
+    Parents are expanded in key order on ``threads`` processes.  Their
+    labelings arrive in that order, and a class is built from the first
+    labeling of its key, so the result is thread-invariant.
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
@@ -144,9 +155,11 @@ def cubic_level(
     for _ in range(3, n + 1):
         parents = [level[key] for key in sorted(level)]
         nxt: dict[bytes, GraphClass] = {}
-        for children in pmap(_children, parents, threads):
-            for cls in children:
-                nxt.setdefault(cls.canonical_key, cls)
+        for labelings in pmap(_children, parents, threads):
+            for lab in labelings:
+                if lab.key in nxt:
+                    continue
+                nxt[lab.key] = lab.graph_class()
                 if len(nxt) > max_classes:
                     raise ResourceCapError(
                         f"class cap {max_classes} exceeded at rank step",
@@ -194,8 +207,10 @@ def pairing_classes(spec: EnumSpec) -> dict[bytes, GraphClass]:
                 facts = classify(g, spec.n)
                 if facts.degree != degree or not _passes(facts, spec):
                     continue
-                cls = canonical_form(g)
-                found.setdefault(cls.canonical_key, cls)
+                lab = canonical_labeling(g)
+                if lab.key in found:
+                    continue
+                found[lab.key] = lab.graph_class()
                 if len(found) > spec.max_classes:
                     raise ResourceCapError(
                         f"class cap {spec.max_classes} exceeded",

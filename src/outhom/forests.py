@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .multigraph import GraphClass, canonical_form, contract_edges
+from .multigraph import GraphClass, canonical_labeling, contract_edges
 
 ForestKey = tuple[bytes, tuple[int, ...]]
 
@@ -324,4 +324,4 @@ def block_key_of(graph: GraphClass, forest: Sequence[int]) -> bytes:
     """
     if not forest:
         return graph.canonical_key
-    return canonical_form(contract_edges(graph.canon, forest)).canonical_key
+    return canonical_labeling(contract_edges(graph.canon, forest)).key

@@ -8,9 +8,13 @@ contraction produces them, even though they are never admissible.
 The canonical labeling here is a small self-contained partition-refinement
 canonicalizer: graphs in this project have at most ~2 dozen vertices, so a
 backtracking search over refined partitions, pruned with the automorphisms
-it has found, is entirely adequate.  It returns, besides the canonical form,
-generators of the automorphism group acting on vertices and on edge
-positions.
+it has found, is entirely adequate.  Refinement compares the vertices of a
+cell by integer signatures, the sorted ``cell * k + multiplicity`` over
+their neighbours.  :func:`canonical_labeling` returns the search result and
+the canonical key; :meth:`Labeling.graph_class` builds from it the class
+with generators of the automorphism group acting on vertices and on edge
+positions, so callers that deduplicate by key build a class only on a key's
+first occurrence.
 """
 
 from __future__ import annotations
@@ -192,7 +196,7 @@ def contract_edges_mapped(
             continue
         a, b = relabel[find(u)], relabel[find(v)]
         kept.append(((min(a, b), max(a, b)), pos))
-    kept.sort(key=lambda t: (t[0], t[1]))
+    kept.sort()
     pos_map: list[Optional[int]] = [None] * g.edge_count
     for new_pos, (_, old_pos) in enumerate(kept):
         pos_map[old_pos] = new_pos
@@ -223,9 +227,60 @@ class GraphClass:
     canonical_key: bytes
 
 
+@dataclass(frozen=True)
+class Labeling:
+    """The result of one canonical search, before any class is built.
+
+    ``vertex_map`` sends the searched graph's labels to ``canon``'s, and
+    ``automorphisms`` (in the searched graph's labels) generate its whole
+    automorphism group.  ``key`` is the :class:`GraphClass` key of
+    ``canon``, so a caller that meets a key it already holds can skip
+    :meth:`graph_class`.
+    """
+
+    canon: Multigraph
+    vertex_map: tuple[int, ...]
+    automorphisms: tuple[tuple[int, ...], ...]
+    key: bytes
+
+    def graph_class(self) -> GraphClass:
+        """The class of ``canon``, with the automorphisms conjugated by
+        ``vertex_map`` into canonical labels."""
+        perm0 = self.vertex_map
+        inv0 = _invert(perm0)
+        vertex_gens = tuple(dict.fromkeys(
+            tuple(perm0[aut[x]] for x in inv0) for aut in self.automorphisms
+        ))
+        canon = self.canon
+        classes = _class_positions(canon)
+        edge_gens = [_edge_map_under(canon, canon, aut, classes) for aut in vertex_gens]
+        edge_gens.extend(_parallel_class_transpositions(classes, canon.edge_count))
+        identity = tuple(range(canon.edge_count))
+        return GraphClass(
+            canon=canon,
+            vertex_perm_generators=vertex_gens,
+            edge_perm_generators=tuple(p for p in dict.fromkeys(edge_gens) if p != identity),
+            canonical_key=self.key,
+        )
+
+    def edge_map(self, g: Multigraph) -> tuple[int, ...]:
+        """Map from the positions of ``g``, the searched graph, to those of
+        ``canon``; see :func:`canonical_form_mapped`."""
+        return _edge_map_under(g, self.canon, self.vertex_map)
+
+
+def canonical_labeling(g: Multigraph) -> Labeling:
+    """Canonically label ``g``; deterministic and invariant under relabeling."""
+    if g.vertex_count < 1:
+        raise ValueError("canonical labeling requires at least one vertex")
+    best_edges, perm0, auts = _canonical_search(g)
+    canon = Multigraph(g.vertex_count, best_edges)
+    return Labeling(canon, perm0, tuple(auts), canon.to_text().encode("ascii"))
+
+
 def canonical_form(g: Multigraph) -> GraphClass:
     """Canonicalize ``g``; deterministic and invariant under relabeling."""
-    return canonical_form_mapped(g)[0]
+    return canonical_labeling(g).graph_class()
 
 
 def canonical_form_mapped(
@@ -238,30 +293,8 @@ def canonical_form_mapped(
     position (in ascending order) maps to the k-th position of the image
     class, which is the completion convention used throughout.
     """
-    if g.vertex_count < 1:
-        raise ValueError("canonical_form requires at least one vertex")
-    best_edges, perm0, auts = _canonical_search(g)
-    canon = Multigraph(g.vertex_count, best_edges)
-    # conjugate the automorphisms of g by perm0 into canonical labels
-    inv0 = _invert(perm0)
-    vertex_gens = list(dict.fromkeys(
-        tuple(perm0[aut[x]] for x in inv0) for aut in auts
-    ))
-    classes = _class_positions(canon)
-    edge_gens = [_edge_map_under(canon, canon, aut, classes) for aut in vertex_gens]
-    edge_gens.extend(_parallel_class_transpositions(classes, canon.edge_count))
-    dedup: list[tuple[int, ...]] = []
-    for p in edge_gens:
-        if p not in dedup and not _is_identity(p):
-            dedup.append(p)
-    cls = GraphClass(
-        canon=canon,
-        vertex_perm_generators=tuple(vertex_gens),
-        edge_perm_generators=tuple(dedup),
-        canonical_key=canon.to_text().encode("ascii"),
-    )
-    edge_map = _edge_map_under(g, canon, perm0, classes)
-    return cls, perm0, edge_map
+    lab = canonical_labeling(g)
+    return lab.graph_class(), lab.vertex_map, lab.edge_map(g)
 
 
 def _canonical_search(
@@ -286,29 +319,34 @@ def _canonical_search(
             mult[u][v] += 1
             mult[v][u] += 1
     val = g.valences()
-    adj = [[v for v in range(v_cnt) if mult[u][v]] for u in range(v_cnt)]
+    # A vertex's refinement signature is the sorted tuple of
+    # ``cell * k + m`` over its neighbours, m the edge multiplicity: with
+    # k above every m this orders as the (cell, m) pairs do.  Loops need no
+    # term: the initial cells split on them and refinement only splits.
+    k = 1 + max(max(row) for row in mult)
+    nbrs = [[(u, m) for u, m in enumerate(row) if m] for row in mult]
 
     def refine(cells: list[list[int]]) -> list[list[int]]:
+        cell_base = [0] * v_cnt
         while True:
-            cell_of = [0] * v_cnt
             for ci, cell in enumerate(cells):
+                base = ci * k
                 for v in cell:
-                    cell_of[v] = ci
+                    cell_base[v] = base
             new_cells: list[list[int]] = []
             changed = False
             for cell in cells:
                 if len(cell) == 1:
                     new_cells.append(cell)
                     continue
-                sigs: dict[tuple, list[int]] = {}
+                sigs: dict[tuple[int, ...], list[int]] = {}
                 for v in cell:
-                    sig = (
-                        tuple(sorted((cell_of[u], mult[v][u]) for u in adj[v])),
-                        loops[v],
-                    )
+                    sig = tuple(sorted([cell_base[u] + m for u, m in nbrs[v]]))
                     sigs.setdefault(sig, []).append(v)
-                if len(sigs) > 1:
-                    changed = True
+                if len(sigs) == 1:
+                    new_cells.append(cell)
+                    continue
+                changed = True
                 for sig in sorted(sigs):
                     new_cells.append(sigs[sig])
             cells = new_cells
@@ -325,10 +363,10 @@ def _canonical_search(
         perm = [0] * v_cnt
         for pos, cell in enumerate(cells):
             perm[cell[0]] = pos
-        edges = tuple(sorted(
+        edges = tuple(sorted([
             (perm[u], perm[v]) if perm[u] <= perm[v] else (perm[v], perm[u])
             for u, v in g.edges
-        ))
+        ]))
         other = leaves.get(edges)
         if other is None:
             leaves[edges] = tuple(perm)
@@ -397,10 +435,6 @@ def _invert(perm: Sequence[int]) -> tuple[int, ...]:
     for i, p in enumerate(perm):
         inv[p] = i
     return tuple(inv)
-
-
-def _is_identity(perm: Sequence[int]) -> bool:
-    return all(p == i for i, p in enumerate(perm))
 
 
 def _class_positions(g: Multigraph) -> dict[Edge, list[int]]:

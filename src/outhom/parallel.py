@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -15,10 +13,13 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], threads: int) -> Iterable[R]:
     """Map preserving input order; falls back to serial if no pool starts.
 
     The serial map is lazy, so results consumed one at a time are never all
-    held.  A dead worker surfaces as a resource-cap error.
+    held.  A dead worker surfaces as a resource-cap error.  The pool modules
+    (and ``multiprocessing`` with them) are imported only when a pool starts.
     """
     if threads <= 1 or len(items) <= 1:
         return map(fn, items)
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     try:
         with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
             chunk = max(1, len(items) // (8 * threads))

@@ -247,3 +247,17 @@ def test_stretch_n6_second_morita_class():
     assert rp.b[7:] == [399, 160, 35]
     assert rp.c[8:] == [124, 35]
     assert rp.dims[8] == 1
+
+
+def test_stretch_n6_full_profile():
+    """The whole n = 6 table under GF(65521): H_0 = Q and the Morita class
+    H_8(Out(F_6); Q) = Q, every other level zero (about 65 s on a 2-core
+    x86_64 VM)."""
+    if not os.environ.get("OUTHOM_STRETCH"):
+        pytest.skip("stretch target, set OUTHOM_STRETCH=1 to run")
+    rp = compute_rank_profile(6, p_range=list(range(10)))
+    assert rp.holes == []
+    assert rp.a == [66, 437, 1905, 6733, 17883, 33845, 45701, 44453, 29864, 11035]
+    assert rp.b == [66, 193, 372, 807, 1389, 1440, 889, 399, 160, 35]
+    assert rp.c == [0, 65, 128, 244, 563, 826, 614, 275, 124, 35]
+    assert rp.dims == [1, 0, 0, 0, 0, 0, 0, 0, 1, 0]

@@ -17,6 +17,7 @@ from outhom.chain import (
     vstack,
 )
 from outhom.forests import ForestIndex, block_key_of
+from outhom.multigraph import canonical_form_mapped, contract_edges_mapped
 from outhom.pipeline import _oracle_bases, _oracle_boundary
 from reference_chain import basis_from_labels, reference_boundary
 
@@ -261,6 +262,23 @@ class TestSparseIntMat:
         with pytest.raises(ValueError):
             SparseIntMat.from_lines(["2 2 2", "1 0 4", "1 0 4"])
 
+    @pytest.mark.parametrize("lines", [
+        ["2 2 1", "0 0 99999999999999999999999"],
+        ["2 2 1", "0 0 -9223372036854775809"],
+        ["2 2 1", "99999999999999999999999 0 1"],
+        ["2 99999999999999999999999 1", "0 0 1"],
+        ["2 2 99999999999999999999999", "0 0 1"],
+    ])
+    def test_from_lines_rejects_what_64_bits_cannot_hold(self, lines):
+        with pytest.raises(ValueError):
+            SparseIntMat.from_lines(lines)
+
+    def test_from_lines_keeps_the_64_bit_extremes(self):
+        mat = SparseIntMat.from_lines(
+            ["1 2 2", "0 0 9223372036854775807", "0 1 -9223372036854775808"]
+        )
+        assert mat.entries == ((0, 0, (1 << 63) - 1), (0, 1, -(1 << 63)))
+
     def test_matmul_matches_dense(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -327,3 +345,35 @@ class TestBasisStructure:
             for el in basis.elements:
                 valences = el.graph.canon.valences()
                 assert set(valences) == {3}
+
+
+class TestContractOne:
+    """``contract_one`` builds a target class only for a key it has not
+    interned, and answers as a fresh ``canonical_form_mapped`` would."""
+
+    def test_matches_canonical_form_mapped(self, trivalent_by_rank):
+        store = ClassStore()
+        first: dict = {}
+        returned: dict = {}
+        new = interned = 0
+        for n in (2, 3, 4, 5):
+            for cls in trivalent_by_rank[n]:
+                for pos in range(cls.canon.edge_count):
+                    contracted, raw_map = contract_edges_mapped(cls.canon, [pos])
+                    want, _, edge_map = canonical_form_mapped(contracted)
+                    key = want.canonical_key
+                    if key in first:
+                        interned += 1
+                    else:
+                        new += 1
+                        first[key] = want
+                    target, pos_map = store.contract_one(cls, pos)
+                    assert target.canonical_key == key
+                    assert pos_map == tuple(
+                        None if m is None else edge_map[m] for m in raw_map
+                    )
+                    # the class of the first contraction met with this key
+                    assert target == first[key]
+                    assert target is returned.setdefault(key, target)
+                    assert target is store.get(key)
+        assert new > 0 and interned > 0

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from outhom.enumerator import (
     EnumSpec,
     ResourceCapError,
+    _children,
     _insert_edge,
     _theta,
     cubic_level,
     enumerate_graphs,
     pairing_classes,
 )
-from outhom.multigraph import canonical_form, classify
+from outhom.multigraph import canonical_form, canonical_labeling, classify
 
 
 class TestSpec:
@@ -98,9 +101,11 @@ class TestAllDegreeEnumeration:
         assert set(keys) == set(pairing_classes(spec))
 
 
+@functools.cache
 def _unpruned_level(n):
-    """Keys of ``cubic_level(n)`` from insertions at every pair (e, f),
-    deduplicated in the same order."""
+    """``cubic_level(n)`` from insertions at every pair (e, f), parents in key
+    order: each child canonicalized by ``canonical_form``, and the class of
+    each key's first insertion kept."""
     level = [canonical_form(_theta())]
     for _ in range(3, n + 1):
         nxt = {}
@@ -111,7 +116,7 @@ def _unpruned_level(n):
                     cls = canonical_form(_insert_edge(g, e, f))
                     nxt.setdefault(cls.canonical_key, cls)
         level = list(nxt.values())
-    return [cls.canonical_key for cls in level]
+    return {cls.canonical_key: cls for cls in level}
 
 
 class TestInsertionPruning:
@@ -120,7 +125,33 @@ class TestInsertionPruning:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_same_keys_as_every_pair(self, n):
-        assert list(cubic_level(n)) == _unpruned_level(n)
+        assert list(cubic_level(n)) == list(_unpruned_level(n))
 
     def test_threads_keep_keys_and_order(self):
         assert list(cubic_level(6, threads=2)) == list(cubic_level(6, threads=1))
+
+
+class TestClassOnFirstKey:
+    """Labeling first and building a class only for a new key keeps the class
+    (generators included) that canonicalizing every insertion keeps."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_same_classes_as_canonical_form(self, n, threads):
+        reference = sorted(_unpruned_level(n).values(), key=lambda c: c.canonical_key)
+        assert enumerate_graphs(EnumSpec(n), threads) == reference
+
+    def test_children_are_first_labelings_per_key(self, trivalent_by_rank):
+        for parent in trivalent_by_rank[4]:
+            labelings = _children(parent)
+            keys = [lab.key for lab in labelings]
+            assert len(keys) == len(set(keys))
+            g = parent.canon
+            first = {}
+            for e in range(g.edge_count):
+                for f in range(e, g.edge_count):
+                    child = _insert_edge(g, e, f)
+                    first.setdefault(canonical_labeling(child).key, child)
+            assert keys == list(first)
+            for lab in labelings:
+                assert lab.graph_class() == canonical_form(first[lab.key])

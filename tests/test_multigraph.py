@@ -15,6 +15,7 @@ from outhom.multigraph import (
     apply_vertex_perm,
     canonical_form,
     canonical_form_mapped,
+    canonical_labeling,
     classify,
     contract_edges,
     contract_edges_mapped,
@@ -317,3 +318,37 @@ class TestPrunedSearch:
     @given(small_multigraphs())
     def test_small_multigraphs(self, g):
         _assert_matches_reference(g)
+
+
+def test_every_search_goes_through_the_module_search(monkeypatch, trivalent_by_rank):
+    """Each entry point searches through ``multigraph._canonical_search`` as
+    looked up on the module, once per graph it labels; there is no second
+    search path."""
+    import outhom.multigraph as multigraph
+    from outhom.chain import ClassStore
+    from outhom.enumerator import _children, cubic_level
+    from outhom.forests import block_key_of
+
+    real = multigraph._canonical_search
+    calls = []
+    monkeypatch.setattr(
+        multigraph, "_canonical_search", lambda g: calls.append(g) or real(g)
+    )
+    cls = trivalent_by_rank[4][0]
+    g = cls.canon
+    for label in (canonical_form, canonical_form_mapped, canonical_labeling):
+        calls.clear()
+        label(g)
+        assert calls == [g]
+    calls.clear()
+    ClassStore().contract_one(cls, 0)
+    assert calls == [contract_edges(g, [0])]
+    calls.clear()
+    block_key_of(cls, (0,))
+    assert calls == [contract_edges(g, [0])]
+    calls.clear()
+    labelings = _children(cls)
+    assert len(calls) >= len(labelings) > 0
+    calls.clear()
+    cubic_level(4)
+    assert calls

@@ -430,6 +430,32 @@ class TestArtifactStore:
         )
         assert _artifact_digests(cache) == golden["n4"]
 
+    @pytest.mark.parametrize("field", ["value", "cols"])
+    def test_matrix_too_big_to_hold_is_recomputed(self, fresh_caches, tmp_path, capsys, field):
+        # an int64 array cannot hold the value, and a counting sort over a
+        # declared 10^17 columns cannot be allocated; either way the file is
+        # rewritten, with no crash and no hole
+        from outhom.cli import main
+
+        cache = _resumable_copy(fresh_caches[4], tmp_path / "cache")
+        path = cache / "dc-n4-p3.txt"
+        header, first, *rest = path.read_text().splitlines()
+        rows, cols, nnz = header.split()
+        row, col, value = first.split()
+        if field == "value":
+            value = "99999999999999999999999"
+        else:
+            cols = str(10**17)
+        lines = [f"{rows} {cols} {nnz}", f"{row} {col} {value}", *rest]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["homology", "--n", "4", "--cache-dir", str(cache)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "artifact_digests.json").read_text()
+        )
+        assert _artifact_digests(cache) == golden["n4"]
+        assert compute_rank_profile(4, cache_dir=str(cache)).dims == compute_rank_profile(4).dims
+
     def test_matrix_checks_row_labels_and_kind(self, bases_by_rank, tmp_path):
         basis = bases_by_rank[4][3]
         cache = ArtifactStore(str(tmp_path))
