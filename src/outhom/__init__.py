@@ -2,17 +2,10 @@
 
 from .chain import ChainBasis, ClassStore, SparseIntMat, boundary_contract, boundary_remove, build_chain_basis
 from .cycleio import CycleVector, parse_cycle, serialize_cycle, verify_cycle
-from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs, pairing_classes
+from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs
 from .exactla import DEFAULT_PRIMES, FieldSpec, NullspaceBasis, nullspace_of, rank_of
 from .forests import ForestedGraph, ForestIndex, SignedRef
-from .multigraph import (
-    GraphClass,
-    GraphFacts,
-    Multigraph,
-    canonical_form,
-    classify,
-    contract_edges,
-)
+from .multigraph import GraphClass, Multigraph, canonical_form, contract_edges
 from .pipeline import (
     RankProfile,
     compute_rank_profile,
@@ -30,7 +23,6 @@ __all__ = [
     "ForestIndex",
     "ForestedGraph",
     "GraphClass",
-    "GraphFacts",
     "Multigraph",
     "NullspaceBasis",
     "RankProfile",
@@ -41,14 +33,12 @@ __all__ = [
     "boundary_remove",
     "build_chain_basis",
     "canonical_form",
-    "classify",
     "compute_rank_profile",
     "contract_edges",
     "enumerate_graphs",
     "homology_dimensions",
     "nullspace_of",
     "oracle_full_complex",
-    "pairing_classes",
     "parse_cycle",
     "rank_of",
     "serialize_cycle",

@@ -24,6 +24,7 @@ from .pipeline import (
     CACHE_ENV_VAR,
     DEFAULT_MAX_BASIS,
     DEFAULT_MAX_NNZ,
+    ORACLE_MAX_RANK,
     CrossPrimeError,
     NegativeDimensionError,
     RankProfile,
@@ -176,9 +177,7 @@ def _cmd_homology(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if _rank(args) not in (2, 3):
-        raise ValueError("the full-complex oracle supports --n 2 and --n 3 only")
-    dims = oracle_full_complex(args.n)
+    dims = oracle_full_complex(_rank(args))
     print("dims: " + ",".join(map(str, dims)))
     return EXIT_OK
 
@@ -186,8 +185,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     n = _rank(args)
     field = _field(args)
-    if n not in (2, 3):
-        raise ValueError("check compares against the oracle; --n 2 or 3 only")
     oracle_dims = oracle_full_complex(n)
     rp = compute_rank_profile(
         n,
@@ -252,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("homology", _cmd_homology, "full rank profile and dimensions",
         "--n", "--p", "--p-max", "--prime", "--second-prime", "--rational",
         "--threads", "--cache-dir", "--format", "--max-nnz", "--max-basis")
-    add("oracle", _cmd_oracle, "full-complex homology (n <= 3)", "--n")
+    add("oracle", _cmd_oracle, f"full-complex homology (n <= {ORACLE_MAX_RANK})", "--n")
     add("check", _cmd_check, "oracle vs pipeline comparison",
         "--n", "--prime", "--rational", "--threads", "--cache-dir", "--max-nnz",
         "--max-basis")

@@ -1,37 +1,40 @@
 """Isomorphism-class enumeration of admissible graphs of a given rank.
 
-Two generators live here.
-
-The production generator for trivalent classes grows graphs rank by rank:
+One generator serves every degree.  The trivalent classes grow rank by rank:
 subdivide two (possibly equal, possibly parallel) edges and join the two new
 midpoints by a fresh edge.  Insertion preserves connectivity, looplessness,
 cubicity and 2-edge-connectivity and raises the rank by one, so every graph
 grown from the theta graph is admissible and none is filtered out.  Iterating
-the move from the theta graph reaches every class; the half-edge pairing
-oracle checks this at small ranks.  Insertions at edge pairs in one orbit
-of the parent's automorphism group give isomorphic graphs, so only one pair
-per orbit is canonicalized.
+the move from the theta graph reaches every class.  Insertions at edge pairs
+in one orbit of the parent's automorphism group give isomorphic graphs, so
+only one pair per orbit is canonicalized.
 
-The second generator enumerates perfect matchings of half-edges over all
-valence sequences.  It is slower but entirely independent of the first, and
-serves as the correctness oracle for small ranks; it also produces the
-non-trivalent (and optionally loop-bearing) graphs needed by the full
-complex oracle.
+Classes of higher degree are the contraction closure of the trivalent ones,
+built breadth first: step k contracts each non-loop edge of each class of
+step k - 1, and since a contraction raises the degree by exactly one, the
+classes of one step all have degree k and no step repeats another's.
+Contracting a non-loop edge keeps a graph connected, bridgeless and of rank
+n, with every valence at least 3, so no admissibility test is needed
+anywhere.  Contraction never removes a loop, and it makes one exactly from an
+edge with a parallel twin, so the loopless classes are closed under
+contracting the edges without a twin.  Every class is built on its key's
+first labeling, with parents taken in key order (McKay 1998).
+``tests/reference_enum.py`` holds the independent half-edge pairing
+generator that checks both generators at small ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .multigraph import (
     GraphClass,
-    GraphFacts,
     Labeling,
     Multigraph,
     canonical_form,
     canonical_labeling,
-    classify,
+    contract_edges,
 )
 from .parallel import pmap
 
@@ -67,25 +70,30 @@ class EnumSpec:
 def enumerate_graphs(spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
     """One representative per isomorphism class, sorted by canonical key.
 
-    ``threads`` applies to trivalent classes; half-edge pairing is serial.
+    ``threads`` applies to the trivalent level; the contraction steps are
+    serial.
     """
-    if spec.trivalent and not spec.allow_loops:
-        # admissible by construction (see the module docstring)
-        out = list(cubic_level(spec.n, spec.max_classes, threads).values())
-    else:
-        out = list(pairing_classes(spec).values())
-    out.sort(key=lambda c: c.canonical_key)
-    return out
-
-
-def _passes(facts: GraphFacts, spec: EnumSpec) -> bool:
-    if not facts.connected or facts.rank != spec.n or not facts.min_valence_ok:
-        return False
-    if facts.degree > spec.max_degree:
-        return False
-    if not spec.allow_loops and not facts.loopless:
-        return False
-    return facts.bridgeless
+    found = cubic_level(spec.n, spec.max_classes, threads)
+    level = list(found)
+    for _ in range(spec.max_degree):
+        nxt = []
+        for key in sorted(level):
+            g = found[key].canon
+            mult = g.multiplicity()
+            for pos, (u, v) in enumerate(g.edges):
+                if u == v or (not spec.allow_loops and mult[(u, v)] > 1):
+                    continue
+                lab = canonical_labeling(contract_edges(g, (pos,)))
+                if lab.key in found:
+                    continue
+                found[lab.key] = lab.graph_class()
+                nxt.append(lab.key)
+                if len(found) > spec.max_classes:
+                    raise ResourceCapError(
+                        f"class cap {spec.max_classes} exceeded", partial=len(found)
+                    )
+        level = nxt
+    return [found[key] for key in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -167,78 +175,3 @@ def cubic_level(
                     )
         level = nxt
     return level
-
-
-# ---------------------------------------------------------------------------
-# half-edge pairing generator (oracle; all degrees, loops optional)
-
-def _valence_sequences(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing sequences of length ``parts``, entries >= 3, given sum."""
-
-    def rec(remaining: int, parts_left: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if parts_left == 0:
-            if remaining == 0:
-                yield ()
-            return
-        lo = 3
-        hi = min(cap, remaining - 3 * (parts_left - 1))
-        for d in range(hi, lo - 1, -1):
-            for rest in rec(remaining - d, parts_left - 1, d):
-                yield (d,) + rest
-
-    yield from rec(total, parts, total)
-
-
-def pairing_classes(spec: EnumSpec) -> dict[bytes, GraphClass]:
-    """Classes found by pairing half-edges over all valence sequences.
-
-    Exhaustive over isomorphism classes: half-edges at one vertex are
-    interchangeable, so the search only ever pairs the first unpaired
-    half-edge of each vertex, which loses matchings but no classes.
-    """
-    found: dict[bytes, GraphClass] = {}
-    for degree in range(spec.max_degree + 1):
-        v_cnt = 2 * spec.n - 2 - degree
-        e_cnt = 3 * spec.n - 3 - degree
-        if v_cnt < 1:
-            continue
-        for valences in _valence_sequences(2 * e_cnt, v_cnt):
-            for g in _pair_half_edges(valences, spec.allow_loops):
-                facts = classify(g, spec.n)
-                if facts.degree != degree or not _passes(facts, spec):
-                    continue
-                lab = canonical_labeling(g)
-                if lab.key in found:
-                    continue
-                found[lab.key] = lab.graph_class()
-                if len(found) > spec.max_classes:
-                    raise ResourceCapError(
-                        f"class cap {spec.max_classes} exceeded",
-                        partial=len(found),
-                    )
-    return found
-
-
-def _pair_half_edges(valences: tuple[int, ...], allow_loops: bool) -> Iterator[Multigraph]:
-    v_cnt = len(valences)
-    remaining = list(valences)
-    edges: list[tuple[int, int]] = []
-
-    def rec() -> Iterator[Multigraph]:
-        u = next((i for i in range(v_cnt) if remaining[i]), None)
-        if u is None:
-            yield Multigraph(v_cnt, tuple(edges))
-            return
-        remaining[u] -= 1
-        start = u if allow_loops else u + 1
-        for w in range(start, v_cnt):
-            if remaining[w] <= 0:
-                continue
-            remaining[w] -= 1
-            edges.append((u, w))
-            yield from rec()
-            edges.pop()
-            remaining[w] += 1
-        remaining[u] += 1
-
-    yield from rec()

@@ -3,7 +3,8 @@
 A graph is stored as a vertex count plus a sorted list of endpoint pairs;
 parallel edges appear as repeated pairs and are distinguished by their
 position in the list.  Loops (u, u) are representable because edge
-contraction produces them, even though they are never admissible.
+contraction produces them.  Nothing here tests admissibility: the enumerator
+builds admissible graphs only, so no classifier is needed.
 
 The canonical labeling here is a small self-contained partition-refinement
 canonicalizer: graphs in this project have at most ~2 dozen vertices, so a
@@ -59,9 +60,6 @@ class Multigraph:
             mult[e] = mult.get(e, 0) + 1
         return mult
 
-    def is_connected(self) -> bool:
-        return _connected_without(self, -1)
-
     def to_text(self) -> str:
         """Line format used by every cache file: ``V=<k> E=<u>-<v>,...``."""
         body = ",".join(f"{u}-{v}" for u, v in self.edges)
@@ -83,72 +81,6 @@ class Multigraph:
         except (ValueError, AssertionError) as exc:
             raise ValueError(f"bad graph line: {line!r}") from exc
         return Multigraph(v, tuple(edges))
-
-
-@dataclass(frozen=True)
-class GraphFacts:
-    """Result of :func:`classify`: admissibility flags for a fixed rank."""
-
-    connected: bool
-    bridgeless: bool
-    loopless: bool
-    min_valence_ok: bool
-    rank: Optional[int]
-    degree: int
-    admissible: bool
-
-
-def classify(g: Multigraph, n: int) -> GraphFacts:
-    """Admissibility of ``g`` for rank ``n``.
-
-    Admissible means: connected, bridgeless, loopless, every valence >= 3,
-    and first Betti number E - V + 1 equal to ``n``.  The degree is the
-    total excess valence over trivalent, summed over vertices.
-    """
-    connected = g.is_connected()
-    loopless = all(u != v for u, v in g.edges)
-    val = g.valences()
-    min_valence_ok = bool(val) and min(val) >= 3
-    degree = sum(d - 3 for d in val)
-    rank = g.edge_count - g.vertex_count + 1 if connected else None
-    bridgeless = connected and not _has_bridge(g)
-    admissible = (
-        connected and bridgeless and loopless and min_valence_ok and rank == n
-    )
-    return GraphFacts(connected, bridgeless, loopless, min_valence_ok, rank, degree, admissible)
-
-
-def _has_bridge(g: Multigraph) -> bool:
-    # Brute force: graphs here are tiny.  An edge with a parallel partner is
-    # never a bridge; loops never are.
-    mult = g.multiplicity()
-    for pos, (u, v) in enumerate(g.edges):
-        if u == v or mult[(u, v)] > 1:
-            continue
-        if not _connected_without(g, pos):
-            return True
-    return False
-
-
-def _connected_without(g: Multigraph, skip: int) -> bool:
-    """Whether ``g`` is connected once the edge at position ``skip`` is
-    left out (none when ``skip`` is -1); an empty graph is not."""
-    if g.vertex_count == 0:
-        return False
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for pos, (u, v) in enumerate(g.edges):
-        if pos == skip:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.vertex_count
 
 
 def contract_edges(g: Multigraph, which: Iterable[int]) -> Multigraph:

@@ -13,10 +13,10 @@ boundaries, and record
 from which the homology dimension at p is b_p - c_p - c_{p+1}.  Only ranks
 are taken, so no kernel basis is built.
 
-The oracle path (small ranks only) ignores the filtration entirely: it
-enumerates graphs of every degree, loops allowed, assembles the full signed
-boundary, and reads dimensions off exact rational ranks.  Agreement of the
-two paths is an acceptance gate.
+The oracle path (ranks up to ``ORACLE_MAX_RANK``) ignores the filtration
+entirely: it enumerates graphs of every degree, loops allowed, assembles the
+full signed boundary, and reads dimensions off exact rational ranks.
+Agreement of the two paths is an acceptance gate.
 
 Intermediate artifacts are cached by :mod:`outhom.artifacts` so interrupted
 runs resume, and a cached run reproduces its report byte for byte.
@@ -50,6 +50,10 @@ CACHE_ENV_VAR = "OUTHOM_CACHE_DIR"
 
 DEFAULT_MAX_NNZ = 5_000_000
 DEFAULT_MAX_BASIS = 500_000
+
+# the largest rank the full-complex oracle takes: at n = 6 its bases take
+# 45 s and an elimination of the k = 4 boundary runs out of memory
+ORACLE_MAX_RANK = 5
 
 # the resource caps a report records; a cached report serves a request only
 # if each of the request's caps is at least the recorded one
@@ -192,10 +196,10 @@ def compute_rank_profile(
     bases: dict[int, ChainBasis] = {}
 
     def run_level(p: int, fld: FieldSpec, rp: RankProfile) -> None:
-        def hole(exc: Exception | str) -> None:
+        def hole(stage: str, exc: Exception | str) -> None:
             if isinstance(exc, MemoryError):
                 exc = f"out of memory ({exc!r})"
-            print(f"n={n} p={p}: {exc}; leaving a hole", file=sys.stderr)
+            print(f"n={n} p={p}: {stage}: {exc}; leaving a hole", file=sys.stderr)
             if p not in rp.holes:
                 rp.holes.append(p)
 
@@ -211,40 +215,44 @@ def compute_rank_profile(
             try:
                 basis = cache.basis(n, p, graphs, store, max_basis, orbit_lists)
             except _HOLE_CAUSES as exc:
-                hole(exc)
+                hole("basis", exc)
                 return
             bases[p] = basis
             timings[f"basis-p{p}"] = time.monotonic() - t
         rp.a[p] = basis.dim
         rank_dc: Optional[int] = None
+        stage = "dc"
         try:
             t = time.monotonic()
             dc = cache.matrix("dc", basis, store)
             timings[f"dc-p{p}"] = time.monotonic() - t
+            stage = "rank dc"
             t = time.monotonic()
             rank_dc = rank_of(dc, fld, max_nnz)
             rp.b[p] = basis.dim - rank_dc
             # the key predates rank-only b_p; bench/run.py sums stages by name
             timings[f"nullspace-p{p}"] = time.monotonic() - t
         except _HOLE_CAUSES as exc:
-            hole(exc)
+            hole(stage, exc)
         if p == 0:
             rp.c[p] = 0
             return
         if p - 1 not in bases:
             # a p - 1 outside the range leaves c_p undefined, not a hole
             if p - 1 in p_list:
-                hole(f"c_{p} needs the p={p - 1} basis, which is a hole")
+                hole("dr", f"c_{p} needs the p={p - 1} basis, which is a hole")
             return
         if rank_dc is None:
             return
+        stage = "dr"
         try:
             t = time.monotonic()
             dr = cache.matrix("dr", basis, store, bases[p - 1])
+            stage = "rank [dc; dr]"
             rp.c[p] = rank_of(vstack(dc, dr), fld, max_nnz) - rank_dc
             timings[f"c-p{p}"] = time.monotonic() - t
         except _HOLE_CAUSES as exc:
-            hole(exc)
+            hole(stage, exc)
 
     def run_levels(fld: FieldSpec) -> RankProfile:
         rp = RankProfile(
@@ -315,7 +323,7 @@ def cross_prime_profile(
 
 
 # ---------------------------------------------------------------------------
-# full-complex oracle (small ranks)
+# full-complex oracle (ranks 2 to ORACLE_MAX_RANK)
 
 def oracle_graphs(n: int) -> list[GraphClass]:
     """Every connected bridgeless min-valence-3 graph of rank n, loops
@@ -326,12 +334,11 @@ def oracle_graphs(n: int) -> list[GraphClass]:
 def oracle_full_complex(n: int) -> list[int]:
     """Homology dimensions of the full signed complex, exactly over Q.
 
-    Only ranks 2 and 3 are allowed; beyond that the graph counts blow up.
-    Raises ``AssertionError`` if a composite of consecutive boundaries is
-    nonzero.
+    Raises ``ValueError`` for a rank outside 2 to ``ORACLE_MAX_RANK``, and
+    ``AssertionError`` if a composite of consecutive boundaries is nonzero.
     """
-    if n not in (2, 3):
-        raise ValueError("full-complex oracle is limited to ranks 2 and 3")
+    if not 2 <= n <= ORACLE_MAX_RANK:
+        raise ValueError(f"the full-complex oracle takes ranks 2 to {ORACLE_MAX_RANK}")
     bases, store = _oracle_bases(n)
     mats: list[SparseIntMat] = []
     for k in range(1, len(bases)):

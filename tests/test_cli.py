@@ -87,7 +87,7 @@ class TestHomology:
         report = json.loads(out)
         assert report["holes"] == [4, 5]
         assert report["a"][5] == 28 and report["c"][5] is None
-        assert "n=4 p=5: c_5 needs the p=4 basis, which is a hole" in err
+        assert "n=4 p=5: dr: c_5 needs the p=4 basis, which is a hole" in err
 
     def test_rational_size_limit_exit_2(self, capsys):
         code, out, err = run_cli(
@@ -214,13 +214,27 @@ class TestOracleAndCheck:
         code, out, _ = run_cli(capsys, "oracle", "--n", "2")
         assert code == 0 and out.strip() == "dims: 1,0"
 
-    def test_oracle_rejects_n4(self, capsys):
-        code, _, err = run_cli(capsys, "oracle", "--n", "4")
-        assert code == 1
+    def test_oracle_rejects_n6(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--n", "6")
+        assert code == 1 and out == ""
+        assert err == "error: the full-complex oracle takes ranks 2 to 5\n"
+
+    def test_check_rejects_n6(self, capsys):
+        # the oracle's own limit, before any pipeline work
+        code, out, err = run_cli(capsys, "check", "--n", "6")
+        assert code == 1 and out == ""
+        assert err == "error: the full-complex oracle takes ranks 2 to 5\n"
 
     def test_check_n2(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--n", "2")
         assert code == 0 and "match" in out
+
+    def test_check_n4(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--n", "4")
+        assert code == 0
+        assert out.splitlines() == [
+            "oracle dims:   1,0,0,0,1,0", "pipeline dims: 1,0,0,0,1,0", "match",
+        ]
 
 
 class TestVerifyCycle:
@@ -290,7 +304,7 @@ class TestRunContract:
         assert json.loads(out)["holes"] == [2]
         lines = err.strip().splitlines()
         assert len(lines) == 1
-        assert lines[0] == "n=3 p=2: out of memory (MemoryError()); leaving a hole"
+        assert lines[0] == "n=3 p=2: dc: out of memory (MemoryError()); leaving a hole"
         assert "Traceback" not in err
 
     def test_holed_report_is_recomputed_not_served(self, tmp_path, capsys):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 
 import pytest
 
+from outhom.artifacts import ArtifactStore
 from outhom.enumerator import (
     EnumSpec,
     ResourceCapError,
@@ -12,9 +15,33 @@ from outhom.enumerator import (
     _theta,
     cubic_level,
     enumerate_graphs,
-    pairing_classes,
 )
-from outhom.multigraph import canonical_form, canonical_labeling, classify
+from outhom.multigraph import canonical_form, canonical_labeling
+from reference_enum import classify, pairing_classes
+
+# every (n, max_degree, allow_loops) with n <= 4
+SMALL_SPECS = [
+    (n, d, loops) for n in (2, 3, 4) for d in range(2 * n - 2) for loops in (False, True)
+]
+
+
+@functools.cache
+def _pairing_by_degree(n):
+    """The pairing reference at rank n, called once with loops allowed and the
+    top degree: its keys bucketed by ``(degree, loopless)``."""
+    buckets = {}
+    for key, g in pairing_classes(EnumSpec(n, 2 * n - 3, allow_loops=True)).items():
+        facts = classify(g, n)
+        buckets.setdefault((facts.degree, facts.loopless), set()).add(key)
+    return buckets
+
+
+def _pairing_keys(n, max_degree, allow_loops):
+    """The key set the pairing reference gives for one spec."""
+    return set().union(*(
+        keys for (degree, loopless), keys in _pairing_by_degree(n).items()
+        if degree <= max_degree and (loopless or allow_loops)
+    ))
 
 
 class TestSpec:
@@ -43,8 +70,7 @@ class TestTrivalentEnumeration:
     @pytest.mark.parametrize("n", [3, 4])
     def test_counts_match_pairing_oracle(self, n):
         main = {g.canonical_key for g in enumerate_graphs(EnumSpec(n))}
-        oracle = set(pairing_classes(EnumSpec(n)))
-        assert main == oracle
+        assert main == _pairing_keys(n, 0, False)
 
     def test_outputs_are_admissible_trivalent(self, trivalent_by_rank):
         for n, graphs in trivalent_by_rank.items():
@@ -80,25 +106,62 @@ class TestTrivalentEnumeration:
 class TestAllDegreeEnumeration:
     def test_loop_allowed_rank2(self):
         spec = EnumSpec(2, max_degree=1, allow_loops=True)
-        found = sorted(pairing_classes(spec))
+        found = [g.canonical_key for g in enumerate_graphs(spec)]
         assert found == [b"V=1 E=0-0,0-0", b"V=2 E=0-1,0-1,0-1"]
 
     def test_admissible_rank3_degree1(self):
         # loopless bridgeless degree <= 1: the two trivalent classes plus
         # the double-double graph on 3 vertices
-        spec = EnumSpec(3, max_degree=1)
-        found = pairing_classes(spec)
-        degrees = sorted(
-            classify(cls.canon, 3).degree for cls in found.values()
-        )
+        found = enumerate_graphs(EnumSpec(3, max_degree=1))
+        degrees = sorted(classify(cls.canon, 3).degree for cls in found)
         assert degrees == [0, 0, 1]
 
-    def test_enumerate_graphs_dispatches_to_pairing(self):
-        spec = EnumSpec(3, max_degree=1, allow_loops=True)
-        graphs = enumerate_graphs(spec)
+    @pytest.mark.parametrize(
+        "n,max_degree,allow_loops", SMALL_SPECS,
+        ids=[f"n{n}-d{d}{'-loops' if loops else ''}" for n, d, loops in SMALL_SPECS],
+    )
+    def test_every_spec_matches_pairing(self, n, max_degree, allow_loops):
+        graphs = enumerate_graphs(EnumSpec(n, max_degree, allow_loops))
         keys = [g.canonical_key for g in graphs]
         assert keys == sorted(keys)
-        assert set(keys) == set(pairing_classes(spec))
+        assert set(keys) == _pairing_keys(n, max_degree, allow_loops)
+        for g in graphs:
+            assert g.canon.to_text().encode("ascii") == g.canonical_key
+
+    def test_loopless_closure_is_loop_closure_filtered_n5(self):
+        with_loops = enumerate_graphs(EnumSpec(5, 7, allow_loops=True))
+        loopless = enumerate_graphs(EnumSpec(5, 7))
+        assert (len(with_loops), len(loopless)) == (334, 143)
+        expected = []
+        for cls in with_loops:
+            facts = classify(cls.canon, 5)
+            assert facts.connected and facts.bridgeless and facts.min_valence_ok
+            assert facts.rank == 5
+            assert facts.admissible == facts.loopless
+            if facts.loopless:
+                expected.append(cls)
+        assert loopless == expected
+
+    def test_class_cap_on_contraction_steps(self):
+        # 5 trivalent classes pass the cap; the first degree-1 class over it raises
+        with pytest.raises(ResourceCapError) as err:
+            enumerate_graphs(EnumSpec(4, max_degree=1, max_classes=6))
+        assert err.value.partial == 7
+
+    def test_cache_files_keep_their_bytes(self, tmp_path):
+        # SHA-256 of the name -> SHA-256 map of the 48 graphs-* files of these
+        # specs, pinned from the files half-edge pairing wrote when it was
+        # the generator of every non-trivalent spec
+        store = ArtifactStore(str(tmp_path))
+        for n, d, loops in SMALL_SPECS:
+            store.graphs(EnumSpec(n, d, loops))
+        digests = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(tmp_path.iterdir())
+        }
+        assert len(digests) == 48
+        combined = hashlib.sha256(json.dumps(digests, sort_keys=True).encode()).hexdigest()
+        assert combined == "be05c2e00e21109fc80e95c9b65e5f8b92dd1a8e9edaa6baee32961ada8cadaa"
 
 
 @functools.cache

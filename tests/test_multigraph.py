@@ -16,10 +16,10 @@ from outhom.multigraph import (
     canonical_form,
     canonical_form_mapped,
     canonical_labeling,
-    classify,
     contract_edges,
     contract_edges_mapped,
 )
+from reference_enum import classify
 
 
 def _generated_group(gens, degree):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from outhom import artifacts
 from outhom.artifacts import ArtifactStore
 from outhom.chain import ClassStore, boundary_contract, boundary_remove, matmul
 from outhom.exactla import DEFAULT_PRIMES, FieldSpec, nullspace_of, rank_of
@@ -21,6 +22,7 @@ from outhom.pipeline import (
     cross_prime_profile,
     default_p_range,
     homology_dimensions,
+    _oracle_bases,
     oracle_full_complex,
     oracle_graphs,
 )
@@ -75,11 +77,16 @@ class TestOracle:
     def test_dims_n3(self):
         assert oracle_full_complex(3) == [1, 0, 0, 0]
 
+    def test_dims_n4(self):
+        # H_4(Out(F_4); Q) = Q without the trivalent reduction
+        assert [b.dim for b in _oracle_bases(4)[0]] == [43, 105, 124, 114, 82, 28]
+        assert oracle_full_complex(4) == [1, 0, 0, 0, 1, 0]
+
     def test_rejects_large_rank(self):
         with pytest.raises(ValueError):
-            oracle_full_complex(4)
+            oracle_full_complex(6)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_oracle_equals_pipeline(self, n):
         assert oracle_full_complex(n) == compute_rank_profile(n).dims
 
@@ -95,12 +102,14 @@ class TestOracle:
 
 
 class TestEulerConsistency:
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_full_complex_euler_equals_homology_euler(self, n):
+        # the cell count alone, no rank: e(Out(F_n)) as Morita, Sakasai and
+        # Suzuki tabulate it
+        euler = {2: 1, 3: 1, 4: 2, 5: 1}[n]
         dims = compute_rank_profile(n).dims
-        assert oracle_euler_characteristic(n) == sum(
-            (-1) ** p * d for p, d in enumerate(dims)
-        )
+        assert oracle_euler_characteristic(n) == euler
+        assert euler == sum((-1) ** p * d for p, d in enumerate(dims))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_kernel_alternating_sum_equals_homology(self, n):
@@ -193,14 +202,33 @@ class TestCapsAndHoles:
         for cap, holes in want.items():
             assert compute_rank_profile(4, f=f, max_nnz=cap).holes == holes, cap
 
+    def test_hole_lines_name_their_stage(self, capsys, monkeypatch):
+        compute_rank_profile(4, max_nnz=3)
+        compute_rank_profile(4, max_nnz=188)
+        real = artifacts.assemble
+
+        def assemble(b, parts, store, target=None):
+            if b.p == 2 and parts == (("remove", 1),):
+                raise MemoryError
+            return real(b, parts, store, target)
+
+        monkeypatch.setattr(artifacts, "assemble", assemble)
+        assert compute_rank_profile(3).holes == [2]
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "n=4 p=1: rank dc: input nnz 12 exceeded cap 3; leaving a hole"
+        assert err[5:] == [
+            "n=4 p=4: rank [dc; dr]: input nnz 191 exceeded cap 188; leaving a hole",
+            "n=3 p=2: dr: out of memory (MemoryError()); leaving a hole",
+        ]
+
     def test_c_above_a_basis_hole_is_a_hole(self, capsys):
         rp = compute_rank_profile(4, max_basis=30)
         assert rp.holes == [4, 5]
         assert rp.a[5] is not None and rp.c[5] is None and rp.dims[5] is None
         err = capsys.readouterr().err.splitlines()
         assert err == [
-            "n=4 p=4: basis cap 30 exceeded at n=4 p=4; leaving a hole",
-            "n=4 p=5: c_5 needs the p=4 basis, which is a hole; leaving a hole",
+            "n=4 p=4: basis: basis cap 30 exceeded at n=4 p=4; leaving a hole",
+            "n=4 p=5: dr: c_5 needs the p=4 basis, which is a hole; leaving a hole",
         ]
 
     def test_input_nnz_over_cap_leaves_hole(self):
