@@ -5,36 +5,48 @@ subdivide two (possibly equal, possibly parallel) edges and join the two new
 midpoints by a fresh edge.  Insertion preserves connectivity, looplessness,
 cubicity and 2-edge-connectivity and raises the rank by one, so every graph
 grown from the theta graph is admissible and none is filtered out.  Iterating
-the move from the theta graph reaches every class.  Insertions at edge pairs
-in one orbit of the parent's automorphism group give isomorphic graphs, so
-only one pair per orbit is canonicalized.
+the move from the theta graph reaches every class.
+
+Each trivalent class is produced exactly once, by canonical augmentation
+(McKay, "Isomorph-free exhaustive generation", 1998).  An edge is reducible
+when deleting it and smoothing its ends gives a trivalent graph of one rank
+less; that is the inverse of insertion.  Every class has one canonical orbit
+of reducible edges, and a child is kept only when its inserted edge lies in
+it.  Insertions at edge pairs in one orbit of the parent's automorphism group
+give isomorphic children, so one pair per orbit is tried.  An invariant of
+edges rejects most children before any canonical search, and each survivor
+is labeled once.
 
 Classes of higher degree are the contraction closure of the trivalent ones,
 built breadth first: step k contracts each non-loop edge of each class of
-step k - 1, and since a contraction raises the degree by exactly one, the
-classes of one step all have degree k and no step repeats another's.
-Contracting a non-loop edge keeps a graph connected, bridgeless and of rank
-n, with every valence at least 3, so no admissibility test is needed
-anywhere.  Contraction never removes a loop, and it makes one exactly from an
-edge with a parallel twin, so the loopless classes are closed under
-contracting the edges without a twin.  Every class is built on its key's
-first labeling, with parents taken in key order (McKay 1998).
-``tests/reference_enum.py`` holds the independent half-edge pairing
-generator that checks both generators at small ranks.
+step k - 1, one edge per orbit of the class's automorphism group, and since a
+contraction raises the degree by exactly one, the classes of one step all
+have degree k and no step repeats another's.  Contracting a non-loop edge
+keeps a graph connected, bridgeless and of rank n, with every valence at
+least 3, so no admissibility test is needed anywhere.  Contraction never
+removes a loop, and it makes one exactly from an edge with a parallel twin,
+so the loopless classes are closed under contracting the edges without a
+twin.  A class of higher degree is built on its key's first labeling, with
+parents taken in key order.  ``tests/reference_enum.py`` holds the
+independent half-edge pairing generator that checks both generators at
+small ranks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .multigraph import (
+    Edge,
     GraphClass,
     Labeling,
     Multigraph,
     canonical_form,
     canonical_labeling,
     contract_edges,
+    orbit_of,
 )
 from .parallel import pmap
 
@@ -71,16 +83,23 @@ def enumerate_graphs(spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
     """One representative per isomorphism class, sorted by canonical key.
 
     ``threads`` applies to the trivalent level; the contraction steps are
-    serial.
+    serial.  Edges are taken in position order and each orbit at its
+    smallest position, so every key is met first where contracting every
+    edge would meet it.
     """
     found = cubic_level(spec.n, spec.max_classes, threads)
     level = list(found)
     for _ in range(spec.max_degree):
         nxt = []
         for key in sorted(level):
-            g = found[key].canon
+            cls = found[key]
+            g = cls.canon
             mult = g.multiplicity()
+            seen: set[int] = set()
             for pos, (u, v) in enumerate(g.edges):
+                if pos in seen:
+                    continue
+                seen |= orbit_of((pos,), cls.edge_perm_generators)
                 if u == v or (not spec.allow_loops and mult[(u, v)] > 1):
                     continue
                 lab = canonical_labeling(contract_edges(g, (pos,)))
@@ -117,17 +136,116 @@ def _insert_edge(g: Multigraph, e: int, f: int) -> Multigraph:
     return Multigraph(g.vertex_count + 2, tuple(edges))
 
 
+def _reducible_edges(g: Multigraph) -> set[Edge]:
+    """The endpoint pairs of the edges of ``g`` that lie in no 2-edge cut.
+
+    Each edge is labeled by the set (a bitmask) of fundamental cycles of a
+    spanning tree through it.  A set of edges is a cut iff it meets every
+    cycle evenly, so in a bridgeless graph two edges form a cut iff their
+    labels are equal.  Parallel edges lie in 2-edge cuts alike, so one
+    endpoint pair stands for all of its edges.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for pos, (u, v) in enumerate(g.edges):
+        adj[u].append((v, pos))
+        adj[v].append((u, pos))
+    up = [-1] * g.vertex_count  # the tree edge to each vertex's parent
+    order = [0]
+    for w in order:
+        for x, pos in adj[w]:
+            if x and up[x] < 0:
+                up[x] = pos
+                order.append(x)
+    tree = set(up[1:])
+    labels = [0] * g.edge_count
+    # pot[w]: the non-tree edges with exactly one end at w; summed over a
+    # subtree, those whose fundamental cycle leaves it through its root edge
+    pot = [0] * g.vertex_count
+    bit = 1
+    for pos, (u, v) in enumerate(g.edges):
+        if pos not in tree:
+            labels[pos] = bit
+            pot[u] ^= bit
+            pot[v] ^= bit
+            bit <<= 1
+    for w in reversed(order[1:]):
+        pos = up[w]
+        labels[pos] = pot[w]
+        u, v = g.edges[pos]
+        pot[u if v == w else v] ^= pot[w]
+    shared = Counter(labels)
+    return {edge for edge, lab in zip(g.edges, labels) if shared[lab] == 1}
+
+
+def _reducible_ties(child: Multigraph) -> Optional[list[Edge]]:
+    """The reducible edges of ``child`` whose invariant ties that of its
+    inserted edge, or ``None`` if a reducible edge has a larger one.
+
+    The inserted edge joins the two highest labels.  An edge is *reducible*
+    when deleting it and smoothing its ends, the inverse of
+    :func:`_insert_edge`, leaves a loopless bridgeless cubic graph.  For a
+    bridgeless cubic child of rank at least 3 that holds exactly when the
+    edge lies in no 2-edge cut: a loop made by smoothing always comes with
+    a bridge.  The invariant of an edge is (multiplicity, triangles through
+    it, 4-cycles through it), the cycles counted by their vertices, once
+    per endpoint pair.
+    """
+    mult = child.multiplicity()
+    nbrs: list[list[int]] = [[] for _ in range(child.vertex_count)]
+    adj = [0] * child.vertex_count  # neighbour bitmasks
+    for u, v in mult:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    def invariant(a: int, b: int) -> tuple[int, int, int]:
+        ends = adj[b] & ~(1 << a)
+        squares = 0
+        for c in nbrs[a]:
+            if c != b:
+                squares += (adj[c] & ends).bit_count()
+        return mult[(a, b)], (adj[a] & adj[b]).bit_count(), squares
+
+    x = child.vertex_count - 2
+    xy = (x, x + 1)
+    inserted = invariant(*xy)
+    larger: list[Edge] = []
+    ties: list[Edge] = []
+    for edge in mult:
+        f = invariant(*edge)
+        if f > inserted:
+            larger.append(edge)
+        elif f == inserted:
+            ties.append(edge)
+    if ties == [xy] and not larger:
+        return ties
+    reducible = _reducible_edges(child)
+    if any(edge in reducible for edge in larger):
+        return None
+    return [edge for edge in ties if edge in reducible]
+
+
 def _children(parent: GraphClass) -> list[Labeling]:
-    """Labelings of the edge insertions into ``parent``, one per orbit of
-    edge pairs {e <= f} under its edge automorphisms (McKay 1998):
-    insertions at pairs in one orbit are isomorphic.  Orbits are taken in
-    (e, f) order, so every class first appears where it does in the
-    unpruned list; only the first labeling of each key is kept."""
+    """Labelings of the children of ``parent`` whose canonical parent it is
+    (McKay 1998), one per class.
+
+    Insertions at edge pairs in one orbit of the parent's edge automorphisms
+    give isomorphic children, so one pair {e <= f} per orbit is tried.  A
+    child is kept iff its inserted edge lies in its canonical reducible-edge
+    orbit: the orbit, under the child's automorphisms, of the smallest
+    canonical position among the reducible edges of largest invariant.
+    A child with a reducible edge of larger invariant than the inserted one
+    is rejected before any search; the others are labeled once.  Every class
+    then comes from exactly one parent class and one orbit of pairs, so each
+    key is met once.
+    """
     g = parent.canon
     gens = parent.edge_perm_generators
     e_cnt = g.edge_count
+    xy = (g.vertex_count, g.vertex_count + 1)  # the inserted edge
     seen: set[tuple[int, int]] = set()
-    out: dict[bytes, Labeling] = {}
+    out: list[Labeling] = []
     for e in range(e_cnt):
         for f in range(e, e_cnt):
             if (e, f) in seen:
@@ -142,9 +260,31 @@ def _children(parent: GraphClass) -> list[Labeling]:
                     if pair not in seen:
                         seen.add(pair)
                         stack.append(pair)
-            lab = canonical_labeling(_insert_edge(g, e, f))
-            out.setdefault(lab.key, lab)
-    return list(out.values())
+            child = _insert_edge(g, e, f)
+            ties = _reducible_ties(child)
+            if ties is None:
+                continue
+            lab = canonical_labeling(child)
+            vm = lab.vertex_map
+            first = min(ties, key=lambda t: sorted((vm[t[0]], vm[t[1]])))
+            if first in _pair_orbit(xy, lab.automorphisms):
+                out.append(lab)
+    return out
+
+
+def _pair_orbit(pair: Edge, gens: Sequence[Sequence[int]]) -> set[Edge]:
+    """The orbit of the vertex pair ``pair`` (u < v), as sorted pairs."""
+    orbit = {pair}
+    stack = [pair]
+    while stack:
+        u, v = stack.pop()
+        for gen in gens:
+            a, b = gen[u], gen[v]
+            img = (a, b) if a <= b else (b, a)
+            if img not in orbit:
+                orbit.add(img)
+                stack.append(img)
+    return orbit
 
 
 def cubic_level(
@@ -153,9 +293,11 @@ def cubic_level(
     """All 2-edge-connected loopless cubic multigraph classes of rank n, keyed
     by canonical key; insertion never builds a bridge.
 
-    Parents are expanded in key order on ``threads`` processes.  Their
-    labelings arrive in that order, and a class is built from the first
-    labeling of its key, so the result is thread-invariant.
+    Parents are expanded in key order on ``threads`` processes, and each
+    class is built from the labeling of its canonical augmentation, which
+    the job of its one canonical parent returns.  No dedup is needed: a key
+    met twice is an internal error and raises ``RuntimeError``.  The result
+    does not depend on ``threads``.
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
@@ -166,7 +308,9 @@ def cubic_level(
         for labelings in pmap(_children, parents, threads):
             for lab in labelings:
                 if lab.key in nxt:
-                    continue
+                    raise RuntimeError(
+                        f"canonical augmentation met {lab.key.decode('ascii')} twice"
+                    )
                 nxt[lab.key] = lab.graph_class()
                 if len(nxt) > max_classes:
                     raise ResourceCapError(

@@ -332,12 +332,12 @@ def _canonical_search(
                 known = len(auts)
                 if new:
                     stab.extend(new)
-                    orbit = _orbit_of(tried, stab)
+                    orbit = orbit_of(tried, stab)
             if v in orbit:
                 continue
             tried.append(v)
             if stab:
-                orbit |= _orbit_of((v,), stab)
+                orbit |= orbit_of((v,), stab)
             rest = [u for u in cell if u != v]
             search(cells[:target] + [[v], rest] + cells[target + 1:], fixed + (v,))
 
@@ -349,7 +349,8 @@ def _canonical_search(
     return best[0], leaves[best[0]], auts
 
 
-def _orbit_of(points: Sequence[int], gens: Sequence[Sequence[int]]) -> set[int]:
+def orbit_of(points: Sequence[int], gens: Sequence[Sequence[int]]) -> set[int]:
+    """The union of the orbits of ``points`` under the permutations ``gens``."""
     orbit = set(points)
     stack = list(orbit)
     while stack:

@@ -63,6 +63,11 @@ _CAPS = ("max_nnz", "max_basis")
 _HOLE_CAUSES = (ResourceCapError, MemoryError)
 
 
+def _shape(name: str, rows: int, cols: int, nnz: int) -> str:
+    """The sizes a hole line names for a matrix."""
+    return f"{name} {rows} x {cols}, nnz {nnz}"
+
+
 class NegativeDimensionError(RuntimeError):
     """A homology dimension came out negative: a rank was lost to the prime."""
 
@@ -196,10 +201,11 @@ def compute_rank_profile(
     bases: dict[int, ChainBasis] = {}
 
     def run_level(p: int, fld: FieldSpec, rp: RankProfile) -> None:
-        def hole(stage: str, exc: Exception | str) -> None:
+        def hole(stage: str, exc: Exception | str, sizes: str = "") -> None:
             if isinstance(exc, MemoryError):
                 exc = f"out of memory ({exc!r})"
-            print(f"n={n} p={p}: {stage}: {exc}; leaving a hole", file=sys.stderr)
+            at = f" at {sizes}" if sizes else ""
+            print(f"n={n} p={p}: {stage}: {exc}{at}; leaving a hole", file=sys.stderr)
             if p not in rp.holes:
                 rp.holes.append(p)
 
@@ -221,19 +227,19 @@ def compute_rank_profile(
             timings[f"basis-p{p}"] = time.monotonic() - t
         rp.a[p] = basis.dim
         rank_dc: Optional[int] = None
-        stage = "dc"
+        stage, sizes = "dc", f"a_{p}={basis.dim}"
         try:
             t = time.monotonic()
             dc = cache.matrix("dc", basis, store)
             timings[f"dc-p{p}"] = time.monotonic() - t
-            stage = "rank dc"
+            stage, sizes = "rank dc", _shape("dc", dc.rows, dc.cols, dc.nnz)
             t = time.monotonic()
             rank_dc = rank_of(dc, fld, max_nnz)
             rp.b[p] = basis.dim - rank_dc
             # the key predates rank-only b_p; bench/run.py sums stages by name
             timings[f"nullspace-p{p}"] = time.monotonic() - t
         except _HOLE_CAUSES as exc:
-            hole(stage, exc)
+            hole(stage, exc, sizes)
         if p == 0:
             rp.c[p] = 0
             return
@@ -244,15 +250,16 @@ def compute_rank_profile(
             return
         if rank_dc is None:
             return
-        stage = "dr"
+        stage, sizes = "dr", f"a_{p}={basis.dim}, a_{p - 1}={bases[p - 1].dim}"
         try:
             t = time.monotonic()
             dr = cache.matrix("dr", basis, store, bases[p - 1])
             stage = "rank [dc; dr]"
+            sizes = _shape("[dc; dr]", dc.rows + dr.rows, dc.cols, dc.nnz + dr.nnz)
             rp.c[p] = rank_of(vstack(dc, dr), fld, max_nnz) - rank_dc
             timings[f"c-p{p}"] = time.monotonic() - t
         except _HOLE_CAUSES as exc:
-            hole(stage, exc)
+            hole(stage, exc, sizes)
 
     def run_levels(fld: FieldSpec) -> RankProfile:
         rp = RankProfile(

@@ -304,7 +304,7 @@ class TestRunContract:
         assert json.loads(out)["holes"] == [2]
         lines = err.strip().splitlines()
         assert len(lines) == 1
-        assert lines[0] == "n=3 p=2: dc: out of memory (MemoryError()); leaving a hole"
+        assert lines[0] == "n=3 p=2: dc: out of memory (MemoryError()) at a_2=1; leaving a hole"
         assert "Traceback" not in err
 
     def test_holed_report_is_recomputed_not_served(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -12,11 +13,12 @@ from outhom.enumerator import (
     ResourceCapError,
     _children,
     _insert_edge,
+    _reducible_edges,
     _theta,
     cubic_level,
     enumerate_graphs,
 )
-from outhom.multigraph import canonical_form, canonical_labeling
+from outhom.multigraph import Multigraph, canonical_form, canonical_labeling
 from reference_enum import classify, pairing_classes
 
 # every (n, max_degree, allow_loops) with n <= 4
@@ -182,39 +184,141 @@ def _unpruned_level(n):
     return {cls.canonical_key: cls for cls in level}
 
 
+def _edge_group(gens):
+    """Every element of the permutation group ``gens`` generates."""
+    if not gens:
+        return set()
+    identity = tuple(range(len(gens[0])))
+    group = {identity}
+    stack = [identity]
+    while stack:
+        g = stack.pop()
+        for gen in gens:
+            h = tuple(gen[i] for i in g)
+            if h not in group:
+                group.add(h)
+                stack.append(h)
+    return group
+
+
+def _smooth_out(g, pos):
+    """Delete the edge at ``pos`` of the cubic graph ``g`` and smooth its
+    two ends: each end, now of valence 2, is replaced by one edge joining
+    its two other ends."""
+    edges = [list(e) for i, e in enumerate(g.edges) if i != pos]
+    gone = set(g.edges[pos])
+    for w in sorted(gone):
+        i, j = [k for k, e in enumerate(edges) if w in e]
+        ends = edges[i] + edges[j]
+        ends.remove(w)
+        ends.remove(w)
+        edges[i] = ends
+        del edges[j]
+    relabel = {v: i for i, v in enumerate(v for v in range(g.vertex_count) if v not in gone)}
+    return Multigraph(len(relabel), tuple((relabel[u], relabel[v]) for u, v in edges))
+
+
+def _insertions(rank):
+    """(parent, e, f, child) for every pair e <= f of every class of ``rank``."""
+    for parent in cubic_level(rank).values():
+        g = parent.canon
+        for e in range(g.edge_count):
+            for f in range(e, g.edge_count):
+                yield parent, e, f, _insert_edge(g, e, f)
+
+
 class TestInsertionPruning:
-    """One insertion per orbit of edge pairs finds every class, in the order
-    the insertion at every pair finds them."""
+    """Canonical augmentation finds every class insertion at every pair
+    finds, each once."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_same_keys_as_every_pair(self, n):
-        assert list(cubic_level(n)) == list(_unpruned_level(n))
+        assert sorted(cubic_level(n)) == sorted(_unpruned_level(n))
 
     def test_threads_keep_keys_and_order(self):
         assert list(cubic_level(6, threads=2)) == list(cubic_level(6, threads=1))
 
+    def test_search_count(self, monkeypatch):
+        # 3172 searches (one per orbit of edge pairs) before augmentation
+        import outhom.enumerator as enumerator
+
+        real = enumerator.canonical_labeling
+        calls = []
+        monkeypatch.setattr(
+            enumerator, "canonical_labeling", lambda g: calls.append(g) or real(g)
+        )
+        assert len(cubic_level(7)) == 365
+        assert len(calls) <= 700
+
+    def test_repeated_key_raises(self, monkeypatch):
+        import outhom.enumerator as enumerator
+
+        real = enumerator._children
+        monkeypatch.setattr(enumerator, "_children", lambda parent: real(parent) * 2)
+        with pytest.raises(RuntimeError, match="twice"):
+            cubic_level(4)
+
+    def test_rank8_class_count(self):
+        if not os.environ.get("OUTHOM_STRETCH"):
+            pytest.skip("stretch target, set OUTHOM_STRETCH=1 to run")
+        assert len(cubic_level(8)) == 2602
+
 
 class TestClassOnFirstKey:
-    """Labeling first and building a class only for a new key keeps the class
-    (generators included) that canonicalizing every insertion keeps."""
+    """A class is built on the first labeling of its key, which canonical
+    augmentation makes the only one.  Its canonical form and key are those
+    of canonicalizing every insertion, and its edge generators generate the
+    same group, which is all that orbits and the next rank step read from
+    them."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_same_classes_as_canonical_form(self, n, threads):
         reference = sorted(_unpruned_level(n).values(), key=lambda c: c.canonical_key)
-        assert enumerate_graphs(EnumSpec(n), threads) == reference
+        graphs = enumerate_graphs(EnumSpec(n), threads)
+        assert [g.canonical_key for g in graphs] == [c.canonical_key for c in reference]
+        assert [g.canon for g in graphs] == [c.canon for c in reference]
+        if n <= 5:
+            for g, ref in zip(graphs, reference):
+                assert _edge_group(g.edge_perm_generators) == _edge_group(
+                    ref.edge_perm_generators
+                )
+        if threads > 1:
+            # generators included, and in the same order
+            serial = cubic_level(n, threads=1)
+            assert list(cubic_level(n, threads=threads).items()) == list(serial.items())
 
     def test_children_are_first_labelings_per_key(self, trivalent_by_rank):
+        keys = []
         for parent in trivalent_by_rank[4]:
-            labelings = _children(parent)
-            keys = [lab.key for lab in labelings]
-            assert len(keys) == len(set(keys))
-            g = parent.canon
-            first = {}
-            for e in range(g.edge_count):
-                for f in range(e, g.edge_count):
-                    child = _insert_edge(g, e, f)
-                    first.setdefault(canonical_labeling(child).key, child)
-            assert keys == list(first)
-            for lab in labelings:
-                assert lab.graph_class() == canonical_form(first[lab.key])
+            for lab in _children(parent):
+                keys.append(lab.key)
+                assert canonical_labeling(lab.canon).key == lab.key
+                cls = lab.graph_class()
+                edges = sorted(lab.canon.edges)
+                for gen in cls.vertex_perm_generators:
+                    image = sorted(tuple(sorted((gen[u], gen[v]))) for u, v in edges)
+                    assert image == edges
+        assert len(keys) == len(set(keys))
+        assert sorted(keys) == [g.canonical_key for g in trivalent_by_rank[5]]
+
+
+class TestCanonicalAugmentation:
+    """Reducible edges, the inverse of insertion, as canonical augmentation
+    reads them."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_smoothing_the_inserted_edge_gives_the_parent(self, rank):
+        for parent, e, f, child in _insertions(rank):
+            reduced = _smooth_out(child, child.edge_count - 1)
+            assert canonical_labeling(reduced).key == parent.canonical_key, (e, f)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_reducible_edges_are_those_that_smooth_out(self, rank):
+        # reducible: deleting and smoothing leaves a loopless bridgeless
+        # cubic graph of one rank less
+        for _, _, _, child in _insertions(rank):
+            reducible = _reducible_edges(child)
+            for pos, edge in enumerate(child.edges):
+                facts = classify(_smooth_out(child, pos), rank)
+                assert (edge in reducible) == (facts.admissible and facts.degree == 0)

@@ -215,10 +215,14 @@ class TestCapsAndHoles:
         monkeypatch.setattr(artifacts, "assemble", assemble)
         assert compute_rank_profile(3).holes == [2]
         err = capsys.readouterr().err.splitlines()
-        assert err[0] == "n=4 p=1: rank dc: input nnz 12 exceeded cap 3; leaving a hole"
+        assert err[0] == (
+            "n=4 p=1: rank dc: input nnz 12 exceeded cap 3 at dc 8 x 12, nnz 12; "
+            "leaving a hole"
+        )
         assert err[5:] == [
-            "n=4 p=4: rank [dc; dr]: input nnz 191 exceeded cap 188; leaving a hole",
-            "n=3 p=2: dr: out of memory (MemoryError()); leaving a hole",
+            "n=4 p=4: rank [dc; dr]: input nnz 191 exceeded cap 188 "
+            "at [dc; dr] 83 x 35, nnz 191; leaving a hole",
+            "n=3 p=2: dr: out of memory (MemoryError()) at a_2=1, a_1=3; leaving a hole",
         ]
 
     def test_c_above_a_basis_hole_is_a_hole(self, capsys):
