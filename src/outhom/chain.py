@@ -3,8 +3,9 @@
 Columns are indexed by a basis of normalized forested graphs.  The
 contraction boundary sends a column into forested graphs on one-step
 contracted (possibly loop-bearing) graphs; those codomain generators are not
-enumerated in advance but hash-consed as they occur, then the rows are
-re-sorted by canonical key so the matrix does not depend on sweep order.
+enumerated in advance but hash-consed as they occur, each as its target
+class key and representative mask, then the rows are re-sorted by canonical
+key so the matrix does not depend on sweep order.
 The removal boundary stays on the same graph, so its rows are the basis one
 forest size down.
 
@@ -24,11 +25,19 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .enumerator import ResourceCapError
-from .forests import ForestedGraph, ForestIndex, ForestKey, block_key_of, xor_table
+from .forests import (
+    ForestedGraph,
+    ForestIndex,
+    ForestKey,
+    GroupScan,
+    block_key_of,
+    forest_key,
+    mask_order,
+    xor_table,
+)
 from .multigraph import GraphClass, canonical_labeling, contract_edges_mapped
 
 
@@ -198,9 +207,10 @@ class ClassStore:
 
     Keeps one :class:`ForestIndex` per basis class it is asked for, so
     forest orbits are computed once per class, and memoizes single-edge
-    contraction results with their edge position maps.  The forest indices
-    of contraction targets stay with the :class:`BoundaryKernel` that met
-    them.
+    contraction results with their edge position maps.  A contraction
+    target it holds no index for is looked up by the
+    :class:`BoundaryKernel` that met it, through a
+    :class:`forests.GroupScan` that caches no forest.
     """
 
     def __init__(self) -> None:
@@ -287,8 +297,9 @@ class BoundaryKernel:
     """Signed boundary terms of forested graphs, with integer row ids.
 
     A kernel serves one assembly.  Rows are interned once per orbit of a
-    target class: numbered in the order met and labelled by the orbit's key,
-    or, given a ``target`` basis, looked up in its index.
+    target class, in ``rows`` under the class key and the representative
+    mask: numbered in the order met, or, given a ``target`` basis, looked up
+    in its index.
 
     Removing the forest edge at ``pos`` leaves the mask ``F ^ 1 << pos``,
     already in ascending order.  Contracting it goes through a table, one per
@@ -297,34 +308,41 @@ class BoundaryKernel:
     :func:`forests.xor_table`, whose XOR over the remaining forest gives the
     target mask and the parity of the order the map puts on it.
 
-    Target classes get their forest index from the store when it holds one
-    and a fresh one otherwise, which lives and dies with the kernel: the
-    contracted classes of a trivalent basis are read by no other level.
+    A target class the store holds a forest index for is looked up there.
+    Otherwise the kernel makes one that lives and dies with it, by role: a
+    removal source gets a :class:`ForestIndex`, whose orbit caches serve its
+    many removal terms, and a class met only as a contraction target gets a
+    :class:`forests.GroupScan`, which caches no forest (the contracted
+    classes of a trivalent basis are read by no other level).
     """
 
     def __init__(self, store: ClassStore, target: Optional[ChainBasis] = None):
         self.store = store
         self.target = target
-        # row id -> key, when rows are interned rather than looked up
-        self.labels: list[ForestKey] = []
-        # per target class: its forest index and the row id of each orbit
-        # met, by representative mask
-        self._targets: dict[bytes, tuple[ForestIndex, dict[int, int]]] = {}
-        # per source class, per position: [target, table or None]
+        # per target class met: the row id of each orbit, by representative
+        # mask; ``row_count`` ids are interned when there is no ``target``
+        self.rows: dict[bytes, dict[int, int]] = {}
+        self.row_count = 0
+        # per target class met: its orbit lookup and its ``rows`` entry
+        self._targets: dict[bytes, tuple[ForestIndex | GroupScan, dict[int, int]]] = {}
+        # per source class, per position: [target key, target, table or None]
         self._contractions: dict[bytes, list[Optional[list]]] = {}
 
-    def _target_of(self, cls: GraphClass) -> tuple[ForestIndex, dict[int, int]]:
+    def _target_of(
+        self, cls: GraphClass, lookup: type
+    ) -> tuple[ForestIndex | GroupScan, dict[int, int]]:
         key = cls.canonical_key
         t = self._targets.get(key)
         if t is None:
-            fi = self.store._findex.get(key) or ForestIndex(cls)
-            t = self._targets[key] = (fi, {})
+            fi = self.store._findex.get(key) or lookup(cls)
+            t = self._targets[key] = (fi, self.rows.setdefault(key, {}))
         return t
 
-    def _row(self, key: ForestKey) -> int:
+    def _row(self, class_key: bytes, rep: int) -> int:
         if self.target is None:
-            self.labels.append(key)
-            return len(self.labels) - 1
+            self.row_count += 1
+            return self.row_count - 1
+        key = forest_key(class_key, rep)
         row = self.target.index.get(key)
         if row is None:
             raise InconsistencyError(
@@ -345,7 +363,8 @@ class BoundaryKernel:
         for j in forest:
             fmask |= 1 << j
         if kind == "remove":
-            fi, rows = self._target_of(src)
+            fi, rows = self._target_of(src, ForestIndex)
+            tkey = src.canonical_key
         elif kind == "contract":
             per_pos = self._contractions.get(src.canonical_key)
             if per_pos is None:
@@ -360,26 +379,29 @@ class BoundaryKernel:
                 entry = per_pos[pos]
                 if entry is None:
                     target, _ = self.store.contract_one(src, pos)
-                    entry = per_pos[pos] = [self._target_of(target), None]
-                (fi, rows), table = entry
+                    entry = per_pos[pos] = [
+                        target.canonical_key, self._target_of(target, GroupScan), None
+                    ]
+                tkey, (fi, rows), table = entry
                 if mask:
                     e = fi.edge_count
                     if table is None:
                         pos_map = self.store.contract_one(src, pos)[1]
-                        table = entry[1] = xor_table(pos_map, e)
+                        table = entry[2] = xor_table(pos_map, e)
                     x = 0
                     for j in forest:
                         x ^= table[j]
                     if (x >> e & mask).bit_count() & 1:
                         sign = -sign
                     mask = x & ~(-1 << e)
-            rep, parity, zero, _, key = fi.orbit(mask)
-            if zero:
+            record = fi.orbit(mask)
+            if record[2]:  # zero by odd symmetry
                 continue
+            rep = record[0]
             row = rows.get(rep)
             if row is None:
-                row = rows[rep] = self._row(key)
-            acc[row] = acc.get(row, 0) + sign * parity
+                row = rows[rep] = self._row(tkey, rep)
+            acc[row] = acc.get(row, 0) + sign * record[1]
 
 
 def assemble(
@@ -387,13 +409,16 @@ def assemble(
     parts: Sequence[tuple[str, int]],
     store: ClassStore,
     target: Optional[ChainBasis] = None,
-) -> tuple[SparseIntMat, Optional[tuple[ForestKey, ...]]]:
+) -> tuple[SparseIntMat, Optional["RowKeys"]]:
     """Matrix of the sum of ``scale`` times the ``kind`` boundary over the
     ``(kind, scale)`` parts, on the columns of ``b``, and the key of each row.
 
-    Rows are the keys of the nonzero rows in sorted order, or the ``target``
-    basis, which must hold every target key (else :class:`InconsistencyError`)
-    and whose elements name the rows, so the keys are ``None``."""
+    Rows are the nonzero rows in key order, or the ``target`` basis, which
+    must hold every target key (else :class:`InconsistencyError`) and whose
+    elements name the rows, so the keys are ``None``.  Hash-consed rows are
+    sorted by (class key, :func:`forests.mask_order` of the representative
+    mask), which is key order because every row's forest has size
+    ``b.p - 1``; their keys are a :class:`RowKeys`, built on read."""
     kernel = BoundaryKernel(store, target)
     row_ids, col_ids, values = array("q"), array("q"), array("q")
     for col, el in enumerate(b.elements):
@@ -405,22 +430,31 @@ def assemble(
                 row_ids.append(row)
                 col_ids.append(col)
                 values.append(v)
-    keys = kernel.labels
-    # the forest indices of the targets are most of the kernel's memory, and
-    # the sort below needs room for a second copy of the arrays
+    interned, count = kernel.rows, kernel.row_count
+    # free the target lookups and contraction tables: the sort below needs
+    # room for a second copy of the arrays
     del kernel
     if target is None:
-        # renumber the interned ids that kept an entry in key order
-        used = bytearray(len(keys))
+        # renumber the interned ids that kept an entry in key order: class
+        # by class, each class's representatives by ``mask_order``
+        used = bytearray(count)
         for row in row_ids:
             used[row] = 1
-        live = sorted(compress(range(len(keys)), used), key=keys.__getitem__)
-        renumber = array("q", bytes(8 * len(keys)))
-        for new, row in enumerate(live):
-            renumber[row] = new
+        renumber = array("q", bytes(8 * count))
+        classes: list[bytes] = []
+        masks: list[int] = []
+        for class_key in sorted(interned):
+            by_mask = interned.pop(class_key)
+            width = (max(by_mask, default=0).bit_length() + 7) // 8
+            for rep in sorted(by_mask, key=lambda m: mask_order(m, width)):
+                row = by_mask[rep]
+                if used[row]:
+                    renumber[row] = len(masks)
+                    classes.append(class_key)
+                    masks.append(rep)
         for k, row in enumerate(row_ids):
             row_ids[k] = renumber[row]
-        labels, rows = tuple(keys[row] for row in live), len(live)
+        labels, rows = RowKeys(classes, masks), len(masks)
     else:
         labels, rows = None, target.dim
     # columns ascend within each row already, so a stable sort by row puts
@@ -429,6 +463,23 @@ def assemble(
         _counting_order(row_ids, rows), row_ids, col_ids, values
     )
     return SparseIntMat.from_arrays(rows, b.dim, row_ids, col_ids, values), labels
+
+
+class RowKeys(Sequence[ForestKey]):
+    """The keys of an assembled matrix's rows, each built when it is read
+    from the row's target class key and representative mask."""
+
+    __slots__ = ("_classes", "_masks")
+
+    def __init__(self, classes: list[bytes], masks: list[int]) -> None:
+        self._classes = classes
+        self._masks = masks
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __getitem__(self, row: int) -> ForestKey:
+        return forest_key(self._classes[row], self._masks[row])
 
 
 def boundary_contract(b: ChainBasis, store: Optional[ClassStore] = None) -> SparseIntMat:

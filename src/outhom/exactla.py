@@ -74,11 +74,20 @@ class NullspaceBasis:
     columns: tuple[dict[int, int], ...]
 
     def to_mat(self) -> SparseIntMat:
+        """The columns as a ``source_dim x dim`` matrix.  Raises
+        ``ValueError`` if an entry lies outside the 64-bit signed range that
+        :class:`SparseIntMat` stores, as a rational kernel's cleared entries
+        can."""
         entries = []
         for c, vec in enumerate(self.columns):
             for r, v in vec.items():
                 entries.append((r, c, v))
-        return SparseIntMat(self.source_dim, self.dim, entries)
+        try:
+            return SparseIntMat(self.source_dim, self.dim, entries)
+        except OverflowError as exc:
+            raise ValueError(
+                "a kernel entry lies outside the 64-bit signed range of SparseIntMat"
+            ) from exc
 
 
 def rank_of(m: SparseIntMat, f: FieldSpec, max_nnz: Optional[int] = None) -> int:

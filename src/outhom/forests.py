@@ -25,6 +25,17 @@ images are distinct bits) and the XOR of the inversion masks above them.
 Acyclic subsets are walked depth first with an explicit stack and a
 union-find whose links are undone on backtracking, in lexicographic order
 of the ascending position tuples.
+
+Two lookups share the record ``(rep, parity, zero)`` of a forest mask.  A
+:class:`ForestIndex` serves the classes a :class:`chain.ClassStore` owns
+(bases, removal sources, the oracle): its BFS caches the record of every
+orbit member, because the basis enumeration and ``d_R`` meet most members.
+A :class:`GroupScan` serves a class met only as a contraction target: it
+lists the class's edge automorphism group once, one XOR table per element,
+and scans it on every lookup with no per-mask cache.  Those groups are small
+(7.6 elements on average at n = 7, weighted by contraction, at most 128),
+about what the BFS visits per orbit, and the member caches were most of the
+memory of a contraction assembly.
 """
 
 from __future__ import annotations
@@ -121,7 +132,7 @@ class ForestIndex:
                     elif known != q:
                         zero = True
         rep = min(par)
-        key = (self.graph.canonical_key, tuple(_mask_positions(rep)))
+        key = forest_key(self.graph.canonical_key, rep)
         size = len(par)
         # parity asc(m) -> asc(rep) composes the two transports
         records = {1: (rep, 1, zero, size, key), -1: (rep, -1, zero, size, key)}
@@ -254,6 +265,91 @@ class ForestIndex:
             if record[0] == mask:
                 reps.append((record[4][1], record[3], record[2]))
         return reps
+
+
+class GroupScan:
+    """Orbit records of the forests of a class met only as a contraction
+    target, by a scan of its whole edge automorphism group.
+
+    The group is the closure of ``edge_perm_generators``, listed on the
+    first lookup of a nonempty forest, with one :func:`xor_table` per
+    non-identity element; nothing is cached per mask.  The empty forest, the
+    only target of a one-edge forest's contraction, needs no group.
+    """
+
+    __slots__ = ("graph", "edge_count", "_tables")
+
+    def __init__(self, graph: GraphClass):
+        self.graph = graph
+        self.edge_count = graph.canon.edge_count
+        self._tables: Optional[list[list[int]]] = None
+
+    def orbit(self, mask: int) -> tuple[int, int, bool]:
+        """``(rep, parity, zero)`` of the forest ``mask``, as in
+        :meth:`ForestIndex.orbit`: the smallest image of ``mask``, the parity
+        of the order an element reaching it puts on ``mask``, and whether two
+        elements reach it with opposite parities."""
+        if not mask:
+            return 0, 1, False
+        e = self.edge_count
+        tables = self._tables
+        if tables is None:
+            elements = _group_elements(self.graph.edge_perm_generators, e)
+            tables = self._tables = [xor_table(g, e) for g in elements]
+        positions = _mask_positions(mask)
+        full = (1 << e) - 1
+        rep, parity, zero = mask, 1, False
+        for table in tables:
+            acc = 0
+            for i in positions:
+                acc ^= table[i]
+            img = acc & full
+            if img <= rep:
+                q = -1 if (acc >> e & mask).bit_count() & 1 else 1
+                if img < rep:
+                    rep, parity, zero = img, q, False
+                elif q != parity:
+                    zero = True
+        return rep, parity, zero
+
+
+def _group_elements(
+    gens: Sequence[Sequence[int]], degree: int
+) -> list[tuple[int, ...]]:
+    """The non-identity elements of the permutation group that ``gens``
+    generate on ``range(degree)``."""
+    identity = tuple(range(degree))
+    group = {identity}
+    stack = [identity]
+    while stack:
+        base = stack.pop()
+        for g in gens:
+            composed = tuple([g[i] for i in base])
+            if composed not in group:
+                group.add(composed)
+                stack.append(composed)
+    group.discard(identity)
+    return sorted(group)
+
+
+def forest_key(class_key: bytes, mask: int) -> ForestKey:
+    """The key of the forest ``mask`` in the class ``class_key``."""
+    return (class_key, tuple(_mask_positions(mask)))
+
+
+# per byte value, the byte with its eight bits in reverse order
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def mask_order(mask: int, width: int) -> int:
+    """An integer that orders the forests of one size as their ascending
+    position tuples do: minus ``mask`` with its ``8 * width`` bits reversed.
+
+    Where two sets of one size first differ, the smaller position belongs
+    to the set whose tuple comes first; reversal makes that position the
+    highest differing bit, so that set has the larger reversed mask."""
+    reversed_bytes = mask.to_bytes(width, "little").translate(_REVERSED_BYTE)
+    return -int.from_bytes(reversed_bytes, "big")
 
 
 @cache

@@ -42,6 +42,16 @@ class Multigraph:
             if not (0 <= u <= v < self.vertex_count):
                 raise ValueError(f"edge ({u},{v}) out of range for V={self.vertex_count}")
 
+    @classmethod
+    def _from_sorted(cls, vertex_count: int, edges: tuple[Edge, ...]) -> "Multigraph":
+        """The graph on ``edges`` as given, with no normalization or range
+        check: each pair must already be ``(u, v)`` with ``0 <= u <= v <
+        vertex_count``, and the tuple sorted."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", vertex_count)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -132,7 +142,7 @@ def contract_edges_mapped(
     pos_map: list[Optional[int]] = [None] * g.edge_count
     for new_pos, (_, old_pos) in enumerate(kept):
         pos_map[old_pos] = new_pos
-    return Multigraph(new_v, tuple(e for e, _ in kept)), tuple(pos_map)
+    return Multigraph._from_sorted(new_v, tuple(e for e, _ in kept)), tuple(pos_map)
 
 
 def apply_vertex_perm(g: Multigraph, perm: Sequence[int]) -> Multigraph:
@@ -206,7 +216,7 @@ def canonical_labeling(g: Multigraph) -> Labeling:
     if g.vertex_count < 1:
         raise ValueError("canonical labeling requires at least one vertex")
     best_edges, perm0, auts = _canonical_search(g)
-    canon = Multigraph(g.vertex_count, best_edges)
+    canon = Multigraph._from_sorted(g.vertex_count, best_edges)
     return Labeling(canon, perm0, tuple(auts), canon.to_text().encode("ascii"))
 
 

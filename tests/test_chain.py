@@ -32,7 +32,7 @@ class TestSmallExamples:
         dc, labels = assemble(basis, CONTRACT, store)
         assert (dc.rows, dc.cols) == (1, 1)
         assert dc.entries == ((0, 0, -1),)
-        assert labels == ((b"V=1 E=0-0,0-0", ()),)
+        assert tuple(labels) == ((b"V=1 E=0-0,0-0", ()),)
 
     def test_theta_removal_boundary(self, bases_by_rank, store):
         dr = boundary_remove(bases_by_rank[2][1], bases_by_rank[2][0], store)
@@ -157,7 +157,7 @@ class TestReferenceEquivalence:
         no labels."""
         cls._assert_same_matrix(got[0], want[0])
         if target is None:
-            assert got[1] == want[1]
+            assert tuple(got[1]) == want[1]
         else:
             assert got[1] is None
             assert list(want[1]) == [e.key for e in target.elements]
@@ -214,7 +214,7 @@ class TestSparseIntMat:
         assert again.entries == dc.entries
         # the row file: one line per row, each parsing back to its key
         assert len(labels) == dc.rows
-        assert tuple(parse_label(label_text(k)) for k in labels) == labels
+        assert tuple(parse_label(label_text(k)) for k in labels) == tuple(labels)
 
     def test_arrays_match_a_tuple_reference(self):
         """``to_lines``, ``from_lines`` and ``vstack`` on the array layout

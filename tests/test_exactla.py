@@ -200,6 +200,16 @@ class TestPeel:
             peeled_kernels += bool(peel_rows and ns.dim)
         assert peeled_total and core_rows and peeled_kernels
 
+    def test_kernel_beyond_64_bits_is_a_value_error(self):
+        # the first matrix of this corpus has a rational kernel whose
+        # cleared entries pass 2^63
+        m = _peel_case(random.Random(7), DEFAULT_PRIMES[0])
+        ns = nullspace_of(m, QQ)
+        assert _is_kernel(m, ns, QQ)
+        assert max(abs(v) for col in ns.columns for v in col.values()) >= 1 << 63
+        with pytest.raises(ValueError, match="64-bit"):
+            ns.to_mat()
+
     def test_kernels_of_boundaries_n3_to_n5(self, bases_by_rank, store):
         # d_C and d_C stacked over d_R at every level, the matrices whose
         # kernels cycle work reads

@@ -9,10 +9,13 @@ from outhom.chain import ClassStore
 from outhom.enumerator import EnumSpec, enumerate_graphs
 from outhom.forests import (
     ForestIndex,
+    GroupScan,
     _inversion_masks,
     _mask_positions,
     _perm_parity_of_ranks,
     block_key_of,
+    forest_key,
+    mask_order,
 )
 from outhom.multigraph import Multigraph, canonical_form
 
@@ -197,18 +200,42 @@ def _brute_force_edge_group(g):
     return group
 
 
-def _classes_and_contractions(trivalent_by_rank):
-    """Every class at n <= 4 and each of its one-edge contractions."""
+def _contraction_targets(trivalent_by_rank):
+    """Each one-edge contraction of every class at n <= 4."""
     store = ClassStore()
     out = {}
     for n in (2, 3, 4):
         for cls in trivalent_by_rank[n]:
-            out.setdefault(cls.canonical_key, cls)
             for pos, (u, v) in enumerate(cls.canon.edges):
                 if u != v:
                     target, _ = store.contract_one(cls, pos)
                     out.setdefault(target.canonical_key, target)
     return list(out.values())
+
+
+def _classes_and_contractions(trivalent_by_rank):
+    """Every class at n <= 4 and each of its one-edge contractions."""
+    classes = [cls for n in (2, 3, 4) for cls in trivalent_by_rank[n]]
+    return classes + _contraction_targets(trivalent_by_rank)
+
+
+def _brute_force_record(group, subset):
+    """``(rep, parity, zero, size)`` of the orbit of ``subset`` under the
+    whole ``group``: the smallest image mask, the parity of the order an
+    element reaching it puts on ``subset``, whether an element fixing the
+    set permutes it oddly, and the number of images."""
+    mask = sum(1 << i for i in subset)
+    images = {}
+    zero = False
+    for g in group:
+        image = [g[i] for i in subset]
+        parity = _perm_parity_of_ranks(image)
+        key = sum(1 << i for i in image)
+        if key == mask and parity == -1:
+            zero = True
+        images.setdefault(key, parity)
+    rep = min(images)
+    return rep, images[rep], zero, len(images)
 
 
 class TestGeneratingSet:
@@ -230,22 +257,49 @@ class TestGeneratingSet:
             for p in range(cls.canon.vertex_count):
                 for subset in fi.acyclic_subsets(p):
                     mask = sum(1 << i for i in subset)
-                    images = {}
-                    zero = False
-                    for g in group:
-                        image = [g[i] for i in subset]
-                        parity = _perm_parity_of_ranks(image)
-                        key = sum(1 << i for i in image)
-                        if key == mask and parity == -1:
-                            zero = True
-                        images.setdefault(key, parity)
-                    rep = min(images)
-                    rep_mask, parity, got_zero, size, _ = fi.record(mask)
-                    assert (rep_mask, got_zero, size) == (rep, zero, len(images))
+                    rep, parity, zero, size = _brute_force_record(group, subset)
+                    rep_mask, got_parity, got_zero, got_size, _ = fi.record(mask)
+                    assert (rep_mask, got_zero, got_size) == (rep, zero, size)
                     if not zero:
-                        assert parity == images[rep]
+                        assert got_parity == parity
                     zeros += zero
         assert zeros > 0
+
+    def test_group_scan_matches_brute_force(self, trivalent_by_rank):
+        # the contraction-target lookup, with no orbit cache, on every
+        # acyclic subset of every contraction target at n <= 4
+        zeros = nontrivial = 0
+        for cls in _contraction_targets(trivalent_by_rank):
+            group = _edge_group(cls.edge_perm_generators, cls.canon.edge_count)
+            scan = GroupScan(cls)
+            nontrivial += len(group) > 1
+            fi = ForestIndex(cls)
+            for p in range(cls.canon.vertex_count):
+                for subset in fi.acyclic_subsets(p):
+                    mask = sum(1 << i for i in subset)
+                    rep, parity, zero, _ = _brute_force_record(group, subset)
+                    got_rep, got_parity, got_zero = scan.orbit(mask)
+                    assert (got_rep, got_zero) == (rep, zero)
+                    if not zero:
+                        assert got_parity == parity
+                    zeros += zero
+        assert zeros > 0 and nontrivial > 0
+
+
+def test_mask_order_is_forest_key_order():
+    # same-size subsets of up to 18 positions (3n - 3 edges at n = 7):
+    # ordering by mask_order is ordering by the ascending position tuple
+    rng = random.Random(18)
+    for _ in range(300):
+        e = rng.randint(1, 18)
+        size = rng.randint(0, e)
+        subsets = {tuple(sorted(rng.sample(range(e), size))) for _ in range(rng.randint(1, 40))}
+        masks = [sum(1 << i for i in s) for s in subsets]
+        width = (e + 7) // 8
+        by_order = sorted(masks, key=lambda m: mask_order(m, width))
+        assert [forest_key(b"G", m) for m in by_order] == sorted(
+            (b"G", s) for s in subsets
+        )
 
 
 def test_parity_equals_inversion_count():

@@ -180,6 +180,22 @@ class TestContraction:
         assert sorted(kept) == [0, 1]
         assert contracted.edge_count == 2
 
+    def test_unchecked_graphs_pass_the_checked_constructor(self, trivalent_by_rank):
+        # contraction and the canonical labeling build their graphs without
+        # normalizing or range-checking; the checked constructor must give
+        # back the same edge tuple for each
+        rng = random.Random(5)
+        for graphs in trivalent_by_rank.values():
+            for cls in graphs:
+                for pos in range(cls.canon.edge_count):
+                    perm = list(range(cls.canon.vertex_count))
+                    rng.shuffle(perm)
+                    g = apply_vertex_perm(cls.canon, perm)
+                    contracted = contract_edges_mapped(g, [pos])[0]
+                    canon = canonical_labeling(contracted).canon
+                    for h in (contracted, canon):
+                        assert Multigraph(h.vertex_count, h.edges).edges == h.edges
+
     def test_every_forest_of_every_rank3_graph(self, trivalent_by_rank):
         # exhaustive oracle: contraction bookkeeping over all forests
         for cls in trivalent_by_rank[3]:
