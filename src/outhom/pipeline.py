@@ -256,7 +256,10 @@ def compute_rank_profile(
             dr = cache.matrix("dr", basis, store, bases[p - 1])
             stage = "rank [dc; dr]"
             sizes = _shape("[dc; dr]", dc.rows + dr.rows, dc.cols, dc.nnz + dr.nnz)
-            rp.c[p] = rank_of(vstack(dc, dr), fld, max_nnz) - rank_dc
+            # the stacked copy is all the rank reads
+            stacked = vstack(dc, dr)
+            del dc, dr
+            rp.c[p] = rank_of(stacked, fld, max_nnz) - rank_dc
             timings[f"c-p{p}"] = time.monotonic() - t
         except _HOLE_CAUSES as exc:
             hole(stage, exc, sizes)

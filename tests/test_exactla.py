@@ -108,16 +108,28 @@ class TestRank:
             assert rank_of(m, GF2) == r_q
 
 
-def _unpeeled(m, p, max_nnz=None):
-    """:func:`_reduce` on every live entry of ``m``, with no peel in front."""
+def _core(m, p):
+    """Every live entry of ``m`` as :func:`_reduce`'s rows and column lists."""
     rows = [dict() for _ in range(m.rows)]
     col_rows = {}
     for r, c, v in m.entries:
         v = v % p if p else Fraction(v)
         if v:
             rows[r][c] = v
-            col_rows.setdefault(c, set()).add(r)
-    return _reduce(rows, col_rows, p, max_nnz)
+            col_rows.setdefault(c, []).append(r)
+    return rows, col_rows
+
+
+def _unpeeled(m, p, max_nnz=None):
+    """:func:`_reduce` on every live entry of ``m``, with no peel in front."""
+    return _reduce(*_core(m, p), p, max_nnz)
+
+
+def _mod(result, p):
+    """(pivots, pivot rows, peak) with the pivot rows' entries as GF(p)
+    elements, so symmetric and standard residues compare equal."""
+    pivots, piv_rows, peak = result
+    return pivots, [{k: v % p for k, v in row.items()} for row in piv_rows], peak
 
 
 def _is_kernel(m, ns, f):
@@ -443,9 +455,13 @@ def _reference_eliminate(m, p, max_nnz=None, events=None):
 
     The specification of :func:`_reduce` on a whole matrix: the pivot column is
     ``min((count, column))`` over active columns, the pivot row
-    ``min((length, row))`` within it.  ``events`` counts fill and
-    cancellation so a test can show it exercised both.
+    ``min((length, row))`` within it, and the other rows of the pivot column
+    are reduced in ascending row order, so the fill cap trips at the same
+    row.  ``events`` counts fill, cancellation, and refill (fill where the
+    row cancelled the column before, which leaves a stale entry in
+    :func:`_reduce`'s column list), so a test can show it exercised each.
     """
+    cancelled = set()
     rows = [dict() for _ in range(m.rows)]
     col_rows = {}
     for r, c, v in m.entries:
@@ -468,7 +484,7 @@ def _reference_eliminate(m, p, max_nnz=None, events=None):
                 group.discard(r_star)
                 if not group:
                     del col_rows[k]
-        for r in col_rows.pop(c_star, set()):
+        for r in sorted(col_rows.pop(c_star, set())):
             row = rows[r]
             factor = row.pop(c_star)
             nnz -= 1
@@ -482,6 +498,7 @@ def _reference_eliminate(m, p, max_nnz=None, events=None):
                         nnz += 1
                         if events is not None:
                             events["fill"] += 1
+                            events["refill"] += (r, k) in cancelled
                     row[k] = nv
                 elif k in row:
                     del row[k]
@@ -491,6 +508,7 @@ def _reference_eliminate(m, p, max_nnz=None, events=None):
                         if not group:
                             del col_rows[k]
                     nnz -= 1
+                    cancelled.add((r, k))
                     if events is not None:
                         events["cancel"] += 1
             if nnz > peak:
@@ -546,10 +564,33 @@ class TestEliminationOrder:
             yield rng.choice((3, 5, 7)), _random_sparse(rng, rows, cols, fill, -3, 3)
 
     def test_same_pivots_rows_and_peak(self):
-        events = {"fill": 0, "cancel": 0}
+        events = {"fill": 0, "cancel": 0, "refill": 0}
         for p, m in self._samples():
-            assert _unpeeled(m, p) == _reference_eliminate(m, p, events=events)
-        assert events["fill"] > 0 and events["cancel"] > 0
+            assert _mod(_unpeeled(m, p), p) == _reference_eliminate(m, p, events=events)
+        assert events["fill"] > 0 and events["cancel"] > 0 and events["refill"] > 0
+
+    def test_stale_column_entry(self):
+        # pivot row 0 cancels row 4's entry in column 2, and pivot row 1
+        # fills it back in: column 2's list then names row 4 twice, and row
+        # 4 must be reduced once when column 2 is the pivot column
+        m = SparseIntMat(5, 4, (
+            (0, 0, -1), (0, 2, 1), (0, 3, -1), (1, 1, 1), (1, 2, 1),
+            (2, 3, -1), (3, 2, -1), (4, 0, -1), (4, 1, 1), (4, 2, 1),
+        ))
+        for p in (3, 5, 65521):
+            events = {"fill": 0, "cancel": 0, "refill": 0}
+            assert _mod(_unpeeled(m, p), p) == _reference_eliminate(m, p, events=events)
+            assert events["refill"] == 1
+        assert len(_unpeeled(m, None)[0]) == bareiss_rank(m) == 4
+
+    def test_rank_keeps_no_pivot_rows(self):
+        # without pivot rows, no row of the core holds an entry afterwards:
+        # each pivot row is released when it is taken
+        for p, m in self._samples():
+            rows, col_rows = _core(m, p)
+            pivots, piv_rows, peak = _reduce(rows, col_rows, p, pivot_rows=False)
+            assert piv_rows is None and not any(rows)
+            assert (pivots, peak) == _unpeeled(m, p)[::2]
 
     def test_same_fill_cap(self):
         capped = 0
