@@ -5,14 +5,18 @@ contraction boundary sends a column into forested graphs on one-step
 contracted (possibly loop-bearing) graphs; those codomain generators are not
 enumerated in advance but hash-consed as they occur, each as its target
 class key and representative mask, then the rows are re-sorted by canonical
-key so the matrix does not depend on sweep order.
+key so the matrix does not depend on sweep order.  A target's class and the
+contraction's position map are built only for a term whose remaining forest
+is not empty; a one-edge forest, every generator at p = 1, needs only the
+target key.
 The removal boundary stays on the same graph, so its rows are the basis one
 forest size down.
 
 A matrix keeps its entries in three integer arrays (row, column, value) in
 (row, column) order.  Assembly appends each column's terms to the arrays,
 renumbers the rows in place and puts the entries in order with one counting
-sort by row; no per-entry Python object is kept.
+sort by row, permuting one array at a time; no per-entry Python object is
+kept.
 
 Loop-bearing contraction targets are genuine codomain generators here: a
 target is dropped only when it is zero by odd symmetry or when its entries
@@ -38,7 +42,13 @@ from .forests import (
     mask_order,
     xor_table,
 )
-from .multigraph import GraphClass, canonical_labeling, contract_edges_mapped
+from .multigraph import (
+    GraphClass,
+    Labeling,
+    _edge_map_under,
+    canonical_labeling,
+    contract_one_edge,
+)
 
 
 class InconsistencyError(RuntimeError):
@@ -126,8 +136,12 @@ class SparseIntMat:
             raise ValueError(f"an entry lies outside the {rows} x {cols} shape")
         # (row, col) order, as ``assemble`` leaves it: a least-significant-
         # digit radix sort, by column and then stably by row
-        r, c, v = _take(_counting_order(c, cols), r, c, v)
-        r, c, v = _take(_counting_order(r, rows), r, c, v)
+        for by_row in (False, True):
+            order = _counting_order(r, rows) if by_row else _counting_order(c, cols)
+            r = _take(order, r)
+            c = _take(order, c)
+            v = _take(order, v)
+            del order
         if any(r[k] == r[k - 1] and c[k] == c[k - 1] for k in range(1, nnz)):
             raise ValueError("an entry is given twice")
         return SparseIntMat.from_arrays(rows, cols, r, c, v)
@@ -148,9 +162,10 @@ def _counting_order(keys: array, size: int) -> array:
     return order
 
 
-def _take(order: array, *columns: array) -> tuple[array, ...]:
-    """Each column rearranged into ``order``."""
-    return tuple(array("q", (a[k] for k in order)) for a in columns)
+def _take(order: array, column: array) -> array:
+    """``column`` rearranged into ``order``.  Callers rebind each column in
+    turn, so only one original and its copy are alive at a time."""
+    return array("q", (column[k] for k in order))
 
 
 def vstack(top: SparseIntMat, bottom: SparseIntMat) -> SparseIntMat:
@@ -206,23 +221,34 @@ class ClassStore:
     """Interning table for graph classes plus contraction memoization.
 
     Keeps one :class:`ForestIndex` per basis class it is asked for, so
-    forest orbits are computed once per class, and memoizes single-edge
-    contraction results with their edge position maps.  A contraction
-    target it holds no index for is looked up by the
-    :class:`BoundaryKernel` that met it, through a
-    :class:`forests.GroupScan` that caches no forest.
+    forest orbits are computed once per class.  It contracts each (class,
+    position) once, with one canonical search, and memoizes the target key
+    and the labeling's vertex map (:meth:`contract_key`).  A target key
+    with no class yet keeps its :class:`Labeling`, and :meth:`get` builds
+    the class from it on first read; the position map is built, from a
+    second contraction and the stored vertex map, only when
+    :meth:`contract_one` is asked for it.  A contraction target it holds no
+    index for is looked up by the :class:`BoundaryKernel` that met it,
+    through a :class:`forests.GroupScan` that caches no forest.
     """
 
     def __init__(self) -> None:
         self._classes: dict[bytes, GraphClass] = {}
+        self._labelings: dict[bytes, Labeling] = {}
         self._findex: dict[bytes, ForestIndex] = {}
-        self._contract: dict[tuple[bytes, int], tuple[bytes, tuple[Optional[int], ...]]] = {}
+        # per (class key, position): (target key, vertex map, None), then
+        # (target key, None, position map) once the map is built
+        self._contract: dict[tuple[bytes, int], tuple] = {}
 
     def intern(self, cls: GraphClass) -> GraphClass:
+        self._labelings.pop(cls.canonical_key, None)
         return self._classes.setdefault(cls.canonical_key, cls)
 
     def get(self, key: bytes) -> GraphClass:
-        return self._classes[key]
+        cls = self._classes.get(key)
+        if cls is None:
+            cls = self._classes[key] = self._labelings.pop(key).graph_class()
+        return cls
 
     def forest_index(self, cls: GraphClass) -> ForestIndex:
         cls = self.intern(cls)
@@ -232,29 +258,40 @@ class ClassStore:
             self._findex[cls.canonical_key] = fi
         return fi
 
+    def _contraction(self, cls: GraphClass, pos: int) -> tuple:
+        memo = self._contract.get((cls.canonical_key, pos))
+        if memo is None:
+            lab = canonical_labeling(contract_one_edge(cls.canon, pos)[0])
+            # one bytes object per key, however many contractions reach it
+            known = self._classes.get(lab.key)
+            if known is None:
+                key = self._labelings.setdefault(lab.key, lab).key
+            else:
+                key = known.canonical_key
+            memo = (key, lab.vertex_map, None)
+            self._contract[(cls.canonical_key, pos)] = memo
+        return memo
+
+    def contract_key(self, cls: GraphClass, pos: int) -> bytes:
+        """The canonical key of the contraction of the non-loop edge at
+        ``pos`` of the canonical graph; builds no class and no map."""
+        return self._contraction(cls, pos)[0]
+
     def contract_one(
         self, cls: GraphClass, pos: int
     ) -> tuple[GraphClass, tuple[Optional[int], ...]]:
-        """Contract one edge of the canonical graph; canonicalize the result,
-        building its class only when the key is not interned yet.
+        """Contract one non-loop edge of the canonical graph.
 
         Returns the interned target class and the map from source edge
         positions to target canonical positions (``None`` for ``pos``).
         """
-        cached = self._contract.get((cls.canonical_key, pos))
-        if cached is not None:
-            key, pos_map = cached
-            return self._classes[key], pos_map
-        contracted, raw_map = contract_edges_mapped(cls.canon, [pos])
-        lab = canonical_labeling(contracted)
-        target = self._classes.get(lab.key)
-        if target is None:
-            target = self.intern(lab.graph_class())
-        edge_map = lab.edge_map(contracted)
-        pos_map = tuple(
-            None if m is None else edge_map[m] for m in raw_map
-        )
-        self._contract[(cls.canonical_key, pos)] = (target.canonical_key, pos_map)
+        key, vertex_map, pos_map = self._contraction(cls, pos)
+        target = self.get(key)
+        if pos_map is None:
+            contracted, raw_map = contract_one_edge(cls.canon, pos)
+            edge_map = _edge_map_under(contracted, target.canon, vertex_map)
+            pos_map = tuple(None if m is None else edge_map[m] for m in raw_map)
+            self._contract[(cls.canonical_key, pos)] = (key, None, pos_map)
         return target, pos_map
 
 
@@ -302,11 +339,14 @@ class BoundaryKernel:
     in its index.
 
     Removing the forest edge at ``pos`` leaves the mask ``F ^ 1 << pos``,
-    already in ascending order.  Contracting it goes through a table, one per
-    (source class, position), built from ``ClassStore.contract_one``'s
-    position map only once a term with a nonempty remaining forest needs it:
-    :func:`forests.xor_table`, whose XOR over the remaining forest gives the
-    target mask and the parity of the order the map puts on it.
+    already in ascending order.  Contracting it needs only the target key
+    (``ClassStore.contract_key``) when the remaining forest is empty, as it
+    is for every term of a one-edge forest: the empty forest is its own
+    orbit, with sign +1 and never zero.  A nonempty remaining forest goes
+    through a table, one per (source class, position), built from
+    ``ClassStore.contract_one``'s position map the first time such a term
+    needs it: :func:`forests.xor_table`, whose XOR over the remaining forest
+    gives the target mask and the parity of the order the map puts on it.
 
     A target class the store holds a forest index for is looked up there.
     Otherwise the kernel makes one that lives and dies with it, by role: a
@@ -323,20 +363,18 @@ class BoundaryKernel:
         # mask; ``row_count`` ids are interned when there is no ``target``
         self.rows: dict[bytes, dict[int, int]] = {}
         self.row_count = 0
-        # per target class met: its orbit lookup and its ``rows`` entry
-        self._targets: dict[bytes, tuple[ForestIndex | GroupScan, dict[int, int]]] = {}
-        # per source class, per position: [target key, target, table or None]
+        # per target class met with a nonempty forest: its orbit lookup
+        self._lookups: dict[bytes, ForestIndex | GroupScan] = {}
+        # per source class, per position: [target key, its ``rows`` entry,
+        # orbit lookup or None, table or None]
         self._contractions: dict[bytes, list[Optional[list]]] = {}
 
-    def _target_of(
-        self, cls: GraphClass, lookup: type
-    ) -> tuple[ForestIndex | GroupScan, dict[int, int]]:
+    def _lookup(self, cls: GraphClass, lookup: type) -> ForestIndex | GroupScan:
         key = cls.canonical_key
-        t = self._targets.get(key)
-        if t is None:
-            fi = self.store._findex.get(key) or lookup(cls)
-            t = self._targets[key] = (fi, self.rows.setdefault(key, {}))
-        return t
+        fi = self._lookups.get(key)
+        if fi is None:
+            fi = self._lookups[key] = self.store._findex.get(key) or lookup(cls)
+        return fi
 
     def _row(self, class_key: bytes, rep: int) -> int:
         if self.target is None:
@@ -363,8 +401,9 @@ class BoundaryKernel:
         for j in forest:
             fmask |= 1 << j
         if kind == "remove":
-            fi, rows = self._target_of(src, ForestIndex)
             tkey = src.canonical_key
+            rows = self.rows.setdefault(tkey, {})
+            fi = self._lookup(src, ForestIndex) if len(forest) > 1 else None
         elif kind == "contract":
             per_pos = self._contractions.get(src.canonical_key)
             if per_pos is None:
@@ -378,30 +417,34 @@ class BoundaryKernel:
             if kind == "contract":
                 entry = per_pos[pos]
                 if entry is None:
-                    target, _ = self.store.contract_one(src, pos)
-                    entry = per_pos[pos] = [
-                        target.canonical_key, self._target_of(target, GroupScan), None
-                    ]
-                tkey, (fi, rows), table = entry
+                    tkey = self.store.contract_key(src, pos)
+                    rows = self.rows.setdefault(tkey, {})
+                    entry = per_pos[pos] = [tkey, rows, None, None]
+                tkey, rows, fi, table = entry
                 if mask:
-                    e = fi.edge_count
                     if table is None:
-                        pos_map = self.store.contract_one(src, pos)[1]
-                        table = entry[2] = xor_table(pos_map, e)
+                        target, pos_map = self.store.contract_one(src, pos)
+                        fi = entry[2] = self._lookup(target, GroupScan)
+                        table = entry[3] = xor_table(pos_map, fi.edge_count)
+                    e = fi.edge_count
                     x = 0
                     for j in forest:
                         x ^= table[j]
                     if (x >> e & mask).bit_count() & 1:
                         sign = -sign
                     mask = x & ~(-1 << e)
-            record = fi.orbit(mask)
-            if record[2]:  # zero by odd symmetry
-                continue
-            rep = record[0]
+            if mask:
+                record = fi.orbit(mask)
+                if record[2]:  # zero by odd symmetry
+                    continue
+                rep = record[0]
+                sign *= record[1]
+            else:  # the empty forest: its own orbit, parity +1, never zero
+                rep = 0
             row = rows.get(rep)
             if row is None:
                 row = rows[rep] = self._row(tkey, rep)
-            acc[row] = acc.get(row, 0) + sign * record[1]
+            acc[row] = acc.get(row, 0) + sign
 
 
 def assemble(
@@ -459,9 +502,10 @@ def assemble(
         labels, rows = None, target.dim
     # columns ascend within each row already, so a stable sort by row puts
     # the entries in (row, col) order
-    row_ids, col_ids, values = _take(
-        _counting_order(row_ids, rows), row_ids, col_ids, values
-    )
+    order = _counting_order(row_ids, rows)
+    row_ids = _take(order, row_ids)
+    col_ids = _take(order, col_ids)
+    values = _take(order, values)
     return SparseIntMat.from_arrays(rows, b.dim, row_ids, col_ids, values), labels
 
 

@@ -45,7 +45,7 @@ from .multigraph import (
     Multigraph,
     canonical_form,
     canonical_labeling,
-    contract_edges,
+    contract_one_edge,
     orbit_of,
 )
 from .parallel import pmap
@@ -102,7 +102,7 @@ def enumerate_graphs(spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
                 seen |= orbit_of((pos,), cls.edge_perm_generators)
                 if u == v or (not spec.allow_loops and mult[(u, v)] > 1):
                     continue
-                lab = canonical_labeling(contract_edges(g, (pos,)))
+                lab = canonical_labeling(contract_one_edge(g, pos)[0])
                 if lab.key in found:
                     continue
                 found[lab.key] = lab.graph_class()

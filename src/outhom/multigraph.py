@@ -145,6 +145,36 @@ def contract_edges_mapped(
     return Multigraph._from_sorted(new_v, tuple(e for e, _ in kept)), tuple(pos_map)
 
 
+def contract_one_edge(
+    g: Multigraph, pos: int
+) -> tuple[Multigraph, tuple[Optional[int], ...]]:
+    """:func:`contract_edges_mapped` of the one non-loop edge at ``pos``,
+    without a union-find.
+
+    The edge is some ``(u, v)`` with ``u < v``: ``v`` merges into ``u`` and
+    the labels above ``v`` shift down by one, which is the relabeling by
+    first appearance.  Raises ``ValueError`` on a loop.
+    """
+    if not 0 <= pos < g.edge_count:
+        raise IndexError(f"edge position {pos} out of range")
+    u, v = g.edges[pos]
+    if u == v:
+        raise ValueError(f"edge {pos} is a loop")
+    relabel = list(range(g.vertex_count - 1))
+    relabel.insert(v, u)
+    kept = []
+    for old, (a, b) in enumerate(g.edges):
+        a, b = relabel[a], relabel[b]
+        kept.append(((a, b) if a <= b else (b, a), old))
+    del kept[pos]
+    kept.sort()
+    pos_map: list[Optional[int]] = [None] * g.edge_count
+    for new_pos, (_, old_pos) in enumerate(kept):
+        pos_map[old_pos] = new_pos
+    edges = tuple(e for e, _ in kept)
+    return Multigraph._from_sorted(g.vertex_count - 1, edges), tuple(pos_map)
+
+
 def apply_vertex_perm(g: Multigraph, perm: Sequence[int]) -> Multigraph:
     """Relabel vertices by ``perm`` (old label -> new label)."""
     return Multigraph(g.vertex_count, tuple((perm[u], perm[v]) for u, v in g.edges))

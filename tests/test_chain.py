@@ -377,3 +377,77 @@ class TestContractOne:
                     assert target is returned.setdefault(key, target)
                     assert target is store.get(key)
         assert new > 0 and interned > 0
+
+    @pytest.mark.parametrize("key_first", [True, False])
+    def test_key_and_map_in_either_order(self, trivalent_by_rank, key_first):
+        store = ClassStore()
+        for n in (3, 4):
+            for cls in trivalent_by_rank[n]:
+                for pos in range(cls.canon.edge_count):
+                    contracted, raw_map = contract_edges_mapped(cls.canon, [pos])
+                    want, _, edge_map = canonical_form_mapped(contracted)
+                    if key_first:
+                        key = store.contract_key(cls, pos)
+                        target, pos_map = store.contract_one(cls, pos)
+                    else:
+                        target, pos_map = store.contract_one(cls, pos)
+                        key = store.contract_key(cls, pos)
+                    assert key == target.canonical_key == want.canonical_key
+                    assert target.canon == want.canon
+                    assert pos_map == tuple(
+                        None if m is None else edge_map[m] for m in raw_map
+                    )
+
+    def test_key_builds_no_class(self, trivalent_by_rank, monkeypatch):
+        # a key met only by ``contract_key`` gets its class on the first
+        # ``get``; an ``intern`` of a pending key supersedes its labeling
+        import outhom.multigraph as multigraph
+
+        cls = trivalent_by_rank[3][0]
+        by_key = {}
+        for pos in range(cls.canon.edge_count):
+            target = canonical_form_mapped(contract_edges_mapped(cls.canon, [pos])[0])[0]
+            by_key.setdefault(target.canonical_key, target)
+        assert len(by_key) > 1
+        built = []
+        real = multigraph.Labeling.graph_class
+        monkeypatch.setattr(
+            multigraph.Labeling, "graph_class", lambda lab: built.append(lab) or real(lab)
+        )
+        store = ClassStore()
+        keys = {store.contract_key(cls, pos) for pos in range(cls.canon.edge_count)}
+        assert keys == set(by_key) and built == []
+        first, second = sorted(keys)[:2]
+        target = store.get(first)
+        assert target == by_key[first] and target is store.get(first)
+        assert store.intern(by_key[second]) is by_key[second]
+        assert store.get(second) is by_key[second]
+        assert len(built) == 1
+
+    def test_one_edge_forests_need_keys_only(self, trivalent_by_rank, monkeypatch):
+        # every p = 1 term contracts to the empty forest: the assembly
+        # builds no target class and no position map, and agrees with the
+        # reference, which builds both
+        import outhom.chain as chain
+        import outhom.multigraph as multigraph
+
+        classes, maps = [], []
+        real_class = multigraph.Labeling.graph_class
+        real_map = chain._edge_map_under
+        monkeypatch.setattr(
+            multigraph.Labeling,
+            "graph_class",
+            lambda lab: classes.append(lab.key) or real_class(lab),
+        )
+        monkeypatch.setattr(
+            chain, "_edge_map_under", lambda *a: maps.append(a) or real_map(*a)
+        )
+        store = ClassStore()
+        basis = build_chain_basis(5, 1, trivalent_by_rank[5], store)
+        got = assemble(basis, CONTRACT, store)
+        assert (classes, maps) == ([], [])
+        want = reference_boundary(basis, CONTRACT, ClassStore())
+        assert got[0].rows > 0 and got[0].entries == want[0].entries
+        assert (got[0].rows, got[0].cols) == (want[0].rows, want[0].cols)
+        assert tuple(got[1]) == want[1]
+        assert classes and maps

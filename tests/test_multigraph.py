@@ -18,6 +18,7 @@ from outhom.multigraph import (
     canonical_labeling,
     contract_edges,
     contract_edges_mapped,
+    contract_one_edge,
 )
 from reference_enum import classify
 
@@ -179,6 +180,26 @@ class TestContraction:
         kept = [pos_map[0], pos_map[2]]
         assert sorted(kept) == [0, 1]
         assert contracted.edge_count == 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_edge_matches_the_union_find(self, n):
+        # every edge of every class of the closure with loops: a non-loop
+        # edge contracts as under the union-find, a loop raises
+        loops = 0
+        for cls in enumerate_graphs(EnumSpec(n, 2 * n - 3, allow_loops=True)):
+            g = cls.canon
+            for pos, (u, v) in enumerate(g.edges):
+                if u == v:
+                    loops += 1
+                    with pytest.raises(ValueError):
+                        contract_one_edge(g, pos)
+                else:
+                    assert contract_one_edge(g, pos) == contract_edges_mapped(g, [pos])
+        assert loops > 0
+
+    def test_one_edge_out_of_range_position(self):
+        with pytest.raises(IndexError):
+            contract_one_edge(Multigraph(2, ((0, 1),)), 1)
 
     def test_unchecked_graphs_pass_the_checked_constructor(self, trivalent_by_rank):
         # contraction and the canonical labeling build their graphs without
