@@ -9,10 +9,10 @@ too.  README.md ("Cache layout") lists the files and the checks.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .chain import ChainBasis, ClassStore, SparseIntMat, assemble, build_chain_basis
-from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs
+from .enumerator import MAX_CLASSES, EnumSpec, ResourceCapError, enumerate_graphs
 from .forests import ForestedGraph, ForestKey
 from .multigraph import GraphClass, Multigraph, canonical_labeling
 
@@ -45,8 +45,8 @@ class ArtifactStore:
         name = f"graphs-n{spec.n}-{mode}"
         lines = self._read(f"{name}.txt")
         if lines is not None:
-            if len(lines) > spec.max_classes:
-                raise ResourceCapError(f"class cap {spec.max_classes} exceeded", len(lines))
+            if len(lines) > MAX_CLASSES:
+                raise ResourceCapError(f"class cap {MAX_CLASSES} exceeded", len(lines))
             graphs = _canonical_classes(lines)
             if graphs is not None:
                 return graphs
@@ -60,10 +60,10 @@ class ArtifactStore:
 
     def basis(
         self, n: int, p: int, graphs: Sequence[GraphClass], store: ClassStore,
-        max_basis: Optional[int] = None, orbit_lists: Optional[Iterable] = None,
+        max_basis: Optional[int] = None,
     ) -> ChainBasis:
         """The forest basis of size ``p`` over ``graphs`` (sorted by canonical
-        key); ``orbit_lists`` goes to ``build_chain_basis`` if it is built."""
+        key)."""
         name = f"basis-n{n}-p{p}.txt"
         lines = self._read(name)
         if lines is not None:
@@ -81,7 +81,7 @@ class ArtifactStore:
             if elements is not None:
                 return ChainBasis(n=n, p=p, elements=elements)
             self._drop(f"dc-n{n}-p{p}.*", f"dr-n{n}-p{p}.*", f"dr-n{n}-p{p + 1}.*")
-        basis = build_chain_basis(n, p, graphs, store, max_basis, orbit_lists)
+        basis = build_chain_basis(n, p, graphs, store, max_basis)
         if self.root is not None:
             self._write(name, [label_text(el.key) for el in basis.elements])
         return basis

@@ -36,7 +36,6 @@ from .forests import (
     ForestedGraph,
     ForestIndex,
     ForestKey,
-    GroupScan,
     block_key_of,
     forest_key,
     mask_order,
@@ -220,16 +219,17 @@ class ChainBasis:
 class ClassStore:
     """Interning table for graph classes plus contraction memoization.
 
-    Keeps one :class:`ForestIndex` per basis class it is asked for, so
-    forest orbits are computed once per class.  It contracts each (class,
-    position) once, with one canonical search, and memoizes the target key
-    and the labeling's vertex map (:meth:`contract_key`).  A target key
-    with no class yet keeps its :class:`Labeling`, and :meth:`get` builds
-    the class from it on first read; the position map is built, from a
-    second contraction and the stored vertex map, only when
-    :meth:`contract_one` is asked for it.  A contraction target it holds no
-    index for is looked up by the :class:`BoundaryKernel` that met it,
-    through a :class:`forests.GroupScan` that caches no forest.
+    It contracts each (class, position) once, with one canonical search,
+    and memoizes the target key and the labeling's vertex map
+    (:meth:`contract_key`).  A target key with no class yet keeps its
+    :class:`Labeling`, and :meth:`get` builds the class from it on first
+    read; the position map is built, from a second contraction and the
+    stored vertex map, only when :meth:`contract_one` is asked for it.
+
+    :meth:`forest_index` keeps one :class:`ForestIndex` per class it is
+    asked for, so a caller that normalizes many forests of one class lists
+    its edge group once.  The basis build and the boundary assembly do not
+    use it: each makes the indexes it needs and drops them when done.
     """
 
     def __init__(self) -> None:
@@ -308,14 +308,13 @@ def build_chain_basis(
     Graphs are taken in the given order (callers pass them sorted by
     canonical key); within one graph, representatives come out in
     lexicographic order.  ``orbit_lists`` may supply precomputed
-    ``orbit_representatives(p)`` results matching ``graphs``.
+    ``orbit_representatives(p)`` results matching ``graphs``; otherwise each
+    class's index lives only while its representatives are listed.
     """
     store = store or ClassStore()
     elements: list[ForestedGraph] = []
     if orbit_lists is None:
-        orbit_lists = (
-            store.forest_index(cls).orbit_representatives(p) for cls in graphs
-        )
+        orbit_lists = (ForestIndex(cls).orbit_representatives(p) for cls in graphs)
     for cls, reps in zip(graphs, orbit_lists):
         cls = store.intern(cls)
         for rep, _, zero in reps:
@@ -348,12 +347,12 @@ class BoundaryKernel:
     needs it: :func:`forests.xor_table`, whose XOR over the remaining forest
     gives the target mask and the parity of the order the map puts on it.
 
-    A target class the store holds a forest index for is looked up there.
-    Otherwise the kernel makes one that lives and dies with it, by role: a
-    removal source gets a :class:`ForestIndex`, whose orbit caches serve its
-    many removal terms, and a class met only as a contraction target gets a
-    :class:`forests.GroupScan`, which caches no forest (the contracted
-    classes of a trivalent basis are read by no other level).
+    Orbits are looked up through a :class:`ForestIndex` per class met, which
+    lives and dies with the kernel.  Removal terms repeat masks (78k
+    distinct among 239k terms at n = 6, p = 8), so their records are
+    memoized, one source class at a time: the memo is reset when the
+    source class changes, and a basis lists its elements class by class.
+    Contraction targets get no memo.
     """
 
     def __init__(self, store: ClassStore, target: Optional[ChainBasis] = None):
@@ -363,17 +362,19 @@ class BoundaryKernel:
         # mask; ``row_count`` ids are interned when there is no ``target``
         self.rows: dict[bytes, dict[int, int]] = {}
         self.row_count = 0
-        # per target class met with a nonempty forest: its orbit lookup
-        self._lookups: dict[bytes, ForestIndex | GroupScan] = {}
+        # per class met with a nonempty forest to look up: its index
+        self._indexes: dict[bytes, ForestIndex] = {}
         # per source class, per position: [target key, its ``rows`` entry,
-        # orbit lookup or None, table or None]
+        # index or None, table or None]
         self._contractions: dict[bytes, list[Optional[list]]] = {}
+        # the removal source class of ``_removed``, and its records by mask
+        self._removal_source: Optional[bytes] = None
+        self._removed: dict[int, tuple[int, int, bool]] = {}
 
-    def _lookup(self, cls: GraphClass, lookup: type) -> ForestIndex | GroupScan:
-        key = cls.canonical_key
-        fi = self._lookups.get(key)
+    def _index(self, cls: GraphClass) -> ForestIndex:
+        fi = self._indexes.get(cls.canonical_key)
         if fi is None:
-            fi = self._lookups[key] = self.store._findex.get(key) or lookup(cls)
+            fi = self._indexes[cls.canonical_key] = ForestIndex(cls)
         return fi
 
     def _row(self, class_key: bytes, rep: int) -> int:
@@ -403,7 +404,11 @@ class BoundaryKernel:
         if kind == "remove":
             tkey = src.canonical_key
             rows = self.rows.setdefault(tkey, {})
-            fi = self._lookup(src, ForestIndex) if len(forest) > 1 else None
+            fi = self._index(src) if len(forest) > 1 else None
+            if tkey != self._removal_source:
+                self._removal_source = tkey
+                self._removed = {}
+            memo = self._removed
         elif kind == "contract":
             per_pos = self._contractions.get(src.canonical_key)
             if per_pos is None:
@@ -424,7 +429,7 @@ class BoundaryKernel:
                 if mask:
                     if table is None:
                         target, pos_map = self.store.contract_one(src, pos)
-                        fi = entry[2] = self._lookup(target, GroupScan)
+                        fi = entry[2] = self._index(target)
                         table = entry[3] = xor_table(pos_map, fi.edge_count)
                     e = fi.edge_count
                     x = 0
@@ -434,7 +439,12 @@ class BoundaryKernel:
                         sign = -sign
                     mask = x & ~(-1 << e)
             if mask:
-                record = fi.orbit(mask)
+                if kind == "contract":
+                    record = fi.orbit(mask)
+                else:
+                    record = memo.get(mask)
+                    if record is None:
+                        record = memo[mask] = fi.orbit(mask)
                 if record[2]:  # zero by odd symmetry
                     continue
                 rep = record[0]

@@ -59,6 +59,10 @@ class ResourceCapError(RuntimeError):
         self.partial = partial
 
 
+# the most classes one enumeration builds before it raises ResourceCapError
+MAX_CLASSES = 10_000_000
+
+
 @dataclass(frozen=True)
 class EnumSpec:
     """What to enumerate: rank, degree regime, and admissibility filters."""
@@ -66,7 +70,6 @@ class EnumSpec:
     n: int
     max_degree: int = 0  # 0 = trivalent only
     allow_loops: bool = False
-    max_classes: int = 10_000_000
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -87,7 +90,7 @@ def enumerate_graphs(spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
     smallest position, so every key is met first where contracting every
     edge would meet it.
     """
-    found = cubic_level(spec.n, spec.max_classes, threads)
+    found = cubic_level(spec.n, threads)
     level = list(found)
     for _ in range(spec.max_degree):
         nxt = []
@@ -107,9 +110,9 @@ def enumerate_graphs(spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
                     continue
                 found[lab.key] = lab.graph_class()
                 nxt.append(lab.key)
-                if len(found) > spec.max_classes:
+                if len(found) > MAX_CLASSES:
                     raise ResourceCapError(
-                        f"class cap {spec.max_classes} exceeded", partial=len(found)
+                        f"class cap {MAX_CLASSES} exceeded", partial=len(found)
                     )
         level = nxt
     return [found[key] for key in sorted(found)]
@@ -287,9 +290,7 @@ def _pair_orbit(pair: Edge, gens: Sequence[Sequence[int]]) -> set[Edge]:
     return orbit
 
 
-def cubic_level(
-    n: int, max_classes: int = 10_000_000, threads: int = 1
-) -> dict[bytes, GraphClass]:
+def cubic_level(n: int, threads: int = 1) -> dict[bytes, GraphClass]:
     """All 2-edge-connected loopless cubic multigraph classes of rank n, keyed
     by canonical key; insertion never builds a bridge.
 
@@ -312,9 +313,9 @@ def cubic_level(
                         f"canonical augmentation met {lab.key.decode('ascii')} twice"
                     )
                 nxt[lab.key] = lab.graph_class()
-                if len(nxt) > max_classes:
+                if len(nxt) > MAX_CLASSES:
                     raise ResourceCapError(
-                        f"class cap {max_classes} exceeded at rank step",
+                        f"class cap {MAX_CLASSES} exceeded at rank step",
                         partial=len(nxt),
                     )
         level = nxt

@@ -5,46 +5,50 @@ of that set.  Reordering by a permutation multiplies the generator by the
 permutation's sign, so a generator is zero exactly when some automorphism
 preserves the forest setwise while permuting its edges oddly.
 
-Forest sets are encoded as bitmasks over edge positions.  For each orbit we
-pick the member with the smallest bitmask as representative and transport
-signs along a breadth-first traversal of the orbit; a parity conflict
-anywhere in the traversal certifies an odd symmetry (the conflict edges are
-exactly the Schreier generators of the setwise stabilizer).  So the
-traversal needs only a generating set of the edge automorphism group, not the
-whole group.
+Forest sets are encoded as bitmasks over edge positions.  The representative
+of an orbit is its member with the smallest bitmask.  A lookup scans the
+class's whole edge automorphism group (the closure of
+``edge_perm_generators``), listed once per :class:`ForestIndex`: the
+smallest image of the mask is the representative, the parity of an element
+reaching it is the transport sign, and two elements reaching it with
+opposite parities certify an odd symmetry.  This is the plain form of the
+smallest-image problem (Linton, "Finding the smallest image of a set", ISSAC
+2004).  Most groups are small (7.6 elements on average over the contraction
+targets at n = 7, weighted by how often they are met; the largest n = 7
+trivalent group has 768), and nothing is cached per mask: a record for every
+orbit member met would be most of the memory of a basis build and of an
+assembly.  (The removal boundary, whose terms repeat masks, keeps a memo for
+one source class at a time; see :class:`chain.BoundaryKernel`.)  The empty
+mask is its own orbit, and a one-edge mask has no sign, so its
+representative is the smallest position of its orbit under the generators;
+forests of size at most 1 never list a group.
 
-The traversal is bit arithmetic.  For a generator g and a position i, let
+Enumerating representatives walks the acyclic subsets in order and drops a
+subset as soon as one group element maps it lower.  For a representative
+the scan counts the stabilizer, whose index in the group is the orbit size;
+an odd element in it makes the orbit zero.
+
+The scan is bit arithmetic.  For a permutation g and a position i, let
 ``inv[i]`` be the mask of the positions j > i with g(j) < g(i).  The parity
 of g on an ascending set S is the parity of the sum over i in S of
 ``popcount(inv[i] & S)``; since the parity of a sum of popcounts is the
 popcount of the XOR, it is ``popcount((XOR of inv[i] over S) & S) & 1``.  Each
-generator keeps one table ``inv[i] << e | 1 << g(i)`` (e edges), so a single
+element keeps one table ``inv[i] << e | 1 << g(i)`` (e edges), so a single
 XOR over the positions of S yields the image of S in the low e bits (the
 images are distinct bits) and the XOR of the inversion masks above them.
 
 Acyclic subsets are walked depth first with an explicit stack and a
 union-find whose links are undone on backtracking, in lexicographic order
 of the ascending position tuples.
-
-Two lookups share the record ``(rep, parity, zero)`` of a forest mask.  A
-:class:`ForestIndex` serves the classes a :class:`chain.ClassStore` owns
-(bases, removal sources, the oracle): its BFS caches the record of every
-orbit member, because the basis enumeration and ``d_R`` meet most members.
-A :class:`GroupScan` serves a class met only as a contraction target: it
-lists the class's edge automorphism group once, one XOR table per element,
-and scans it on every lookup with no per-mask cache.  Those groups are small
-(7.6 elements on average at n = 7, weighted by contraction, at most 128),
-about what the BFS visits per orbit, and the member caches were most of the
-memory of a contraction assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .multigraph import GraphClass, canonical_labeling, contract_edges
+from .multigraph import GraphClass, canonical_labeling, contract_edges, orbit_of
 
 ForestKey = tuple[bytes, tuple[int, ...]]
 
@@ -79,14 +83,15 @@ class SignedRef:
 class ForestIndex:
     """Orbit and sign bookkeeping for the forests of one graph.
 
-    Caches, per forest set, the record ``(rep, parity, zero, size, key)`` of
-    its orbit: the representative mask, the transport parity from the set's
-    ascending order to the representative's ascending order, the zero flag,
-    the orbit size, and the canonical key of the representative.  One BFS
-    fills the cache for a whole orbit, and the members share at most two
-    record tuples (one per parity) and one key, so every boundary term into
-    the orbit holds the same key object.
+    The record of a forest mask is ``(rep, parity, zero)``: the orbit's
+    representative mask, the transport parity from the set's ascending
+    order to the representative's, and the zero flag.  It is found by a scan
+    of the class's edge automorphism group, listed on the first lookup that
+    needs it, one :func:`xor_table` per non-identity element.  Nothing is
+    kept per mask; the slots below are all an index holds.
     """
+
+    __slots__ = ("graph", "edge_count", "vertex_count", "endpoints", "_group")
 
     def __init__(self, graph: GraphClass):
         self.graph = graph
@@ -94,53 +99,16 @@ class ForestIndex:
         self.edge_count = g.edge_count
         self.vertex_count = g.vertex_count
         self.endpoints = g.edges
-        # mask -> (rep_mask, parity asc(mask)->asc(rep), zero, orbit size, key)
-        self._info: dict[int, tuple[int, int, bool, int, ForestKey]] = {}
+        self._group: Optional[list[list[int]]] = None
 
-    @cached_property
-    def _tables(self) -> list[list[int]]:
-        """Per edge generator ``gen`` (the search's automorphism generators
-        induced on edges, plus the parallel transpositions),
-        ``table[i] = inv[i] << e | 1 << gen[i]``; see the module docstring."""
-        gens = self.graph.edge_perm_generators
-        return [xor_table(gen, self.edge_count) for gen in gens]
-
-    def _orbit(self, mask: int) -> tuple[int, int, bool, int, ForestKey]:
-        """BFS over the orbit of ``mask``, transporting parity; caches the
-        record of every member and returns that of ``mask``."""
-        par = {mask: 1}
-        zero = False
-        if mask and self.graph.edge_perm_generators:
+    def _group_tables(self) -> list[list[int]]:
+        """The :func:`xor_table` of each non-identity element of the edge
+        automorphism group, listed once."""
+        if self._group is None:
             e = self.edge_count
-            full = (1 << e) - 1
-            tables = self._tables
-            queue = [mask]
-            while queue:
-                cur = queue.pop()
-                pcur = par[cur]
-                positions = _mask_positions(cur)
-                for table in tables:
-                    acc = 0
-                    for i in positions:
-                        acc ^= table[i]
-                    img = acc & full
-                    q = -pcur if (acc >> e & cur).bit_count() & 1 else pcur
-                    known = par.get(img)
-                    if known is None:
-                        par[img] = q
-                        queue.append(img)
-                    elif known != q:
-                        zero = True
-        rep = min(par)
-        key = forest_key(self.graph.canonical_key, rep)
-        size = len(par)
-        # parity asc(m) -> asc(rep) composes the two transports
-        records = {1: (rep, 1, zero, size, key), -1: (rep, -1, zero, size, key)}
-        prep = par[rep]
-        info = self._info
-        for m, pm in par.items():
-            info[m] = records[prep * pm]
-        return info[mask]
+            elements = _group_elements(self.graph.edge_perm_generators, e)
+            self._group = [xor_table(g, e) for g in elements]
+        return self._group
 
     def normalize(self, ordered_forest: Sequence[int]) -> SignedRef:
         """Signed canonical reference of an ordered forest.
@@ -154,28 +122,49 @@ class ForestIndex:
             if mask >> i & 1:
                 raise ValueError("duplicate edge in forest")
             mask |= 1 << i
-        _, parity, zero, _, key = self.record(mask)
+        rep, parity, zero = self.record(mask)
+        key = forest_key(self.graph.canonical_key, rep)
         if zero:
             return SignedRef(0, key)
         return SignedRef(_perm_parity_of_ranks(ordered_forest) * parity, key)
 
-    def record(self, mask: int) -> tuple[int, int, bool, int, ForestKey]:
-        """The cached record ``(rep, parity, zero, size, key)`` of the orbit of
-        the forest ``mask``; raises ``ValueError`` if ``mask`` has a cycle.
-
-        A cached mask lies in the orbit of a set found acyclic before, and
-        automorphisms preserve acyclicity, so only an unseen mask needs the
-        union-find.
-        """
-        if mask not in self._info and not self.is_acyclic(_mask_positions(mask)):
+    def record(self, mask: int) -> tuple[int, int, bool]:
+        """The record ``(rep, parity, zero)`` of the forest ``mask``; raises
+        ``ValueError`` if ``mask`` has a cycle."""
+        if not self.is_acyclic(_mask_positions(mask)):
             raise ValueError("forest contains a cycle")
         return self.orbit(mask)
 
-    def orbit(self, mask: int) -> tuple[int, int, bool, int, ForestKey]:
+    def orbit(self, mask: int) -> tuple[int, int, bool]:
         """The record of :meth:`record` without the acyclicity check, for a
         mask known to be a forest: a subset of one, or its image under a
-        contraction, as every boundary target is."""
-        return self._info.get(mask) or self._orbit(mask)
+        contraction, as every boundary target is.
+
+        ``rep`` is the smallest image of ``mask``, ``parity`` that of the
+        order an element reaching it puts on ``mask``, and ``zero`` whether
+        two elements reach it with opposite parities.  The empty mask and a
+        one-edge mask have no sign and list no group."""
+        if not mask & mask - 1:
+            if mask:
+                pos = mask.bit_length() - 1
+                mask = 1 << min(orbit_of((pos,), self.graph.edge_perm_generators))
+            return mask, 1, False
+        e = self.edge_count
+        positions = _mask_positions(mask)
+        full = (1 << e) - 1
+        rep, parity, zero = mask, 1, False
+        for table in self._group_tables():
+            acc = 0
+            for i in positions:
+                acc ^= table[i]
+            img = acc & full
+            if img <= rep:
+                q = -1 if (acc >> e & mask).bit_count() & 1 else 1
+                if img < rep:
+                    rep, parity, zero = img, q, False
+                elif q != parity:
+                    zero = True
+        return rep, parity, zero
 
     def is_acyclic(self, positions: Iterable[int]) -> bool:
         parent = list(range(self.vertex_count))
@@ -255,62 +244,50 @@ class ForestIndex:
         """One (rep, orbit_size, zero) triple per orbit of acyclic p-subsets.
 
         Representatives come out in lexicographic order: the enumeration
-        visits subsets in that order and reports an orbit when it reaches
-        the orbit's representative.
+        visits subsets in that order, and a subset is its orbit's
+        representative when no group element maps it lower.  The scan of a
+        subset stops at the first element that does; for a representative it
+        counts the stabilizer, whose index in the group is the orbit size,
+        and an odd stabilizer element makes the orbit zero.  At p <= 1 the
+        orbits are those of the generators on positions, and no group is
+        listed.
         """
-        reps: list[tuple[tuple[int, ...], int, bool]] = []
-        info = self._info
-        for mask in self._acyclic_masks(p):
-            record = info.get(mask) or self._orbit(mask)
-            if record[0] == mask:
-                reps.append((record[4][1], record[3], record[2]))
-        return reps
-
-
-class GroupScan:
-    """Orbit records of the forests of a class met only as a contraction
-    target, by a scan of its whole edge automorphism group.
-
-    The group is the closure of ``edge_perm_generators``, listed on the
-    first lookup of a nonempty forest, with one :func:`xor_table` per
-    non-identity element; nothing is cached per mask.  The empty forest, the
-    only target of a one-edge forest's contraction, needs no group.
-    """
-
-    __slots__ = ("graph", "edge_count", "_tables")
-
-    def __init__(self, graph: GraphClass):
-        self.graph = graph
-        self.edge_count = graph.canon.edge_count
-        self._tables: Optional[list[list[int]]] = None
-
-    def orbit(self, mask: int) -> tuple[int, int, bool]:
-        """``(rep, parity, zero)`` of the forest ``mask``, as in
-        :meth:`ForestIndex.orbit`: the smallest image of ``mask``, the parity
-        of the order an element reaching it puts on ``mask``, and whether two
-        elements reach it with opposite parities."""
-        if not mask:
-            return 0, 1, False
+        if p <= 1:
+            gens = self.graph.edge_perm_generators
+            reps: list[tuple[tuple[int, ...], int, bool]] = []
+            seen: set[int] = set()
+            for mask in self._acyclic_masks(p):
+                if not mask:
+                    reps.append(((), 1, False))
+                    continue
+                pos = mask.bit_length() - 1
+                if pos not in seen:
+                    orbit = orbit_of((pos,), gens)
+                    seen |= orbit
+                    reps.append(((pos,), len(orbit), False))
+            return reps
+        tables = self._group_tables()
+        order = len(tables) + 1
         e = self.edge_count
-        tables = self._tables
-        if tables is None:
-            elements = _group_elements(self.graph.edge_perm_generators, e)
-            tables = self._tables = [xor_table(g, e) for g in elements]
-        positions = _mask_positions(mask)
         full = (1 << e) - 1
-        rep, parity, zero = mask, 1, False
-        for table in tables:
-            acc = 0
-            for i in positions:
-                acc ^= table[i]
-            img = acc & full
-            if img <= rep:
-                q = -1 if (acc >> e & mask).bit_count() & 1 else 1
-                if img < rep:
-                    rep, parity, zero = img, q, False
-                elif q != parity:
-                    zero = True
-        return rep, parity, zero
+        reps = []
+        for mask in self._acyclic_masks(p):
+            positions = _mask_positions(mask)
+            stabilizer, zero = 1, False
+            for table in tables:
+                acc = 0
+                for i in positions:
+                    acc ^= table[i]
+                img = acc & full
+                if img < mask:
+                    break
+                if img == mask:
+                    stabilizer += 1
+                    if (acc >> e & mask).bit_count() & 1:
+                        zero = True
+            else:
+                reps.append((tuple(positions), order // stabilizer, zero))
+        return reps
 
 
 def _group_elements(
@@ -373,17 +350,21 @@ def _inversion_masks(images: Sequence[Optional[int]]) -> list[int]:
     """``out[i]`` has bit j for every j > i with ``images[j] < images[i]``, so
     the parity of the map on an ascending set ``cur`` is the parity of the sum
     of ``(out[i] & cur).bit_count()`` over the positions i of ``cur``.
-    Positions whose image is ``None`` are left out (and get 0).
+    Positions whose image is ``None`` are left out (and get 0); the other
+    images are distinct and below ``len(images)``.
 
     One pass over the positions in ascending order of their images: the
     positions met before i are those with a smaller image."""
+    by_image: list[Optional[int]] = [None] * len(images)
+    for i, m in enumerate(images):
+        if m is not None:
+            by_image[m] = i
     out = [0] * len(images)
     below = 0
-    for i in sorted(
-        (i for i, m in enumerate(images) if m is not None), key=images.__getitem__
-    ):
-        out[i] = below >> i + 1 << i + 1
-        below |= 1 << i
+    for i in by_image:
+        if i is not None:
+            out[i] = below >> i + 1 << i + 1
+            below |= 1 << i
     return out
 
 

@@ -43,7 +43,6 @@ from .chain import (
 )
 from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs
 from .exactla import DEFAULT_PRIMES, FieldSpec, rank_of
-from .forests import ForestIndex
 from .multigraph import GraphClass
 
 CACHE_ENV_VAR = "OUTHOM_CACHE_DIR"
@@ -213,13 +212,8 @@ def compute_rank_profile(
         t = time.monotonic()
         basis = bases.get(p)
         if basis is None:
-            # Only d_R at p + 1 reads p-forest orbits again; otherwise each
-            # class's orbit data is freed as soon as its basis part is out.
-            orbit_lists = None if p + 1 in p_list else (
-                ForestIndex(g).orbit_representatives(p) for g in graphs
-            )
             try:
-                basis = cache.basis(n, p, graphs, store, max_basis, orbit_lists)
+                basis = cache.basis(n, p, graphs, store, max_basis)
             except _HOLE_CAUSES as exc:
                 hole("basis", exc)
                 return

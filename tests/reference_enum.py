@@ -85,8 +85,8 @@ def _connected_without(g: Multigraph, skip: int) -> bool:
 
 def pairing_classes(spec: EnumSpec) -> dict[bytes, Multigraph]:
     """Canonical form of each class that pairing half-edges finds over every
-    valence sequence, keyed by canonical key; ``spec.max_classes`` is not
-    read.
+    valence sequence, keyed by canonical key; the class cap
+    (``enumerator.MAX_CLASSES``) is not applied.
 
     Exhaustive over isomorphism classes: half-edges at one vertex are
     interchangeable, so the search only ever pairs the first unpaired

@@ -451,3 +451,21 @@ class TestContractOne:
         assert (got[0].rows, got[0].cols) == (want[0].rows, want[0].cols)
         assert tuple(got[1]) == want[1]
         assert classes and maps
+
+
+def test_removal_memo_scans_each_mask_once(bases_by_rank, monkeypatch):
+    # removal terms repeat masks within a source class; each distinct
+    # (source class, mask) is scanned once, and the matrix is unchanged
+    basis, lower = bases_by_rank[5][4], bases_by_rank[5][3]
+    want = reference_boundary(basis, REMOVE, ClassStore(), lower)[0]
+    scans = []
+    real = ForestIndex.orbit
+    monkeypatch.setattr(
+        ForestIndex,
+        "orbit",
+        lambda fi, mask: scans.append((fi.graph.canonical_key, mask)) or real(fi, mask),
+    )
+    got = boundary_remove(basis, lower, ClassStore())
+    assert scans and len(scans) == len(set(scans))
+    assert len(scans) < 4 * basis.dim  # fewer scans than terms
+    assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from outhom import enumerator
 from outhom.artifacts import ArtifactStore
 from outhom.enumerator import (
     EnumSpec,
@@ -99,9 +100,10 @@ class TestTrivalentEnumeration:
     def test_known_class_counts(self, trivalent_by_rank):
         assert [len(trivalent_by_rank[n]) for n in (2, 3, 4, 5)] == [1, 2, 5, 16]
 
-    def test_resource_cap(self):
+    def test_resource_cap(self, monkeypatch):
+        monkeypatch.setattr(enumerator, "MAX_CLASSES", 1)
         with pytest.raises(ResourceCapError) as err:
-            cubic_level(4, max_classes=1)
+            cubic_level(4)
         assert err.value.partial is not None
 
 
@@ -144,10 +146,11 @@ class TestAllDegreeEnumeration:
                 expected.append(cls)
         assert loopless == expected
 
-    def test_class_cap_on_contraction_steps(self):
+    def test_class_cap_on_contraction_steps(self, monkeypatch):
         # 5 trivalent classes pass the cap; the first degree-1 class over it raises
+        monkeypatch.setattr(enumerator, "MAX_CLASSES", 6)
         with pytest.raises(ResourceCapError) as err:
-            enumerate_graphs(EnumSpec(4, max_degree=1, max_classes=6))
+            enumerate_graphs(EnumSpec(4, max_degree=1))
         assert err.value.partial == 7
 
     def test_cache_files_keep_their_bytes(self, tmp_path):

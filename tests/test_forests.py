@@ -5,11 +5,11 @@ import random
 
 import pytest
 
+from outhom import forests
 from outhom.chain import ClassStore
 from outhom.enumerator import EnumSpec, enumerate_graphs
 from outhom.forests import (
     ForestIndex,
-    GroupScan,
     _inversion_masks,
     _mask_positions,
     _perm_parity_of_ranks,
@@ -93,8 +93,7 @@ class TestNormalize:
             ForestIndex(theta).normalize([0, 1])
 
     def test_cyclic_forest_rejected_after_orbits_cached(self, trivalent_by_rank):
-        # normalize skips the acyclicity check for masks whose orbit is
-        # cached; cyclic sets must never reach that cache
+        # a cyclic set is rejected however many orbits were listed before
         for cls in trivalent_by_rank[3] + trivalent_by_rank[4]:
             fi = ForestIndex(cls)
             edges = cls.canon.edges
@@ -239,9 +238,9 @@ def _brute_force_record(group, subset):
 
 
 class TestGeneratingSet:
-    """The orbit search runs over a generating subset with popcount parity;
-    it must agree with the whole automorphism group and the plain
-    inversion count."""
+    """The orbit scan lists the group from a generating subset and reads
+    parity by popcount; it must agree with the whole automorphism group and
+    the plain inversion count."""
 
     def test_same_edge_group(self, trivalent_by_rank):
         for cls in _classes_and_contractions(trivalent_by_rank):
@@ -249,40 +248,30 @@ class TestGeneratingSet:
             generated = _edge_group(cls.edge_perm_generators, e)
             assert generated == _brute_force_edge_group(cls.canon)
 
-    def test_orbit_info_matches_brute_force(self, trivalent_by_rank):
-        zeros = 0
+    def test_orbit_matches_brute_force(self, trivalent_by_rank):
+        # ``orbit`` and ``record`` on every acyclic subset of every class
+        # and every contraction target at n <= 4, including the empty and
+        # one-edge masks that list no group, and the orbit sizes and zero
+        # flags of ``orbit_representatives``
+        zeros = nontrivial = 0
         for cls in _classes_and_contractions(trivalent_by_rank):
             group = _edge_group(cls.edge_perm_generators, cls.canon.edge_count)
-            fi = ForestIndex(cls)
-            for p in range(cls.canon.vertex_count):
-                for subset in fi.acyclic_subsets(p):
-                    mask = sum(1 << i for i in subset)
-                    rep, parity, zero, size = _brute_force_record(group, subset)
-                    rep_mask, got_parity, got_zero, got_size, _ = fi.record(mask)
-                    assert (rep_mask, got_zero, got_size) == (rep, zero, size)
-                    if not zero:
-                        assert got_parity == parity
-                    zeros += zero
-        assert zeros > 0
-
-    def test_group_scan_matches_brute_force(self, trivalent_by_rank):
-        # the contraction-target lookup, with no orbit cache, on every
-        # acyclic subset of every contraction target at n <= 4
-        zeros = nontrivial = 0
-        for cls in _contraction_targets(trivalent_by_rank):
-            group = _edge_group(cls.edge_perm_generators, cls.canon.edge_count)
-            scan = GroupScan(cls)
             nontrivial += len(group) > 1
             fi = ForestIndex(cls)
             for p in range(cls.canon.vertex_count):
+                reps = []
                 for subset in fi.acyclic_subsets(p):
                     mask = sum(1 << i for i in subset)
-                    rep, parity, zero, _ = _brute_force_record(group, subset)
-                    got_rep, got_parity, got_zero = scan.orbit(mask)
-                    assert (got_rep, got_zero) == (rep, zero)
+                    rep, parity, zero, size = _brute_force_record(group, subset)
+                    got = fi.orbit(mask)
+                    assert fi.record(mask) == got
+                    assert (got[0], got[2]) == (rep, zero)
                     if not zero:
-                        assert got_parity == parity
+                        assert got[1] == parity
+                    if rep == mask:
+                        reps.append((subset, size, zero))
                     zeros += zero
+                assert fi.orbit_representatives(p) == reps
         assert zeros > 0 and nontrivial > 0
 
 
@@ -338,9 +327,10 @@ class TestKernel:
         return out
 
     @staticmethod
-    def _recursive_representatives(fi, p):
-        """Orbit representatives from the recursive depth-first walk."""
-        cls = fi.graph
+    def _recursive_representatives(cls, p):
+        """Orbit representatives from the recursive depth-first walk, with
+        their orbit sizes and zero flags from the whole edge group."""
+        group = _edge_group(cls.edge_perm_generators, cls.canon.edge_count)
         edges = cls.canon.edges
         e = len(edges)
         parent = list(range(cls.canon.vertex_count))
@@ -363,7 +353,7 @@ class TestKernel:
         reps = []
         for subset in extend(0, 0):
             mask = sum(1 << i for i in subset)
-            rep, _, zero, size, _ = fi.record(mask)
+            rep, _, zero, size = _brute_force_record(group, subset)
             if rep == mask:
                 reps.append((subset, size, zero))
         return reps
@@ -371,6 +361,14 @@ class TestKernel:
     @pytest.fixture(scope="class")
     def rank6(self):
         return enumerate_graphs(EnumSpec(6))
+
+    @pytest.fixture(scope="class")
+    def largest_group_n7(self):
+        """The n = 7 class with the largest edge automorphism group."""
+        return max(
+            enumerate_graphs(EnumSpec(7)),
+            key=lambda c: len(_edge_group(c.edge_perm_generators, c.canon.edge_count)),
+        )
 
     def test_acyclic_subsets_match_combinations(self, trivalent_by_rank, rank6):
         cases = [
@@ -384,12 +382,27 @@ class TestKernel:
             got = list(ForestIndex(cls).acyclic_subsets(p))
             assert got == self._reference_subsets(cls, p), (cls.canonical_key, p)
 
-    def test_orbit_representatives_match_recursive_walk(self, trivalent_by_rank):
-        for n in (2, 3, 4, 5):
-            for cls in trivalent_by_rank[n]:
-                for p in range(cls.canon.vertex_count):
-                    expected = self._recursive_representatives(ForestIndex(cls), p)
-                    assert ForestIndex(cls).orbit_representatives(p) == expected
+    def test_orbit_representatives_match_recursive_walk(
+        self, trivalent_by_rank, largest_group_n7
+    ):
+        # the scan stops early on a non-representative and reads the orbit
+        # size off the stabilizer; both against the whole group, including
+        # the n = 7 class whose group has 768 elements
+        big = largest_group_n7
+        assert len(_edge_group(big.edge_perm_generators, big.canon.edge_count)) == 768
+        cases = [
+            (cls, p)
+            for n in (2, 3, 4, 5)
+            for cls in trivalent_by_rank[n]
+            for p in range(cls.canon.vertex_count)
+        ]
+        cases += [(big, 2), (big, 3)]
+        zeros = 0
+        for cls, p in cases:
+            expected = self._recursive_representatives(cls, p)
+            assert ForestIndex(cls).orbit_representatives(p) == expected
+            zeros += sum(zero for _, _, zero in expected)
+        assert zeros > 0
 
     def test_mask_positions_match_bit_loop(self):
         rng = random.Random(11)
@@ -422,6 +435,24 @@ class TestKernel:
                 if image[a] > image[b]
             )
             assert (x & s).bit_count() & 1 == inversions & 1
+
+    def test_low_forests_list_no_group(self, trivalent_by_rank, monkeypatch):
+        # a single edge has no sign: a profile of p <= 1, and the lookup of
+        # an empty or one-edge forest, never list a group
+        from outhom.pipeline import compute_rank_profile
+
+        calls = []
+        real = forests._group_elements
+        monkeypatch.setattr(
+            forests, "_group_elements", lambda *a: calls.append(a) or real(*a)
+        )
+        rp = compute_rank_profile(7, p_range=[0, 1])
+        assert rp.a[:2] == [365, 3712] and not rp.holes
+        for cls in trivalent_by_rank[5]:
+            fi = ForestIndex(cls)
+            for mask in [0] + [1 << pos for pos in range(cls.canon.edge_count)]:
+                fi.orbit(mask)
+        assert calls == []
 
     def test_boundary_targets_are_forests(self, bases_by_rank, monkeypatch):
         """The assembly looks target orbits up without the acyclicity check
