@@ -248,30 +248,48 @@ class TestGeneratingSet:
             generated = _edge_group(cls.edge_perm_generators, e)
             assert generated == _brute_force_edge_group(cls.canon)
 
-    def test_orbit_matches_brute_force(self, trivalent_by_rank):
-        # ``orbit`` and ``record`` on every acyclic subset of every class
-        # and every contraction target at n <= 4, including the empty and
-        # one-edge masks that list no group, and the orbit sizes and zero
-        # flags of ``orbit_representatives``
-        zeros = nontrivial = 0
+    def test_orbit_info_matches_brute_force(self, trivalent_by_rank):
+        # ``record`` on every acyclic subset of every class and contraction
+        # target at n <= 4, including the empty and one-edge masks that list
+        # no group, and the orbit sizes and zero flags of
+        # ``orbit_representatives``
+        zeros = 0
         for cls in _classes_and_contractions(trivalent_by_rank):
             group = _edge_group(cls.edge_perm_generators, cls.canon.edge_count)
-            nontrivial += len(group) > 1
             fi = ForestIndex(cls)
             for p in range(cls.canon.vertex_count):
                 reps = []
                 for subset in fi.acyclic_subsets(p):
                     mask = sum(1 << i for i in subset)
                     rep, parity, zero, size = _brute_force_record(group, subset)
-                    got = fi.orbit(mask)
-                    assert fi.record(mask) == got
-                    assert (got[0], got[2]) == (rep, zero)
+                    rep_mask, got_parity, got_zero = fi.record(mask)
+                    assert (rep_mask, got_zero) == (rep, zero)
                     if not zero:
-                        assert got[1] == parity
+                        assert got_parity == parity
                     if rep == mask:
                         reps.append((subset, size, zero))
                     zeros += zero
                 assert fi.orbit_representatives(p) == reps
+        assert zeros > 0
+
+    def test_group_scan_matches_brute_force(self, trivalent_by_rank):
+        # the scan the boundary kernel reads, ``orbit`` with no acyclicity
+        # check, on every acyclic subset of every contraction target at
+        # n <= 4
+        zeros = nontrivial = 0
+        for cls in _contraction_targets(trivalent_by_rank):
+            group = _edge_group(cls.edge_perm_generators, cls.canon.edge_count)
+            nontrivial += len(group) > 1
+            fi = ForestIndex(cls)
+            for p in range(cls.canon.vertex_count):
+                for subset in fi.acyclic_subsets(p):
+                    mask = sum(1 << i for i in subset)
+                    rep, parity, zero, _ = _brute_force_record(group, subset)
+                    got_rep, got_parity, got_zero = fi.orbit(mask)
+                    assert (got_rep, got_zero) == (rep, zero)
+                    if not zero:
+                        assert got_parity == parity
+                    zeros += zero
         assert zeros > 0 and nontrivial > 0
 
 
