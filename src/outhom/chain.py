@@ -12,6 +12,10 @@ target key.
 The removal boundary stays on the same graph, so its rows are the basis one
 forest size down.
 
+Orbit lookups, for the basis and for both boundaries, go through the
+:class:`ClassStore`'s one :class:`forests.ForestIndex` per class, so a
+class's edge group is listed once per store, not once per level.
+
 A matrix keeps its entries in three integer arrays (row, column, value) in
 (row, column) order.  Assembly appends each column's terms to the arrays,
 renumbers the rows in place and puts the entries in order with one counting
@@ -29,6 +33,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from .enumerator import ResourceCapError
@@ -226,10 +231,10 @@ class ClassStore:
     read; the position map is built, from a second contraction and the
     stored vertex map, only when :meth:`contract_one` is asked for it.
 
-    :meth:`forest_index` keeps one :class:`ForestIndex` per class it is
-    asked for, so a caller that normalizes many forests of one class lists
-    its edge group once.  The basis build and the boundary assembly do not
-    use it: each makes the indexes it needs and drops them when done.
+    :meth:`forest_index` is where every :class:`ForestIndex` of a run is
+    made: one per class it is asked for, kept as long as the store, so each
+    class's edge group is listed once however many filtration levels, basis
+    builds and assemblies read it.
     """
 
     def __init__(self) -> None:
@@ -254,8 +259,7 @@ class ClassStore:
         cls = self.intern(cls)
         fi = self._findex.get(cls.canonical_key)
         if fi is None:
-            fi = ForestIndex(cls)
-            self._findex[cls.canonical_key] = fi
+            fi = self._findex[cls.canonical_key] = ForestIndex(cls)
         return fi
 
     def _contraction(self, cls: GraphClass, pos: int) -> tuple:
@@ -308,13 +312,13 @@ def build_chain_basis(
     Graphs are taken in the given order (callers pass them sorted by
     canonical key); within one graph, representatives come out in
     lexicographic order.  ``orbit_lists`` may supply precomputed
-    ``orbit_representatives(p)`` results matching ``graphs``; otherwise each
-    class's index lives only while its representatives are listed.
+    ``orbit_representatives(p)`` results matching ``graphs``; otherwise they
+    come from the store's index of each class.
     """
     store = store or ClassStore()
     elements: list[ForestedGraph] = []
     if orbit_lists is None:
-        orbit_lists = (ForestIndex(cls).orbit_representatives(p) for cls in graphs)
+        orbit_lists = (store.forest_index(cls).orbit_representatives(p) for cls in graphs)
     for cls, reps in zip(graphs, orbit_lists):
         cls = store.intern(cls)
         for rep, _, zero in reps:
@@ -347,12 +351,13 @@ class BoundaryKernel:
     needs it: :func:`forests.xor_table`, whose XOR over the remaining forest
     gives the target mask and the parity of the order the map puts on it.
 
-    Orbits are looked up through a :class:`ForestIndex` per class met, which
-    lives and dies with the kernel.  Removal terms repeat masks (78k
-    distinct among 239k terms at n = 6, p = 8), so their records are
-    memoized, one source class at a time: the memo is reset when the
-    source class changes, and a basis lists its elements class by class.
-    Contraction targets get no memo.
+    Orbits are looked up through the store's index of each class met
+    (:meth:`ClassStore.forest_index`), fetched once per removal source class
+    and once per contraction table; the kernel keeps no index of its own.
+    Removal terms repeat masks (78k distinct among 239k terms at n = 6,
+    p = 8), so their records are memoized, one source class at a time: the
+    memo is reset when the source class changes, and a basis lists its
+    elements class by class.  Contraction targets get no memo.
     """
 
     def __init__(self, store: ClassStore, target: Optional[ChainBasis] = None):
@@ -362,20 +367,11 @@ class BoundaryKernel:
         # mask; ``row_count`` ids are interned when there is no ``target``
         self.rows: dict[bytes, dict[int, int]] = {}
         self.row_count = 0
-        # per class met with a nonempty forest to look up: its index
-        self._indexes: dict[bytes, ForestIndex] = {}
         # per source class, per position: [target key, its ``rows`` entry,
         # index or None, table or None]
         self._contractions: dict[bytes, list[Optional[list]]] = {}
-        # the removal source class of ``_removed``, and its records by mask
-        self._removal_source: Optional[bytes] = None
-        self._removed: dict[int, tuple[int, int, bool]] = {}
-
-    def _index(self, cls: GraphClass) -> ForestIndex:
-        fi = self._indexes.get(cls.canonical_key)
-        if fi is None:
-            fi = self._indexes[cls.canonical_key] = ForestIndex(cls)
-        return fi
+        # the removal source class key, its index, and its records by mask
+        self._removal: tuple = (None, None, {})
 
     def _row(self, class_key: bytes, rep: int) -> int:
         if self.target is None:
@@ -404,11 +400,9 @@ class BoundaryKernel:
         if kind == "remove":
             tkey = src.canonical_key
             rows = self.rows.setdefault(tkey, {})
-            fi = self._index(src) if len(forest) > 1 else None
-            if tkey != self._removal_source:
-                self._removal_source = tkey
-                self._removed = {}
-            memo = self._removed
+            if tkey != self._removal[0]:
+                self._removal = (tkey, self.store.forest_index(src), {})
+            _, fi, memo = self._removal
         elif kind == "contract":
             per_pos = self._contractions.get(src.canonical_key)
             if per_pos is None:
@@ -429,7 +423,7 @@ class BoundaryKernel:
                 if mask:
                     if table is None:
                         target, pos_map = self.store.contract_one(src, pos)
-                        fi = entry[2] = self._index(target)
+                        fi = entry[2] = self.store.forest_index(target)
                         table = entry[3] = xor_table(pos_map, fi.edge_count)
                     e = fi.edge_count
                     x = 0
@@ -472,6 +466,13 @@ def assemble(
     sorted by (class key, :func:`forests.mask_order` of the representative
     mask), which is key order because every row's forest has size
     ``b.p - 1``; their keys are a :class:`RowKeys`, built on read."""
+    if b.p > 2 and any(kind == "contract" for kind, _ in parts):
+        # list the target groups, which the store keeps, before any row is
+        # interned: listed among the rows, they would keep the rows' freed
+        # memory resident (n = 7: 648 instead of 853 MB held after dc_10)
+        for src, els in groupby(b.elements, lambda el: el.graph):
+            for pos in set().union(*(el.forest for el in els)):
+                store.forest_index(store.contract_one(src, pos)[0])._group_tables()
     kernel = BoundaryKernel(store, target)
     row_ids, col_ids, values = array("q"), array("q"), array("q")
     for col, el in enumerate(b.elements):

@@ -253,16 +253,7 @@ def _children(parent: GraphClass) -> list[Labeling]:
         for f in range(e, e_cnt):
             if (e, f) in seen:
                 continue
-            seen.add((e, f))
-            stack = [(e, f)]
-            while stack:
-                a, b = stack.pop()
-                for gen in gens:
-                    x, y = gen[a], gen[b]
-                    pair = (x, y) if x <= y else (y, x)
-                    if pair not in seen:
-                        seen.add(pair)
-                        stack.append(pair)
+            seen |= _pair_orbit((e, f), gens)
             child = _insert_edge(g, e, f)
             ties = _reducible_ties(child)
             if ties is None:
@@ -276,7 +267,7 @@ def _children(parent: GraphClass) -> list[Labeling]:
 
 
 def _pair_orbit(pair: Edge, gens: Sequence[Sequence[int]]) -> set[Edge]:
-    """The orbit of the vertex pair ``pair`` (u < v), as sorted pairs."""
+    """The orbit of the pair ``pair`` (u <= v), as sorted pairs."""
     orbit = {pair}
     stack = [pair]
     while stack:

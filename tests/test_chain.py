@@ -469,3 +469,27 @@ def test_removal_memo_scans_each_mask_once(bases_by_rank, monkeypatch):
     assert scans and len(scans) == len(set(scans))
     assert len(scans) < 4 * basis.dim  # fewer scans than terms
     assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+
+
+def test_target_groups_listed_before_the_rows(bases_by_rank, monkeypatch):
+    # at p >= 3 the assembly lists every contraction target's group before
+    # its column loop, so no table the store keeps is made among the rows;
+    # the matrix is unchanged
+    from outhom import chain, forests
+
+    basis = bases_by_rank[5][4]
+    want = reference_boundary(basis, CONTRACT, ClassStore())
+    in_loop, listed = [], []
+    real_list = forests._group_elements
+    monkeypatch.setattr(
+        forests, "_group_elements", lambda *a: listed.append(bool(in_loop)) or real_list(*a)
+    )
+    real_add = chain.BoundaryKernel.add_terms
+    monkeypatch.setattr(
+        chain.BoundaryKernel,
+        "add_terms",
+        lambda *a: in_loop.append(1) or real_add(*a),
+    )
+    got = assemble(basis, CONTRACT, ClassStore())
+    assert listed and not any(listed)
+    assert got[0].entries == want[0].entries and tuple(got[1]) == want[1]

@@ -502,7 +502,7 @@ class TestKernel:
     def test_one_edge_lookups_list_no_group(self, trivalent_by_rank, monkeypatch):
         # a profile of p = 1, 2 lists the group of each basis class once, for
         # the p = 2 basis; the one-edge masks that the p = 2 contraction and
-        # removal terms look up list none (a scan would list 69 at n = 5)
+        # removal terms look up list none (a scan would list 54 at n = 5)
         from outhom.pipeline import compute_rank_profile
 
         calls = []
@@ -513,6 +513,22 @@ class TestKernel:
         rp = compute_rank_profile(5, p_range=[1, 2])
         assert rp.a[1:3] == [64, 166] and not rp.holes
         assert len(calls) == len(trivalent_by_rank[5])
+
+    def test_profile_lists_each_group_once(self, trivalent_by_rank, monkeypatch):
+        # the store keeps each class's index for the whole profile, so every
+        # level's basis build and assembly share one listing per class: the
+        # 16 trivalent classes and the 38 contraction targets whose group a
+        # lookup needs
+        from outhom.pipeline import compute_rank_profile
+
+        calls = []
+        real = forests._group_elements
+        monkeypatch.setattr(
+            forests, "_group_elements", lambda *a: calls.append(a) or real(*a)
+        )
+        rp = compute_rank_profile(5)
+        assert rp.a[0] == len(trivalent_by_rank[5]) == 16 and not rp.holes
+        assert len(calls) == 54
 
     def test_boundary_targets_are_forests(self, bases_by_rank, monkeypatch):
         """The assembly looks target orbits up without the acyclicity check
