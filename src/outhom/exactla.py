@@ -23,9 +23,17 @@ GF(p) entries as symmetric residues, so +-1 and +-2 are cached ints.
 ``rank_of`` keeps no pivot row, and a row that empties is dropped.  At
 n = 6, p = 9 the core of ``d_C`` takes 132 bytes per entry this way.
 
+``rank_of`` also drops every live row that is a scalar multiple of another
+live row of the same support (LaMacchia & Odlyzko, "Solving large sparse
+linear systems over finite fields", CRYPTO 1990), in one pass each time the
+active columns have halved since the last.  Merge steps make such rows: a
+pivot row with two entries folds one column into another.  A dropped row
+leaves the row space unchanged, so the rank is the same.  ``nullspace_of``
+drops nothing, so its pivots and kernel vectors do not depend on the pass.
+
 The ``max_nnz`` cap bounds the live entries of the whole input, before the
 peel, and the fill of the elimination of the core, counted after each row
-it reduces, in ascending row order.
+it reduces, in ascending row order, and after each pass's drops.
 """
 
 from __future__ import annotations
@@ -315,8 +323,14 @@ def _reduce(
     Pivot rows are normalized to 1 at the pivot column.  Once a row is
     pivotal it leaves the active set, so the stored dict never changes
     afterwards; its remaining entries sit in later pivot columns and free
-    columns only, which is what the back-substitution requires.  The nnz
-    cap bounds the fill, counted after each victim row.
+    columns only, which is what the back-substitution requires.
+
+    Without pivot rows (a rank), a pass of :func:`_drop_repeats` runs
+    before the pivot step at which the active columns are at most half of
+    what they were at the last pass (the core's columns, for the first),
+    and the pivot order is the one that follows from the drops.  The nnz
+    cap bounds the fill, counted after each victim row; it counts the fill
+    that is left after the drops.
     """
     nnz = sum(len(rw) for rw in rows)
     peak = nnz
@@ -331,7 +345,14 @@ def _reduce(
     # count is min((count, column)) over the active columns
     heap = [(count, c) for c, count in counts.items()]
     heapq.heapify(heap)
+    # a rank drops repeated rows each time the active columns have halved
+    drop_at = -1 if pivot_rows else len(counts) // 2
     while counts:
+        if len(counts) <= drop_at:
+            nnz -= _drop_repeats(rows, counts, gone, p)
+            drop_at = len(counts) // 2
+            heap = [(count, c) for c, count in counts.items()]
+            heapq.heapify(heap)
         while True:
             count, c_star = heapq.heappop(heap)
             if counts.get(c_star) == count:
@@ -416,6 +437,49 @@ def _reduce(
         if piv_rows is not None:
             piv_rows.append(piv)
     return pivots, piv_rows, peak
+
+
+def _drop_repeats(
+    rows: list[dict], counts: dict[int, int], gone: dict, p: Optional[int]
+) -> int:
+    """Drops every live row that is a scalar multiple of the first live row
+    of the same support, walking the rows in ascending order; returns the
+    number of entries dropped.
+
+    A dropped row is replaced by ``gone`` and leaves its columns' counts,
+    which stay positive: the row it repeats is live and holds the same
+    columns.  Its entries in the column lists go stale, as a pivot step's
+    filter expects.  A row that is a multiple of a later row of the same
+    support is kept: the rank needs no row dropped that is not a repeat,
+    not every repeat found.
+    """
+    # the first live row of each support, keyed by the support's hash (a
+    # frozenset of a long row is larger than the row's dict), or by the
+    # support itself when a row of another support took that hash
+    first: dict[int, dict] = {}
+    clash: dict[frozenset, dict] = {}
+    dropped = 0
+    for r, row in enumerate(rows):
+        if not row:
+            continue
+        other = first.setdefault(hash(frozenset(row)), row)
+        if other.keys() != row.keys():
+            other = clash.setdefault(frozenset(row), row)
+        if other is row:
+            continue
+        # row = (a / b) * other, with a and b the entries at one column
+        k = next(iter(row))
+        a, b = row[k], other[k]
+        if p:
+            if any((v * b - other[c] * a) % p for c, v in row.items()):
+                continue
+        elif any(v * b != other[c] * a for c, v in row.items()):
+            continue
+        rows[r] = gone
+        dropped += len(row)
+        for c in row:
+            counts[c] -= 1
+    return dropped
 
 
 def _backsolve(

@@ -15,11 +15,14 @@ import time
 import pytest
 
 from outhom.chain import (
+    ClassStore,
     SparseIntMat,
     assemble,
     boundary_contract,
     boundary_remove,
+    build_chain_basis,
     matmul,
+    vstack,
 )
 from outhom.cycleio import CycleVector, parse_cycle, serialize_cycle, verify_cycle
 from outhom.enumerator import EnumSpec, enumerate_graphs
@@ -269,3 +272,29 @@ def test_stretch_n6_full_profile():
     assert rp.b == [66, 193, 372, 807, 1389, 1440, 889, 399, 160, 35]
     assert rp.c == [0, 65, 128, 244, 563, 826, 614, 275, 124, 35]
     assert rp.dims == [1, 0, 0, 0, 0, 0, 0, 0, 1, 0]
+
+
+def test_stretch_n7_h11():
+    """H_11(Out(F_7); Q) = Q, the class of the paper: b_11 - c_11 = 179 - 178
+    under GF(65521).  The stages are called directly, so the rank of d_C at
+    p = 10 is never taken (13 min and 4.4 GB peak RSS under a 6 GB address
+    space limit on a 2-core x86_64 VM)."""
+    if not os.environ.get("OUTHOM_STRETCH"):
+        pytest.skip("stretch target, set OUTHOM_STRETCH=1 to run")
+    f = FieldSpec.prime(DEFAULT_PRIMES[0])
+    graphs = enumerate_graphs(EnumSpec(7))
+    store = ClassStore()
+    basis11 = build_chain_basis(7, 11, graphs, store)
+    dc = boundary_contract(basis11, store)
+    basis10 = build_chain_basis(7, 10, graphs, store)
+    dr = boundary_remove(basis11, basis10, store)
+    assert (basis10.dim, basis11.dim) == (1224266, 376365)
+    del basis10
+    stacked = vstack(dc, dr)
+    del dr
+    rank_dc = rank_of(dc, f)
+    del dc
+    b11 = basis11.dim - rank_dc
+    c11 = rank_of(stacked, f) - rank_dc
+    assert (b11, c11) == (179, 178)
+    assert b11 - c11 == 1  # dim H_11(Out(F_7); Q)

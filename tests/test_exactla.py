@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from outhom.exactla import (
     DEFAULT_PRIMES,
     FieldSpec,
     _backsolve,
+    _drop_repeats,
     _is_prime,
     _peel,
     _pivot_row,
@@ -450,7 +452,30 @@ class TestGuards:
             nullspace_of(m, GF1, max_nnz=10)
 
 
-def _reference_eliminate(m, p, max_nnz=None, events=None):
+def _reference_drop(rows, taken, col_rows, p):
+    """Drops, in ascending row order, each live row whose entries are those
+    of the first live row of its support times one scalar; returns the
+    number of rows and of entries dropped."""
+    first = {}
+    dropped = entries = 0
+    for r, row in enumerate(rows):
+        if r in taken or not row:
+            continue
+        other = rows[first.setdefault(frozenset(row), r)]
+        if other is row:
+            continue
+        k = min(row)
+        scale = row[k] * pow(other[k], p - 2, p) % p
+        if all(v == scale * other[c] % p for c, v in row.items()):
+            for c in row:
+                col_rows[c].discard(r)
+            taken.add(r)
+            dropped += 1
+            entries += len(row)
+    return dropped, entries
+
+
+def _reference_eliminate(m, p, max_nnz=None, events=None, drop_repeats=False):
     """Elimination that scans every active column for the pivot column.
 
     The specification of :func:`_reduce` on a whole matrix: the pivot column is
@@ -460,6 +485,12 @@ def _reference_eliminate(m, p, max_nnz=None, events=None):
     row.  ``events`` counts fill, cancellation, and refill (fill where the
     row cancelled the column before, which leaves a stale entry in
     :func:`_reduce`'s column list), so a test can show it exercised each.
+
+    With ``drop_repeats``, the specification of the rank-only path: before
+    the pivot step at which the active columns are at most half of what
+    they were at the last drop (the whole matrix's, for the first),
+    :func:`_reference_drop` drops repeated rows (``events["drop"]`` counts
+    them).
     """
     cancelled = set()
     rows = [dict() for _ in range(m.rows)]
@@ -471,9 +502,19 @@ def _reference_eliminate(m, p, max_nnz=None, events=None):
             col_rows.setdefault(c, set()).add(r)
     nnz = peak = sum(len(rw) for rw in rows)
     pivots, piv_rows = [], []
+    # pivot rows and dropped rows
+    taken = set()
+    drop_at = len(col_rows) // 2 if drop_repeats else -1
     while col_rows:
+        if len(col_rows) <= drop_at:
+            dropped, entries = _reference_drop(rows, taken, col_rows, p)
+            nnz -= entries
+            drop_at = len(col_rows) // 2
+            if events is not None:
+                events["drop"] += dropped
         c_star = min(col_rows, key=lambda c: (len(col_rows[c]), c))
         r_star = min(col_rows[c_star], key=lambda r: (len(rows[r]), r))
+        taken.add(r_star)
         piv = rows[r_star]
         inv = pow(piv[c_star], p - 2, p)
         for k in list(piv):
@@ -585,12 +626,16 @@ class TestEliminationOrder:
 
     def test_rank_keeps_no_pivot_rows(self):
         # without pivot rows, no row of the core holds an entry afterwards:
-        # each pivot row is released when it is taken
+        # each pivot row is released when it is taken; the pivots and the
+        # peak are those of the plain scan that drops repeated rows
+        events = {"fill": 0, "cancel": 0, "refill": 0, "drop": 0}
         for p, m in self._samples():
             rows, col_rows = _core(m, p)
             pivots, piv_rows, peak = _reduce(rows, col_rows, p, pivot_rows=False)
             assert piv_rows is None and not any(rows)
-            assert (pivots, peak) == _unpeeled(m, p)[::2]
+            want = _reference_eliminate(m, p, events=events, drop_repeats=True)
+            assert (pivots, peak) == want[::2]
+        assert events["drop"] > 0
 
     def test_same_fill_cap(self):
         capped = 0
@@ -631,3 +676,140 @@ class TestEliminationOrder:
             assert check_product_zero(m, got, FieldSpec.prime(p))
             peeled += bool(peel and got.dim)
         assert peeled
+
+
+GF3 = FieldSpec.prime(3)
+
+
+def _symmetric(v, p):
+    """An entry as :func:`_reduce` holds it: a symmetric residue mod p, or a
+    ``Fraction`` when p is None."""
+    if p is None:
+        return Fraction(v)
+    v %= p
+    return v - p if v > p // 2 else v
+
+
+def _column_counts(rows):
+    """Live rows per column, counted afresh."""
+    return dict(Counter(c for row in rows for c in row))
+
+
+def _from_rows(rows, cols):
+    return SparseIntMat(
+        len(rows), cols, tuple((r, c, v) for r, row in enumerate(rows) for c, v in row.items())
+    )
+
+
+def _tall_with_repeats(rng):
+    """60 rows over 20 columns, as dicts: 8 to 25 random sparse rows (so the
+    rank is sometimes below 20), then multiples of them by -1, 2 or -2,
+    shuffled."""
+    base = []
+    for _ in range(rng.randint(8, 25)):
+        support = rng.sample(range(20), rng.randint(2, 5))
+        base.append({c: rng.choice((-3, -2, -1, 1, 2, 4)) for c in support})
+    rows = list(base)
+    while len(rows) < 60:
+        scale = rng.choice((-1, 2, -2))
+        rows.append({c: scale * v for c, v in rng.choice(base).items()})
+    rng.shuffle(rows)
+    return rows
+
+
+class TestDropRepeats:
+    """``rank_of`` drops rows that repeat an earlier live row of the same
+    support up to a scalar; a rank never changes by it."""
+
+    FIELDS = pytest.mark.parametrize("p", [3, DEFAULT_PRIMES[0], None], ids=["3", "65521", "rational"])
+
+    @FIELDS
+    def test_planted_multiples_are_dropped(self, p):
+        q = p or DEFAULT_PRIMES[0]
+        base = {0: 1, 3: 2, 5: -1}
+        plain = [
+            base,
+            {0: 1, 3: 2, 5: 1},  # same support, not a multiple
+            {c: -v for c, v in base.items()},
+            {0: 1, 3: 2},  # a multiple of base on part of its support
+            {c: 2 * v for c, v in base.items()},
+            {c: (q - 2) * v for c, v in base.items()},
+            {0: 1, 3: 2, 5: -1, 6: 1},
+        ]
+        rows = [{c: _symmetric(v, p) for c, v in row.items()} for row in plain]
+        counts = _column_counts(rows)
+        gone = {}
+        assert _drop_repeats(rows, counts, gone, p) == 9
+        assert [i for i, row in enumerate(rows) if row is gone] == [2, 4, 5]
+        assert counts == _column_counts(rows) == {0: 4, 3: 4, 5: 3, 6: 1}
+
+    @FIELDS
+    def test_repeats_found_when_supports_share_a_hash(self, p):
+        # two supports of the dc_11 core at n = 7 whose frozensets hash
+        # alike; each row must still meet the first row of its own support
+        s, t = (71618, 71622), (177721, 177725)
+        assert hash(frozenset(s)) == hash(frozenset(t)), "CPython's frozenset hash"
+        plain = [dict(zip(s, (1, 2))), dict(zip(t, (1, 2))), dict(zip(t, (2, 4))), dict(zip(s, (-1, -2)))]
+        rows = [{c: _symmetric(v, p) for c, v in row.items()} for row in plain]
+        counts = {c: 2 for c in s + t}
+        gone = {}
+        assert _drop_repeats(rows, counts, gone, p) == 4
+        assert [row is gone for row in rows] == [False, False, True, True]
+        assert counts == {c: 1 for c in s + t}
+
+    @FIELDS
+    def test_counts_match_a_recount(self, p):
+        rng = random.Random(1990)
+        dropped = 0
+        for _ in range(50):
+            rows = [
+                {c: w for c, v in row.items() if (w := _symmetric(v, p))}
+                for row in _tall_with_repeats(rng)
+            ]
+            counts = _column_counts(rows)
+            before = sum(len(row) for row in rows)
+            gone = {}
+            entries = _drop_repeats(rows, counts, gone, p)
+            assert sum(len(row) for row in rows) == before - entries
+            assert counts == _column_counts(rows)
+            dropped += entries
+        assert dropped
+
+    def test_rank_matches_bareiss_with_planted_repeats(self, monkeypatch):
+        dropped = []
+
+        def counted(*args):
+            dropped.append(_drop_repeats(*args))
+            return dropped[-1]
+
+        monkeypatch.setattr("outhom.exactla._drop_repeats", counted)
+        rng = random.Random(2016)
+        deficient = 0
+        for _ in range(200):
+            m = _from_rows(_tall_with_repeats(rng), 20)
+            want = bareiss_rank(m)
+            assert rank_of(m, GF1) == want
+            assert rank_of(m, QQ) == want
+            assert rank_of(m, GF3) == len(_reference_eliminate(m, 3)[0])
+            deficient += want < m.cols
+        assert deficient and sum(dropped) > 0
+
+    @FIELDS
+    def test_rank_peak_below_kernel_peak(self, p):
+        # six unit rows take columns 0..5 with no fill, so the pass runs
+        # with 6 of 12 columns active; it drops the two multiples of each
+        # of rows B, C and D.  Column 6 then pivots on A, which fills each
+        # copy of B kept by one entry
+        a = {6: 1, 7: 1, 8: 1}
+        b = {6: 1, 9: 2, 10: -1}
+        c = {7: 1, 9: 1, 11: 2}
+        d = {8: -1, 10: 1, 11: 1}
+        plain = [{i: 1} for i in range(6)] + [a]
+        for row in (b, c, d):
+            plain += [{k: s * v for k, v in row.items()} for s in (1, 2, -1)]
+        m = _from_rows(plain, 12)
+        start = m.nnz
+        rank_pivots, _, rank_peak = _reduce(*_core(m, p), p, pivot_rows=False)
+        kernel_pivots, _, kernel_peak = _reduce(*_core(m, p), p)
+        assert rank_peak == start < start + 3 <= kernel_peak
+        assert len(rank_pivots) == len(kernel_pivots) == bareiss_rank(m)
