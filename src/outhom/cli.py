@@ -72,6 +72,12 @@ def _rank(args: argparse.Namespace) -> int:
     return args.n
 
 
+def _threads(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ValueError("--threads must be at least 1")
+    return args.threads
+
+
 def _size(n: int, p: int) -> int:
     top = 2 * n - 3
     if not 0 <= p <= top:
@@ -90,7 +96,7 @@ def _cache_dir(args: argparse.Namespace) -> Optional[str]:
 def _trivalent_graphs(args: argparse.Namespace, n: int) -> tuple[ArtifactStore, list]:
     """The artifact store of ``--cache-dir`` and the trivalent classes of rank n."""
     cache = ArtifactStore(_cache_dir(args))
-    return cache, cache.graphs(EnumSpec(n), max(1, args.threads))
+    return cache, cache.graphs(EnumSpec(n), _threads(args))
 
 
 def _profile_table(rp: RankProfile) -> str:
@@ -109,7 +115,7 @@ def _profile_table(rp: RankProfile) -> str:
 
 def _cmd_graphs(args: argparse.Namespace) -> int:
     spec = EnumSpec(_rank(args), max_degree=args.max_degree, allow_loops=args.allow_loops)
-    graphs = ArtifactStore(_cache_dir(args)).graphs(spec, max(1, args.threads))
+    graphs = ArtifactStore(_cache_dir(args)).graphs(spec, _threads(args))
     if args.count_only:
         print(len(graphs))
     else:
@@ -161,7 +167,7 @@ def _cmd_homology(args: argparse.Namespace) -> int:
     kwargs = dict(
         p_range=p_range,
         cache_dir=_cache_dir(args),
-        threads=max(1, args.threads),
+        threads=_threads(args),
         max_nnz=args.max_nnz,
         max_basis=args.max_basis,
     )
@@ -185,12 +191,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     n = _rank(args)
     field = _field(args)
+    threads = _threads(args)
     oracle_dims = oracle_full_complex(n)
     rp = compute_rank_profile(
         n,
         f=field,
         cache_dir=_cache_dir(args),
-        threads=max(1, args.threads),
+        threads=threads,
         max_nnz=args.max_nnz,
         max_basis=args.max_basis,
     )

@@ -62,6 +62,13 @@ class ResourceCapError(RuntimeError):
 # the most classes one enumeration builds before it raises ResourceCapError
 MAX_CLASSES = 10_000_000
 
+# the fewest parents a rank step needs before it runs on a process pool.  A
+# pool costs its start-up and about 15 MB per worker.  On 2 cores the step to
+# rank 7 (66 parents, 0.3-0.5 s serially) gains no wall time from it and
+# spends 45% more CPU; the step to rank 8 (365 parents, 3-5 s) takes about
+# 55% of its serial time.
+POOL_MIN_PARENTS = 128
+
 
 @dataclass(frozen=True)
 class EnumSpec:
@@ -85,10 +92,11 @@ class EnumSpec:
 def enumerate_graphs(spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
     """One representative per isomorphism class, sorted by canonical key.
 
-    ``threads`` applies to the trivalent level; the contraction steps are
-    serial.  Edges are taken in position order and each orbit at its
-    smallest position, so every key is met first where contracting every
-    edge would meet it.
+    ``threads`` applies to the trivalent level, and there only to the rank
+    steps with at least ``POOL_MIN_PARENTS`` parents (see
+    :func:`cubic_level`); the contraction steps are serial.  Edges are
+    taken in position order and each orbit at its smallest position, so
+    every key is met first where contracting every edge would meet it.
     """
     found = cubic_level(spec.n, threads)
     level = list(found)
@@ -285,11 +293,15 @@ def cubic_level(n: int, threads: int = 1) -> dict[bytes, GraphClass]:
     """All 2-edge-connected loopless cubic multigraph classes of rank n, keyed
     by canonical key; insertion never builds a bridge.
 
-    Parents are expanded in key order on ``threads`` processes, and each
-    class is built from the labeling of its canonical augmentation, which
-    the job of its one canonical parent returns.  No dedup is needed: a key
-    met twice is an internal error and raises ``RuntimeError``.  The result
-    does not depend on ``threads``.
+    Parents are expanded in key order, and each class is built from the
+    labeling of its canonical augmentation, which the job of its one
+    canonical parent returns.  A rank step with at least
+    ``POOL_MIN_PARENTS`` parents runs on ``threads`` processes, and a
+    smaller one serially in this process, where a pool's start-up and
+    workers would cost more than they save: up to rank 7 nothing forks, and
+    from the step to rank 8 (365 parents) on, every step pools.  No dedup is
+    needed: a key met twice is an internal error and raises
+    ``RuntimeError``.  The result does not depend on ``threads``.
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
@@ -297,7 +309,8 @@ def cubic_level(n: int, threads: int = 1) -> dict[bytes, GraphClass]:
     for _ in range(3, n + 1):
         parents = [level[key] for key in sorted(level)]
         nxt: dict[bytes, GraphClass] = {}
-        for labelings in pmap(_children, parents, threads):
+        step_threads = threads if len(parents) >= POOL_MIN_PARENTS else 1
+        for labelings in pmap(_children, parents, step_threads):
             for lab in labelings:
                 if lab.key in nxt:
                     raise RuntimeError(

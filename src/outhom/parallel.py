@@ -13,21 +13,31 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], threads: int) -> Iterable[R]:
     """Map preserving input order; falls back to serial if no pool starts.
 
     The serial map is lazy, so results consumed one at a time are never all
-    held.  A dead worker surfaces as a resource-cap error.  The pool modules
-    (and ``multiprocessing`` with them) are imported only when a pool starts.
+    held.  Only a pool that cannot be created or cannot start its workers
+    falls back; an exception the job raises in a worker, ``OSError``
+    included, propagates.  A dead worker surfaces as a resource-cap error.
+    The pool modules (and ``multiprocessing`` with them) are imported only
+    when a pool starts.
     """
     if threads <= 1 or len(items) <= 1:
         return map(fn, items)
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
+    pool = None
     try:
-        with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
-            chunk = max(1, len(items) // (8 * threads))
-            return list(pool.map(fn, items, chunksize=chunk))
+        pool = ProcessPoolExecutor(max_workers=min(threads, len(items)))
+        # map submits every chunk now, which starts the workers; the jobs'
+        # own exceptions are raised only when the results are read below
+        results = pool.map(fn, items, chunksize=max(1, len(items) // (8 * threads)))
     except OSError as exc:  # pool unavailable in restricted environments
+        if pool is not None:
+            pool.shutdown()
         print(f"process pool unavailable ({exc}); running serially", file=sys.stderr)
         return map(fn, items)
-    except BrokenProcessPool as exc:
-        from .enumerator import ResourceCapError  # enumerator imports this module
+    with pool:
+        try:
+            return list(results)
+        except BrokenProcessPool as exc:
+            from .enumerator import ResourceCapError  # enumerator imports this module
 
-        raise ResourceCapError(f"process pool worker died ({exc})") from exc
+            raise ResourceCapError(f"process pool worker died ({exc})") from exc

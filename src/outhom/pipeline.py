@@ -174,6 +174,11 @@ def compute_rank_profile(
     ``p - 1`` is also in range (or p = 0, where it is zero); when that basis
     is a hole, so is p.  Resource caps, and running out of memory, leave
     explicit holes instead of aborting the whole profile.
+
+    ``threads`` worker processes enumerate the trivalent classes, but only
+    in the rank steps with at least ``enumerator.POOL_MIN_PARENTS``
+    parents, so at n <= 7 nothing forks.  Bases, matrices and ranks are
+    built in this process.
     """
     if n < 2:
         raise ValueError("rank must be >= 2")

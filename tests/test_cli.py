@@ -122,6 +122,13 @@ class TestValidation:
         code, _, err = run_cli(capsys, "homology", "--n", "2", "--prime", "65520")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["graphs", "basis", "homology", "check"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, capsys, command, threads):
+        code, out, err = run_cli(capsys, command, "--n", "3", "--threads", threads)
+        assert code == 1 and out == ""
+        assert "error: --threads must be at least 1" in err
+
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["homology", "--bogus"]) == 1
 

@@ -238,8 +238,29 @@ class TestInsertionPruning:
     def test_same_keys_as_every_pair(self, n):
         assert sorted(cubic_level(n)) == sorted(_unpruned_level(n))
 
-    def test_threads_keep_keys_and_order(self):
+    def test_threads_keep_keys_and_order(self, monkeypatch):
+        # pool every rank step, so the pooled run is compared
+        monkeypatch.setattr("outhom.enumerator.POOL_MIN_PARENTS", 1)
         assert list(cubic_level(6, threads=2)) == list(cubic_level(6, threads=1))
+
+    def test_only_rank_steps_with_enough_parents_pool(self, monkeypatch):
+        import outhom.enumerator as enumerator
+
+        steps = []  # (parents, threads) of each rank step's map
+
+        def recording_pmap(fn, items, threads):
+            steps.append((len(items), threads))
+            return map(fn, items)
+
+        monkeypatch.setattr(enumerator, "pmap", recording_pmap)
+        level = cubic_level(7, threads=2)
+        assert steps == [(1, 1), (2, 1), (5, 1), (16, 1), (66, 1)]
+        # the step to rank 8 has one parent per class of rank 7
+        assert len(level) >= enumerator.POOL_MIN_PARENTS
+        steps.clear()
+        monkeypatch.setattr(enumerator, "POOL_MIN_PARENTS", 5)
+        cubic_level(6, threads=2)
+        assert steps == [(1, 1), (2, 1), (5, 2), (16, 2)]
 
     def test_search_count(self, monkeypatch):
         # 3172 searches (one per orbit of edge pairs) before augmentation
@@ -276,7 +297,9 @@ class TestClassOnFirstKey:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_same_classes_as_canonical_form(self, n, threads):
+    def test_same_classes_as_canonical_form(self, n, threads, monkeypatch):
+        # pool every rank step, so threads=2 runs on the pool
+        monkeypatch.setattr("outhom.enumerator.POOL_MIN_PARENTS", 1)
         reference = sorted(_unpruned_level(n).values(), key=lambda c: c.canonical_key)
         graphs = enumerate_graphs(EnumSpec(n), threads)
         assert [g.canonical_key for g in graphs] == [c.canonical_key for c in reference]

@@ -24,6 +24,12 @@ def _die_in_worker(parent):
     return _children(parent)
 
 
+def _oserror_in_worker(x):
+    if os.getpid() != _CALLER:
+        raise OSError("disk full in worker")
+    return x
+
+
 def test_serial_map_is_lazy():
     seen = []
     results = pmap(seen.append, [1, 2, 3], 1)
@@ -37,10 +43,18 @@ def test_dead_worker_is_a_resource_cap():
         list(pmap(_die, [1, 2], 2))
 
 
+def test_job_oserror_in_worker_propagates(capsys):
+    # the job's own error is not a pool that failed to start: no serial rerun
+    with pytest.raises(OSError, match="disk full in worker"):
+        list(pmap(_oserror_in_worker, [1, 2, 3], 2))
+    assert capsys.readouterr().err == ""
+
+
 def test_dead_worker_leaves_a_hole_not_a_traceback(capsys, monkeypatch):
     # enumeration runs before any level, so a dead worker ends the run with
-    # exit 2; from rank 5 on a rank step has several parents, so the map
-    # uses the pool
+    # exit 2; with every rank step pooled, the steps from rank 4 on have
+    # several parents, so the map uses the pool
+    monkeypatch.setattr("outhom.enumerator.POOL_MIN_PARENTS", 1)
     monkeypatch.setattr("outhom.enumerator._children", _die_in_worker)
     code = main(["homology", "--n", "5", "--threads", "2"])
     captured = capsys.readouterr()
