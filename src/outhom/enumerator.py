@@ -63,10 +63,10 @@ class ResourceCapError(RuntimeError):
 MAX_CLASSES = 10_000_000
 
 # the fewest parents a rank step needs before it runs on a process pool.  A
-# pool costs its start-up and about 15 MB per worker.  On 2 cores the step to
-# rank 7 (66 parents, 0.3-0.5 s serially) gains no wall time from it and
-# spends 45% more CPU; the step to rank 8 (365 parents, 3-5 s) takes about
-# 55% of its serial time.
+# pool costs its start-up and about 15 MB per worker.  On 2 cores it saved
+# cubic_level(7), whose largest step has 66 parents, about 0.02 of 0.33 s
+# for 40% more CPU; the step to rank 8 (365 parents) it cuts from about 4 s
+# to 2.3 s.
 POOL_MIN_PARENTS = 128
 
 

@@ -23,15 +23,12 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], threads: int) -> Iterable[R]:
         return map(fn, items)
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    pool = None
     try:
         pool = ProcessPoolExecutor(max_workers=min(threads, len(items)))
         # map submits every chunk now, which starts the workers; the jobs'
         # own exceptions are raised only when the results are read below
         results = pool.map(fn, items, chunksize=max(1, len(items) // (8 * threads)))
     except OSError as exc:  # pool unavailable in restricted environments
-        if pool is not None:
-            pool.shutdown()
         print(f"process pool unavailable ({exc}); running serially", file=sys.stderr)
         return map(fn, items)
     with pool:

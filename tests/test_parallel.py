@@ -43,6 +43,15 @@ def test_dead_worker_is_a_resource_cap():
         list(pmap(_die, [1, 2], 2))
 
 
+def test_pool_that_cannot_be_created_runs_serially(capsys, monkeypatch):
+    def no_pool(max_workers):
+        raise OSError("no semaphores")
+
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", no_pool)
+    assert list(pmap(abs, [-1, -2], 2)) == [1, 2]
+    assert "process pool unavailable (no semaphores); running serially" in capsys.readouterr().err
+
+
 def test_job_oserror_in_worker_propagates(capsys):
     # the job's own error is not a pool that failed to start: no serial rerun
     with pytest.raises(OSError, match="disk full in worker"):
