@@ -8,6 +8,7 @@ too.  README.md ("Cache layout") lists the files and the checks.
 
 from __future__ import annotations
 
+from itertools import pairwise
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -78,7 +79,8 @@ class ArtifactStore:
                 )
             except (ValueError, KeyError):
                 elements = None
-            if elements is not None:
+            # a basis is in key order, which assembly into it relies on
+            if elements is not None and all(a.key < b.key for a, b in pairwise(elements)):
                 return ChainBasis(n=n, p=p, elements=elements)
             self._drop(f"dc-n{n}-p{p}.*", f"dr-n{n}-p{p}.*", f"dr-n{n}-p{p + 1}.*")
         basis = build_chain_basis(n, p, graphs, store, max_basis)

@@ -10,7 +10,7 @@ contraction's position map are built only for a term whose remaining forest
 is not empty; a one-edge forest, every generator at p = 1, needs only the
 target key.
 The removal boundary stays on the same graph, so its rows are the basis one
-forest size down.
+forest size down, matched to the sorted rows by one walk over its elements.
 
 Orbit lookups, for the basis and for both boundaries, go through the
 :class:`ClassStore`'s one :class:`forests.ForestIndex` per class, so a
@@ -41,6 +41,7 @@ from .forests import (
     ForestedGraph,
     ForestIndex,
     ForestKey,
+    _mask_positions,
     block_key_of,
     forest_key,
     mask_order,
@@ -190,7 +191,8 @@ def vstack(top: SparseIntMat, bottom: SparseIntMat) -> SparseIntMat:
 
 @dataclass
 class ChainBasis:
-    """Indexed basis of forested graphs for fixed (n, p).
+    """Basis of forested graphs for fixed (n, p) in key order (classes by
+    canonical key, each class's forests lexicographic), as assembly reads it.
 
     ``blocks`` partitions column indices by the canonical key of the fully
     contracted graph (:func:`forests.block_key_of`); the contraction boundary
@@ -202,12 +204,6 @@ class ChainBasis:
     n: int
     p: int
     elements: tuple[ForestedGraph, ...]
-
-    @cached_property
-    def index(self) -> dict[ForestKey, int]:
-        """Column of each element key; read by ``d_R`` into this basis and
-        by ``verify_cycle``."""
-        return {el.key: i for i, el in enumerate(self.elements)}
 
     @cached_property
     def blocks(self) -> dict[bytes, tuple[int, ...]]:
@@ -309,9 +305,9 @@ def build_chain_basis(
 ) -> ChainBasis:
     """Basis of nonzero forest orbits of size p over the given graphs.
 
-    Graphs are taken in the given order (callers pass them sorted by
-    canonical key); within one graph, representatives come out in
-    lexicographic order.  ``orbit_lists`` may supply precomputed
+    Graphs are taken in the given order (sorted by canonical key, which
+    assembly into the basis needs); each graph's representatives come out
+    in lexicographic order.  ``orbit_lists`` may supply precomputed
     ``orbit_representatives(p)`` results matching ``graphs``; otherwise they
     come from the store's index of each class.
     """
@@ -338,8 +334,7 @@ class BoundaryKernel:
 
     A kernel serves one assembly.  Rows are interned once per orbit of a
     target class, in ``rows`` under the class key and the representative
-    mask: numbered in the order met, or, given a ``target`` basis, looked up
-    in its index.
+    mask, and numbered in the order met; :func:`assemble` renumbers them.
 
     Removing the forest edge at ``pos`` leaves the mask ``F ^ 1 << pos``,
     already in ascending order.  Contracting it needs only the target key
@@ -360,30 +355,17 @@ class BoundaryKernel:
     elements class by class.  Contraction targets get no memo.
     """
 
-    def __init__(self, store: ClassStore, target: Optional[ChainBasis] = None):
+    def __init__(self, store: ClassStore):
         self.store = store
-        self.target = target
         # per target class met: the row id of each orbit, by representative
-        # mask; ``row_count`` ids are interned when there is no ``target``
+        # mask, numbered in the order met
         self.rows: dict[bytes, dict[int, int]] = {}
         self.row_count = 0
-        # per source class, per position: [target key, its ``rows`` entry,
-        # index or None, table or None]
+        # per source class, per position: [the target class's ``rows``
+        # entry, index or None, table or None]
         self._contractions: dict[bytes, list[Optional[list]]] = {}
         # the removal source class key, its index, and its records by mask
         self._removal: tuple = (None, None, {})
-
-    def _row(self, class_key: bytes, rep: int) -> int:
-        if self.target is None:
-            self.row_count += 1
-            return self.row_count - 1
-        key = forest_key(class_key, rep)
-        row = self.target.index.get(key)
-        if row is None:
-            raise InconsistencyError(
-                f"boundary target {key} missing from the p={self.target.p} basis"
-            )
-        return row
 
     def add_terms(
         self, acc: dict[int, int], el: ForestedGraph, kind: str, scale: int = 1
@@ -416,15 +398,14 @@ class BoundaryKernel:
             if kind == "contract":
                 entry = per_pos[pos]
                 if entry is None:
-                    tkey = self.store.contract_key(src, pos)
-                    rows = self.rows.setdefault(tkey, {})
-                    entry = per_pos[pos] = [tkey, rows, None, None]
-                tkey, rows, fi, table = entry
+                    rows = self.rows.setdefault(self.store.contract_key(src, pos), {})
+                    entry = per_pos[pos] = [rows, None, None]
+                rows, fi, table = entry
                 if mask:
                     if table is None:
                         target, pos_map = self.store.contract_one(src, pos)
-                        fi = entry[2] = self.store.forest_index(target)
-                        table = entry[3] = xor_table(pos_map, fi.edge_count)
+                        fi = entry[1] = self.store.forest_index(target)
+                        table = entry[2] = xor_table(pos_map, fi.edge_count)
                     e = fi.edge_count
                     x = 0
                     for j in forest:
@@ -447,7 +428,8 @@ class BoundaryKernel:
                 rep = 0
             row = rows.get(rep)
             if row is None:
-                row = rows[rep] = self._row(tkey, rep)
+                row = rows[rep] = self.row_count
+                self.row_count += 1
             acc[row] = acc.get(row, 0) + sign
 
 
@@ -460,12 +442,12 @@ def assemble(
     """Matrix of the sum of ``scale`` times the ``kind`` boundary over the
     ``(kind, scale)`` parts, on the columns of ``b``, and the key of each row.
 
-    Rows are the nonzero rows in key order, or the ``target`` basis, which
-    must hold every target key (else :class:`InconsistencyError`) and whose
-    elements name the rows, so the keys are ``None``.  Hash-consed rows are
-    sorted by (class key, :func:`forests.mask_order` of the representative
-    mask), which is key order because every row's forest has size
-    ``b.p - 1``; their keys are a :class:`RowKeys`, built on read."""
+    Interned rows are sorted by (class key, :func:`forests.mask_order` of the
+    representative mask), which is key order because every row's forest has
+    size ``b.p - 1``: the nonzero rows, keyed by a :class:`RowKeys` built on
+    read; or, walked onto the ``target`` basis's elements in one pass, that
+    basis, which names its rows (keys ``None``) and must hold every key met
+    (else :class:`InconsistencyError`)."""
     if b.p > 2 and any(kind == "contract" for kind, _ in parts):
         # list the target groups, which the store keeps, before any row is
         # interned: listed among the rows, they would keep the rows' freed
@@ -473,7 +455,7 @@ def assemble(
         for src, els in groupby(b.elements, lambda el: el.graph):
             for pos in set().union(*(el.forest for el in els)):
                 store.forest_index(store.contract_one(src, pos)[0])._group_tables()
-    kernel = BoundaryKernel(store, target)
+    kernel = BoundaryKernel(store)
     row_ids, col_ids, values = array("q"), array("q"), array("q")
     for col, el in enumerate(b.elements):
         acc: dict[int, int] = {}
@@ -485,32 +467,47 @@ def assemble(
                 col_ids.append(col)
                 values.append(v)
     interned, count = kernel.rows, kernel.row_count
-    # free the target lookups and contraction tables: the sort below needs
+    # free the contraction tables and removal records: the sort below needs
     # room for a second copy of the arrays
     del kernel
+    # renumber the interned ids in key order, class by class and each class's
+    # representatives by ``mask_order``: the ids that kept an entry in turn,
+    # or by one forward walk over a target, which lists that same order
     if target is None:
-        # renumber the interned ids that kept an entry in key order: class
-        # by class, each class's representatives by ``mask_order``
         used = bytearray(count)
         for row in row_ids:
             used[row] = 1
-        renumber = array("q", bytes(8 * count))
-        classes: list[bytes] = []
-        masks: list[int] = []
-        for class_key in sorted(interned):
-            by_mask = interned.pop(class_key)
-            width = (max(by_mask, default=0).bit_length() + 7) // 8
-            for rep in sorted(by_mask, key=lambda m: mask_order(m, width)):
-                row = by_mask[rep]
-                if used[row]:
-                    renumber[row] = len(masks)
-                    classes.append(class_key)
-                    masks.append(rep)
-        for k, row in enumerate(row_ids):
-            row_ids[k] = renumber[row]
+    renumber = array("q", bytes(8 * count))
+    classes: list[bytes] = []
+    masks: list[int] = []
+    elements = () if target is None else target.elements
+    labels, rows, j = None, len(elements), 0
+    for class_key in sorted(interned):
+        by_mask = interned.pop(class_key)
+        width = (max(by_mask, default=0).bit_length() + 7) // 8
+        while j < rows and elements[j].graph.canonical_key < class_key:
+            j += 1
+        for rep in sorted(by_mask, key=lambda m: mask_order(m, width)):
+            row = by_mask[rep]
+            if target is not None:
+                # a step past the class only happens when the key is missing
+                forest = tuple(_mask_positions(rep))
+                while j < rows and elements[j].forest < forest:
+                    j += 1
+                el = elements[j] if j < rows else None
+                if el is None or el.forest != forest or el.graph.canonical_key != class_key:
+                    raise InconsistencyError(
+                        f"boundary target {(class_key, forest)} missing from the p={target.p} basis"
+                    )
+                renumber[row] = j
+            elif used[row]:
+                renumber[row] = len(masks)
+                classes.append(class_key)
+                masks.append(rep)
+    for k, row in enumerate(row_ids):
+        row_ids[k] = renumber[row]
+    if target is None:
         labels, rows = RowKeys(classes, masks), len(masks)
-    else:
-        labels, rows = None, target.dim
     # columns ascend within each row already, so a stable sort by row puts
     # the entries in (row, col) order
     order = _counting_order(row_ids, rows)

@@ -160,7 +160,7 @@ def _cmd_homology(args: argparse.Namespace) -> int:
     if args.p is not None:
         p_range = [_size(n, args.p)]
     elif args.p_max is not None:
-        p_range = [_size(n, p) for p in range(args.p_max + 1)]
+        p_range = list(range(_size(n, args.p_max) + 1))
     field = _field(args)
     if args.rational and args.second_prime is not None:
         raise ValueError("--second-prime compares two primes; it cannot run with --rational")
@@ -190,14 +190,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     n = _rank(args)
-    field = _field(args)
-    threads = _threads(args)
     oracle_dims = oracle_full_complex(n)
     rp = compute_rank_profile(
         n,
-        f=field,
+        f=_field(args),
         cache_dir=_cache_dir(args),
-        threads=threads,
         max_nnz=args.max_nnz,
         max_basis=args.max_basis,
     )
@@ -221,9 +218,7 @@ def _cmd_verify_cycle(args: argparse.Namespace) -> int:
         raise ValueError(str(exc)) from None
     if w.n != n or w.p != p:
         raise ValueError(f"cycle file has (n={w.n}, p={w.p}), expected (n={n}, p={p})")
-    cache, graphs = _trivalent_graphs(args, n)
-    basis = cache.basis(n, p, graphs, store, args.max_basis)
-    verdict = verify_cycle(w, basis, store)
+    verdict = verify_cycle(w, _trivalent_graphs(args, n)[1], store)
     print(f"terms: {len(w.terms)}")
     print(f"is_in_basis: {verdict.is_in_basis}")
     print(f"dC_zero: {verdict.dC_zero}")
@@ -258,10 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", "--cache-dir", "--format", "--max-nnz", "--max-basis")
     add("oracle", _cmd_oracle, f"full-complex homology (n <= {ORACLE_MAX_RANK})", "--n")
     add("check", _cmd_check, "oracle vs pipeline comparison",
-        "--n", "--prime", "--rational", "--threads", "--cache-dir", "--max-nnz",
-        "--max-basis")
+        "--n", "--prime", "--rational", "--cache-dir", "--max-nnz", "--max-basis")
     sp = add("verify-cycle", _cmd_verify_cycle, "check a cycle file",
-             "--n", "--threads", "--cache-dir", "--max-basis")
+             "--n", "--threads", "--cache-dir")
     sp.add_argument("file")
     sp.add_argument("--p", type=int, required=True,
                     help="forest size of the basis")

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .chain import BoundaryKernel, ChainBasis, ClassStore
+from .chain import BoundaryKernel, ClassStore
 from .forests import ForestKey, ForestedGraph
-from .multigraph import Multigraph, canonical_form_mapped
+from .multigraph import GraphClass, Multigraph, canonical_form_mapped
 
 _TOKEN = re.compile(r"^(\d+)([+-])(\d+)$")
 
@@ -136,17 +136,19 @@ class CycleVerdict:
 
 
 def verify_cycle(
-    w: CycleVector, b: ChainBasis, store: Optional[ClassStore] = None
+    w: CycleVector, graphs: Sequence[GraphClass], store: Optional[ClassStore] = None
 ) -> CycleVerdict:
     """Check membership in the basis and that both boundaries kill w over Z.
 
-    The boundaries are applied directly to the support of w, so the check
-    stays cheap even when the basis is large.
+    A term is a basis element, as :func:`chain.build_chain_basis` makes one,
+    when its class is one of ``graphs`` (the trivalent classes of rank
+    ``w.n``) and its forest has ``w.p`` edges, is acyclic, is its orbit's
+    representative and is not zero by odd symmetry, so no basis is built.
+    The boundaries are applied directly to the support of w.
     """
     store = store or ClassStore()
-    missing = tuple(
-        sorted(fg.key for _, fg in w.terms if fg.key not in b.index)
-    )
+    keys = {cls.canonical_key for cls in graphs}
+    missing = tuple(sorted(fg.key for _, fg in w.terms if not _in_basis(fg, w.p, keys, store)))
     if missing:
         return CycleVerdict(False, False, False, missing)
     kernel = BoundaryKernel(store)
@@ -158,3 +160,13 @@ def verify_cycle(
     d_c_zero = all(v == 0 for v in contract_acc.values())
     d_r_zero = all(v == 0 for v in remove_acc.values())
     return CycleVerdict(True, d_c_zero, d_r_zero)
+
+
+def _in_basis(fg: ForestedGraph, p: int, keys: set[bytes], store: ClassStore) -> bool:
+    if fg.graph.canonical_key not in keys or len(fg.forest) != p:
+        return False
+    try:
+        ref = store.forest_index(fg.graph).normalize(fg.forest)
+    except ValueError:  # a cycle, or a position repeated or out of range
+        return False
+    return ref.sign != 0 and ref.key == fg.key

@@ -35,7 +35,6 @@ from .artifacts import ArtifactStore
 from .chain import (
     ChainBasis,
     ClassStore,
-    SparseIntMat,
     assemble,
     build_chain_basis,
     matmul,
@@ -315,13 +314,16 @@ def cross_prime_profile(
 
     Both runs share the cached bases and matrices, which hold integers; each
     prime keeps its own report.  Equal primes raise ``ValueError``: one prime
-    run twice always agrees with itself.
+    run twice always agrees with itself.  A run that lost a rank and came
+    back under the other prime raises :class:`CrossPrimeError`.
     """
     if primes[0] == primes[1]:
         raise ValueError(f"the two primes must differ, both are {primes[0]}")
-    fields = [FieldSpec.prime(q) for q in primes]
-    first = compute_rank_profile(n, p_range, fields[0], **kwargs)
-    second = compute_rank_profile(n, p_range, fields[1], **kwargs)
+    first, second = runs = [compute_rank_profile(n, p_range, FieldSpec.prime(q), **kwargs)
+                            for q in primes]
+    for q, run in zip(primes, runs):
+        if run.field != str(q):
+            raise CrossPrimeError(f"GF({q}) lost a rank at n={n}; it came back over {run.field}")
     if first.b != second.b or first.c != second.c:
         raise CrossPrimeError(
             f"rank disagreement between GF({primes[0]}) and GF({primes[1]}) at n={n}: "
@@ -349,27 +351,18 @@ def oracle_full_complex(n: int) -> list[int]:
     if not 2 <= n <= ORACLE_MAX_RANK:
         raise ValueError(f"the full-complex oracle takes ranks 2 to {ORACLE_MAX_RANK}")
     bases, store = _oracle_bases(n)
-    mats: list[SparseIntMat] = []
-    for k in range(1, len(bases)):
-        mats.append(_oracle_boundary(bases[k], bases[k - 1], store))
+    # the combined boundary, contraction minus removal, into the basis below
+    full = (("contract", 1), ("remove", -1))
+    mats = [assemble(bases[k], full, store, bases[k - 1])[0] for k in range(1, len(bases))]
     for k in range(1, len(mats)):
         if matmul(mats[k - 1], mats[k]).nnz:
             raise AssertionError(f"oracle boundary squared nonzero at k={k + 1}")
     rational = FieldSpec.rational()
     ranks = [rank_of(m, rational) for m in mats] + [0]
-    dims = []
-    for k, basis in enumerate(bases):
-        up = ranks[k] if k < len(ranks) else 0
-        down = ranks[k - 1] if k >= 1 else 0
-        dims.append(basis.dim - up - down)
+    dims = [b.dim - ranks[k] - (ranks[k - 1] if k else 0) for k, b in enumerate(bases)]
     top = 2 * n - 3
     dims += [0] * (top + 1 - len(dims))
     return dims[: top + 1]
-
-
-def _oracle_boundary(b: ChainBasis, target: ChainBasis, store: ClassStore) -> SparseIntMat:
-    """Combined boundary (contraction minus removal) into the lower basis."""
-    return assemble(b, (("contract", 1), ("remove", -1)), store, target)[0]
 
 
 def _oracle_bases(n: int) -> tuple[list[ChainBasis], ClassStore]:

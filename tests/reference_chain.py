@@ -56,7 +56,7 @@ def reference_boundary(
         row_of = {key: r for r, key in enumerate(labels)}
     else:
         labels = tuple(e.key for e in target.elements)
-        row_of = target.index
+        row_of = {key: r for r, key in enumerate(labels)}
         missing = [key for key, _ in acc if key not in row_of]
         if missing:
             raise InconsistencyError(

@@ -168,7 +168,7 @@ def test_criterion_6_property_suite(bases_by_rank, store, doubled_4_cycle):
     _report("6", "boundary identities, canonicalization, signs, prime agreement")
 
 
-def test_criterion_7_cycle_format(bases_by_rank, store):
+def test_criterion_7_cycle_format(bases_by_rank, trivalent_by_rank, store):
     # synthetic round-trip
     rng = random.Random(7)
     basis4 = bases_by_rank[4][5]
@@ -200,7 +200,7 @@ def test_criterion_7_cycle_format(bases_by_rank, store):
             vec = CycleVector(
                 4, p, tuple((v, basis.elements[i]) for i, v in sorted(col.items()))
             )
-            assert verify_cycle(vec, basis, store).is_cycle
+            assert verify_cycle(vec, trivalent_by_rank[4], store).is_cycle
     assert accepted[4] >= 1
 
     # ... and single-term non-cycles are rejected
@@ -208,7 +208,7 @@ def test_criterion_7_cycle_format(bases_by_rank, store):
         if not (mat_vec(dc5, {i: 1}) or mat_vec(dr5, {i: 1})):
             continue
         vec = CycleVector(4, 5, ((1, basis4.elements[i]),))
-        assert not verify_cycle(vec, basis4, store).is_cycle
+        assert not verify_cycle(vec, trivalent_by_rank[4], store).is_cycle
         rejected += 1
     assert rejected > 0
     _report("7", f"round-trip, joint-kernel dims {accepted} accepted, "

@@ -6,6 +6,7 @@ import pytest
 
 from outhom.artifacts import label_text, parse_label
 from outhom.chain import (
+    ChainBasis,
     ClassStore,
     InconsistencyError,
     SparseIntMat,
@@ -18,7 +19,7 @@ from outhom.chain import (
 )
 from outhom.forests import ForestIndex, block_key_of
 from outhom.multigraph import canonical_form_mapped, contract_edges_mapped
-from outhom.pipeline import _oracle_bases, _oracle_boundary
+from outhom.pipeline import _oracle_bases
 from reference_chain import basis_from_labels, reference_boundary
 
 CONTRACT = (("contract", 1),)
@@ -60,6 +61,7 @@ class TestSmallExamples:
             assert basis2.dim > 0
             dr = boundary_remove(basis2, basis1, store)
             col_dicts = dr.col_dicts()
+            row_of = {el.key: r for r, el in enumerate(basis1.elements)}
             for j, el in enumerate(basis2.elements):
                 fi = store.forest_index(store.intern(el.graph))
                 e1, e2 = el.forest
@@ -68,7 +70,7 @@ class TestSmallExamples:
                     ref = fi.normalize(list(kept))
                     if ref.sign == 0:
                         continue
-                    row = basis1.index[ref.key]
+                    row = row_of[ref.key]
                     expected[row] = expected.get(row, 0) + sgn * ref.sign
                 expected = {r: v for r, v in expected.items() if v}
                 assert col_dicts[j] == expected
@@ -186,7 +188,7 @@ class TestReferenceEquivalence:
         for k in range(1, len(bases)):
             b, lower = bases[k], bases[k - 1]
             self._assert_same_matrix(
-                _oracle_boundary(b, lower, store),
+                assemble(b, FULL, store, lower)[0],
                 reference_boundary(b, FULL, ref_store, lower)[0],
             )
             for parts in (CONTRACT, REMOVE, FULL):
@@ -196,6 +198,21 @@ class TestReferenceEquivalence:
                         reference_boundary(b, parts, ref_store, target),
                         target,
                     )
+
+    @pytest.mark.parametrize("drop", ["element", "class"])
+    def test_target_without_a_key_raises_on_both(self, bases_by_rank, drop):
+        # the walk onto the target must not take an element of another
+        # class, or a later element of the same class, for a missing key
+        basis, lower = bases_by_rank[4][2], bases_by_rank[4][1]
+        keys = [el.key for el in lower.elements]
+        first = keys[0][0]
+        gone = {keys[len(keys) // 2]} if drop == "element" else {k for k in keys if k[0] == first}
+        target = ChainBasis(4, 1, tuple(el for el in lower.elements if el.key not in gone))
+        assert target.elements[0].forest == lower.elements[0].forest
+        for build in (assemble, reference_boundary):
+            with pytest.raises(InconsistencyError, match="missing from the p=1 basis") as info:
+                build(basis, REMOVE, ClassStore(), target)
+            assert any(str(key) in str(info.value) for key in gone)
 
     def test_missing_removal_target_raises_on_both(self, bases_by_rank):
         basis1 = bases_by_rank[2][1]
@@ -330,7 +347,7 @@ class TestBasisStructure:
     def test_index_and_blocks_consistent(self, bases_by_rank):
         for n in (3, 4):
             for basis in bases_by_rank[n]:
-                assert len(basis.index) == basis.dim
+                assert len({el.key for el in basis.elements}) == basis.dim
                 covered = sorted(
                     i for cols in basis.blocks.values() for i in cols
                 )

@@ -67,6 +67,26 @@ class TestHomology:
         assert code == 1 and out == ""
         assert "--rational" in err
 
+    @pytest.mark.parametrize("second", ["65519", "65521"])
+    def test_second_prime_run_that_falls_back_exits_3(self, capsys, monkeypatch, second):
+        # GF(65521) loses a rank, so its run comes back over GF(65519)
+        import outhom.pipeline as pipeline
+
+        real = pipeline.homology_dimensions
+
+        def homology_dimensions(rp):
+            if rp.field == "65521":
+                raise pipeline.NegativeDimensionError("lost a rank")
+            return real(rp)
+
+        monkeypatch.setattr(pipeline, "homology_dimensions", homology_dimensions)
+        first = "65519" if second == "65521" else "65521"
+        code, out, err = run_cli(
+            capsys, "homology", "--n", "2", "--prime", first, "--second-prime", second
+        )
+        assert code == 3 and out == ""
+        assert err == "rank failure: GF(65521) lost a rank at n=2; it came back over 65519\n"
+
     def test_second_prime_equal_to_prime_rejected(self, capsys):
         code, out, err = run_cli(capsys, "homology", "--n", "2", "--second-prime", "65521")
         assert code == 1 and out == ""
@@ -114,6 +134,12 @@ class TestValidation:
         code, _, err = run_cli(capsys, "homology", "--n", "3", "--p", "9")
         assert code == 1
 
+    @pytest.mark.parametrize("p_max", ["-1", "-4"])
+    def test_p_max_below_zero_rejected(self, capsys, p_max):
+        code, out, err = run_cli(capsys, "homology", "--n", "3", "--p-max", p_max)
+        assert code == 1 and out == ""
+        assert err == "error: forest sizes must lie in [0, 3]\n"
+
     def test_p_and_pmax_conflict(self, capsys):
         code, _, _ = run_cli(capsys, "homology", "--n", "3", "--p", "1", "--p-max", "2")
         assert code == 1
@@ -122,7 +148,7 @@ class TestValidation:
         code, _, err = run_cli(capsys, "homology", "--n", "2", "--prime", "65520")
         assert code == 1
 
-    @pytest.mark.parametrize("command", ["graphs", "basis", "homology", "check"])
+    @pytest.mark.parametrize("command", ["graphs", "basis", "homology"])
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, capsys, command, threads):
         code, out, err = run_cli(capsys, command, "--n", "3", "--threads", threads)
@@ -142,9 +168,8 @@ SUBCOMMAND_FLAGS = {
     "homology": {"--n", "--p", "--p-max", "--prime", "--second-prime", "--rational",
                  "--threads", "--cache-dir", "--format", "--max-nnz", "--max-basis"},
     "oracle": {"--n"},
-    "check": {"--n", "--prime", "--rational", "--threads", "--cache-dir", "--max-nnz",
-              "--max-basis"},
-    "verify-cycle": {"file", "--n", "--p", "--threads", "--cache-dir", "--max-basis"},
+    "check": {"--n", "--prime", "--rational", "--cache-dir", "--max-nnz", "--max-basis"},
+    "verify-cycle": {"file", "--n", "--p", "--threads", "--cache-dir"},
 }
 
 
@@ -162,7 +187,7 @@ class TestFlagSets:
             for name, sp in subs.choices.items()
         }
         assert got == SUBCOMMAND_FLAGS
-        assert sum(map(len, got.values())) == 42
+        assert sum(map(len, got.values())) == 40
 
     @pytest.mark.parametrize("argv, unread", [
         (("basis", "--n", "4", "--p-max", "2", "--count-only"), "--p-max 2"),
@@ -173,6 +198,8 @@ class TestFlagSets:
         (("oracle", "--n", "2", "--prime", "65519"), "--prime 65519"),
         (("check", "--n", "2", "--second-prime", "65519"), "--second-prime 65519"),
         (("check", "--n", "2", "--p", "1"), "--p 1"),
+        (("check", "--n", "2", "--threads", "2"), "--threads 2"),
+        (("verify-cycle", "w", "--n", "2", "--p", "1", "--max-basis", "9"), "--max-basis 9"),
     ])
     def test_flag_not_read_is_rejected(self, capsys, argv, unread):
         code, out, err = run_cli(capsys, *argv)
@@ -265,6 +292,46 @@ class TestVerifyCycle:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify-cycle", "/no/such/file", "--n", "2", "--p", "1")
         assert code == 1
+
+    def test_builds_no_basis(self, tmp_path, capsys, monkeypatch, bases_by_rank, store):
+        """The lines of a non-cycle, a term outside the basis and an n = 4,
+        p = 4 cycle, with every way to build a basis made to raise."""
+        import outhom.artifacts
+        import outhom.chain
+        from outhom.chain import SparseIntMat, boundary_contract, boundary_remove
+        from outhom.cycleio import CycleVector, serialize_cycle
+        from outhom.exactla import FieldSpec, nullspace_of
+
+        basis = bases_by_rank[4][4]
+        dc = boundary_contract(basis, store)
+        dr = boundary_remove(basis, bases_by_rank[4][3], store)
+        stacked = SparseIntMat(
+            dc.rows + dr.rows, basis.dim,
+            dc.entries + tuple((r + dc.rows, c, v) for r, c, v in dr.entries),
+        )
+        col = nullspace_of(stacked, FieldSpec.rational()).columns[0]
+        morita = CycleVector(4, 4, tuple((v, basis.elements[i]) for i, v in sorted(col.items())))
+
+        def no_basis(*args, **kwargs):
+            raise AssertionError("verify-cycle built a basis")
+
+        monkeypatch.setattr(outhom.chain, "build_chain_basis", no_basis)
+        monkeypatch.setattr(outhom.artifacts, "build_chain_basis", no_basis)
+        monkeypatch.setattr(outhom.artifacts.ArtifactStore, "basis", no_basis)
+        cases = [
+            ("1 [0+1 0-1 0-1]\n", "2", "1", ["1", "True", "False", "False", "no"], ""),
+            ("1 [0+1 0-1 0-1 0-0]\n", "3", "1", ["1", "False", "False", "False", "no"],
+             "missing: (b'V=2 E=0-1,0-1,0-1,1-1', (0,))\n"),
+            ("\n".join(serialize_cycle(morita)) + "\n", "4", "4",
+             [str(len(morita.terms)), "True", "True", "True", "yes"], ""),
+        ]
+        path = tmp_path / "w"
+        for text, n, p, values, missing in cases:
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "verify-cycle", str(path), "--n", n, "--p", p)
+            fields = ("terms", "is_in_basis", "dC_zero", "dR_zero", "cycle")
+            assert code == 0 and err == missing
+            assert out.splitlines() == [f"{k}: {v}" for k, v in zip(fields, values)]
 
     def test_needs_p(self, tmp_path, capsys):
         path = tmp_path / "w"

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from outhom.chain import SparseIntMat, boundary_contract, boundary_remove
+from outhom.chain import (
+    ClassStore,
+    SparseIntMat,
+    boundary_contract,
+    boundary_remove,
+    build_chain_basis,
+)
 from outhom.cycleio import (
     CycleFormatError,
     CycleVector,
@@ -13,6 +19,8 @@ from outhom.cycleio import (
     verify_cycle,
 )
 from outhom.exactla import FieldSpec, nullspace_of
+from outhom.forests import ForestedGraph
+from outhom.pipeline import oracle_graphs
 from reference_la import mat_vec
 
 
@@ -107,25 +115,88 @@ class TestSerialize:
         assert plus_pairs == sorted(plus_pairs)
 
 
+class TestBasisMembership:
+    """``verify_cycle`` decides basis membership from the class list and
+    each term's own orbit record; the terms here are built directly."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_basis_element_is_in_the_basis(
+        self, n, bases_by_rank, trivalent_by_rank, store
+    ):
+        for p, basis in enumerate(bases_by_rank[n]):
+            w = CycleVector(n, p, tuple((1, el) for el in basis.elements))
+            verdict = verify_cycle(w, trivalent_by_rank[n], store)
+            assert verdict.is_in_basis and verdict.missing == ()
+
+    @staticmethod
+    def _strays(n: int, p: int, graphs, store: ClassStore) -> dict[str, list]:
+        """Forested graphs of rank n and forest size p that are not basis
+        elements, by why not."""
+        strays: dict[str, list] = {"moved": [], "zero": [], "not trivalent": []}
+        for cls in graphs:
+            for rep, size, zero in store.forest_index(cls).orbit_representatives(p):
+                if zero:
+                    strays["zero"].append(ForestedGraph(cls, rep))
+                elif size > 1:
+                    # another member of the orbit: the image under a generator
+                    for g in cls.edge_perm_generators:
+                        moved = tuple(sorted(g[i] for i in rep))
+                        if moved != rep:
+                            strays["moved"].append(ForestedGraph(cls, moved))
+                            break
+        keys = {cls.canonical_key for cls in graphs}
+        others = [cls for cls in oracle_graphs(n) if cls.canonical_key not in keys]
+        strays["not trivalent"] = list(build_chain_basis(n, p, others, store).elements)
+        return strays
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_strays_are_missing(self, n, bases_by_rank, trivalent_by_rank, store):
+        graphs = trivalent_by_rank[n]
+        met: set[str] = set()
+        for p, basis in enumerate(bases_by_rank[n]):
+            strays = []
+            for why, terms in self._strays(n, p, graphs, store).items():
+                met |= {why} if terms else set()
+                strays += terms
+                for fg in terms:
+                    verdict = verify_cycle(CycleVector(n, p, ((1, fg),)), graphs, store)
+                    assert not verdict.is_in_basis and verdict.missing == (fg.key,), why
+            # a forest of the wrong size
+            for el in basis.elements:
+                verdict = verify_cycle(CycleVector(n, p + 1, ((1, el),)), graphs, store)
+                assert verdict.missing == (el.key,)
+            # one stray among basis elements: only it is missing
+            if strays and basis.dim:
+                w = CycleVector(n, p, ((1, basis.elements[0]), (2, strays[0])))
+                assert verify_cycle(w, graphs, store).missing == (strays[0].key,)
+        # no theta forest is zero by odd symmetry
+        assert met == {"moved", "not trivalent"} | ({"zero"} if n >= 3 else set())
+
+    def test_cyclic_forest_is_missing(self, theta, trivalent_by_rank, store):
+        cyclic = ForestedGraph(theta, (0, 1))
+        verdict = verify_cycle(CycleVector(2, 2, ((1, cyclic),)), trivalent_by_rank[2], store)
+        assert not verdict.is_in_basis and verdict.missing == (cyclic.key,)
+
+
 class TestVerify:
-    def test_zero_vector_trivially_verified(self, bases_by_rank):
-        verdict = verify_cycle(CycleVector(4, 5, ()), bases_by_rank[4][5])
+    def test_zero_vector_trivially_verified(self, trivalent_by_rank):
+        verdict = verify_cycle(CycleVector(4, 5, ()), trivalent_by_rank[4])
         assert verdict.is_cycle
 
-    def test_theta_term_fails_removal(self, bases_by_rank, store):
+    def test_theta_term_fails_removal(self, trivalent_by_rank, store):
         w = parse_cycle(["1 [0+1 0-1 0-1]"], store)
-        verdict = verify_cycle(w, bases_by_rank[2][1], store)
+        verdict = verify_cycle(w, trivalent_by_rank[2], store)
         assert verdict.is_in_basis
         assert not verdict.dR_zero
 
-    def test_missing_term_reported(self, bases_by_rank, store):
+    def test_missing_term_reported(self, trivalent_by_rank, store):
         w = parse_cycle(["1 [0+1 0-1 0-1]"], store)
-        verdict = verify_cycle(w, bases_by_rank[3][1], store)
+        verdict = verify_cycle(w, trivalent_by_rank[3], store)
         assert not verdict.is_in_basis
         assert verdict.missing
 
     @pytest.mark.parametrize("p", [4, 5])
-    def test_joint_nullspace_vectors_pass_n4(self, p, bases_by_rank, store):
+    def test_joint_nullspace_vectors_pass_n4(self, p, bases_by_rank, trivalent_by_rank, store):
         # oracle: joint kernel of (dC, dR) over the rationals via exactla
         basis = bases_by_rank[4][p]
         dc = boundary_contract(basis, store)
@@ -139,12 +210,12 @@ class TestVerify:
             w = CycleVector(
                 4, p, tuple((v, basis.elements[i]) for i, v in sorted(col.items()))
             )
-            verdict = verify_cycle(w, basis, store)
+            verdict = verify_cycle(w, trivalent_by_rank[4], store)
             assert verdict.is_cycle, f"joint kernel vector rejected at p={p}"
         if p == 4:
             assert joint.dim >= 1  # the Morita class lives here
 
-    def test_single_term_non_cycles_rejected_n4(self, bases_by_rank, store):
+    def test_single_term_non_cycles_rejected_n4(self, bases_by_rank, trivalent_by_rank, store):
         basis = bases_by_rank[4][5]
         dc = boundary_contract(basis, store)
         dr = boundary_remove(basis, bases_by_rank[4][4], store)
@@ -156,12 +227,12 @@ class TestVerify:
             if not boundary_hits:
                 continue
             w = CycleVector(4, 5, ((1, basis.elements[i]),))
-            verdict = verify_cycle(w, basis, store)
+            verdict = verify_cycle(w, trivalent_by_rank[4], store)
             assert not verdict.is_cycle
             checked += 1
         assert checked > 0
 
-    def test_renormalization_invariance(self, bases_by_rank, store):
+    def test_renormalization_invariance(self, bases_by_rank, trivalent_by_rank, store):
         # a term entered with permuted forest ordering and flipped
         # coefficient normalizes to the same vector, hence the same verdict
         basis = bases_by_rank[4][2]
@@ -174,4 +245,5 @@ class TestVerify:
         assert normalized_term == (5, el)
         w1 = CycleVector(4, 2, ((5, el),))
         w2 = CycleVector(4, 2, (normalized_term,))
-        assert verify_cycle(w1, basis, store) == verify_cycle(w2, basis, store)
+        graphs = trivalent_by_rank[4]
+        assert verify_cycle(w1, graphs, store) == verify_cycle(w2, graphs, store)

@@ -448,6 +448,23 @@ class TestArtifactStore:
         )
         assert _artifact_digests(cache) == golden["n4"]
 
+    @pytest.mark.parametrize("edit", ["swap", "repeat"])
+    def test_basis_out_of_key_order_is_recomputed(self, fresh_caches, tmp_path, edit):
+        # two canonical lines swapped, or one given twice in place of the
+        # next: assembly into a basis walks it in key order
+        cache = _resumable_copy(fresh_caches[4], tmp_path / "cache")
+        path = cache / "basis-n4-p2.txt"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[0] if edit == "repeat" else lines[1]
+        lines[0], lines[1] = lines[1], lines[0]
+        path.write_text("\n".join(lines) + "\n")
+        rp = compute_rank_profile(4, cache_dir=str(cache))
+        assert rp.dims == [1, 0, 0, 0, 1, 0] and not rp.holes
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "artifact_digests.json").read_text()
+        )
+        assert _artifact_digests(cache) == golden["n4"]
+
     def test_repeated_matrix_entry_is_recomputed(self, fresh_caches, tmp_path):
         # one entry line twice, with the header's count raised to match
         cache = _resumable_copy(fresh_caches[4], tmp_path / "cache")
@@ -576,6 +593,23 @@ class TestCrossPrime:
         # one prime run twice always agrees with itself
         with pytest.raises(ValueError, match="must differ"):
             cross_prime_profile(2, primes=(DEFAULT_PRIMES[0], DEFAULT_PRIMES[0]))
+
+    @pytest.mark.parametrize("primes", [DEFAULT_PRIMES, DEFAULT_PRIMES[::-1]])
+    def test_run_that_falls_back_is_rejected(self, monkeypatch, primes):
+        # GF(65521) loses a rank and its run comes back over GF(65519); in
+        # either order the two runs would be GF(65519) twice
+        import outhom.pipeline as pipeline
+
+        real = pipeline.homology_dimensions
+
+        def homology_dimensions(rp):
+            if rp.field == "65521":
+                raise NegativeDimensionError("lost a rank")
+            return real(rp)
+
+        monkeypatch.setattr(pipeline, "homology_dimensions", homology_dimensions)
+        with pytest.raises(CrossPrimeError, match=r"^GF\(65521\) lost a rank at n=3"):
+            cross_prime_profile(3, primes=primes)
 
     def test_threads_do_not_change_results(self):
         rp1 = compute_rank_profile(3, threads=1)
