@@ -4,7 +4,7 @@ from .chain import ChainBasis, ClassStore, SparseIntMat, boundary_contract, boun
 from .cycleio import CycleVector, parse_cycle, serialize_cycle, verify_cycle
 from .enumerator import EnumSpec, ResourceCapError, enumerate_graphs
 from .exactla import DEFAULT_PRIMES, FieldSpec, NullspaceBasis, nullspace_of, rank_of
-from .forests import ForestedGraph, ForestIndex, SignedRef
+from .forests import ForestedGraph, ForestIndex
 from .multigraph import GraphClass, Multigraph, canonical_form, contract_edges
 from .pipeline import (
     RankProfile,
@@ -27,7 +27,6 @@ __all__ = [
     "NullspaceBasis",
     "RankProfile",
     "ResourceCapError",
-    "SignedRef",
     "SparseIntMat",
     "boundary_contract",
     "boundary_remove",

@@ -1,7 +1,7 @@
 """Boundary matrices on bases of forested graphs.
 
-Columns are indexed by a basis of normalized forested graphs.  The
-contraction boundary sends a column into forested graphs on one-step
+Columns are indexed by a basis of forested graphs (orbit representatives).
+The contraction boundary sends a column into forested graphs on one-step
 contracted (possibly loop-bearing) graphs; those codomain generators are not
 enumerated in advance but hash-consed as they occur, each as its target
 class key and representative mask, then the rows are re-sorted by canonical
@@ -537,9 +537,9 @@ class RowKeys(Sequence[ForestKey]):
 def boundary_contract(b: ChainBasis, store: Optional[ClassStore] = None) -> SparseIntMat:
     """Matrix of the contraction boundary on the given basis.
 
-    Rows are the distinct normalized one-edge contractions, hash-consed and
-    sorted by canonical key; all-zero rows are dropped.  For p = 0 the
-    matrix is 0 x dim.
+    Rows are the distinct one-edge contractions, as orbit representatives,
+    hash-consed and sorted by canonical key; all-zero rows are dropped.
+    For p = 0 the matrix is 0 x dim.
     """
     return assemble(b, (("contract", 1),), store or ClassStore())[0]
 

@@ -2,7 +2,8 @@
 
 Each subcommand takes only the flags it reads; any other flag is an error.
 
-Exit codes: 0 success, 1 bad configuration or input, 2 a resource cap was
+Exit codes: 0 success, 1 bad configuration or input (a negative cap, or a
+file or cache directory that cannot be read or written), 2 a resource cap was
 hit or memory ran out (partial artifacts remain valid), 3 rank disagreement
 between primes (or a negative dimension surviving every retry), or a
 ``check`` whose pipeline dimensions differ from the oracle's.
@@ -211,11 +212,8 @@ def _cmd_verify_cycle(args: argparse.Namespace) -> int:
     n = _rank(args)
     p = _size(n, args.p)
     store = ClassStore()
-    try:
-        with open(args.file, "r", encoding="ascii") as fh:
-            w = parse_cycle(fh, store)
-    except OSError as exc:
-        raise ValueError(str(exc)) from None
+    with open(args.file, "r", encoding="ascii") as fh:
+        w = parse_cycle(fh, store)
     if w.n != n or w.p != p:
         raise ValueError(f"cycle file has (n={w.n}, p={w.p}), expected (n={n}, p={p})")
     verdict = verify_cycle(w, _trivalent_graphs(args, n)[1], store)
@@ -270,6 +268,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # argparse hands a subcommand's unknown arguments back to the
             # top-level parser; report them with the subcommand's usage
             args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
+        for cap in ("max_nnz", "max_basis"):
+            if getattr(args, cap, 0) < 0:
+                raise ValueError(f"--{cap.replace('_', '-')} must be at least 0")
         return args.fn(args)
     except SystemExit as exc:  # argparse help/validation paths
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
@@ -279,7 +280,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CrossPrimeError, NegativeDimensionError) as exc:
         print(f"rank failure: {exc}", file=sys.stderr)
         return EXIT_CROSS_PRIME
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unreadable file or cache
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -3,9 +3,10 @@
 One line per term: ``coefficient [edge1 edge2 ...]`` where each edge token
 is ``x+y`` (edge in the forest) or ``x-y`` (not in the forest), endpoint
 labels 0-based with x <= y, and the forest oriented so that its edges are
-in lexicographic order.  Labels x, y are read as vertex labels; that reading
-is kept local to the parser so it can be flipped if needed.  Repeated edge
-tokens parse as parallel edges.
+in lexicographic order.  Labels x, y are read as vertex labels: every label
+up to the largest is used, on a vertex of valence at least 3.  Repeated edge
+tokens parse as parallel edges.  Forests are signed and moved to their orbit
+representatives by the XOR transport of the boundaries.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .chain import BoundaryKernel, ClassStore
-from .forests import ForestKey, ForestedGraph
-from .multigraph import GraphClass, Multigraph, canonical_form_mapped
+from .forests import ForestKey, ForestedGraph, _mask_positions, forest_key, xor_table
+from .multigraph import GraphClass, Multigraph, canonical_labeling
 
 _TOKEN = re.compile(r"^(\d+)([+-])(\d+)$")
 
@@ -27,7 +28,7 @@ class CycleFormatError(ValueError):
 
 @dataclass(frozen=True)
 class CycleVector:
-    """Integer combination of normalized forested graphs sharing (n, p)."""
+    """Integer combination of basis-form forested graphs sharing (n, p)."""
 
     n: int
     p: int
@@ -35,53 +36,62 @@ class CycleVector:
 
 
 def parse_cycle(lines, store: Optional[ClassStore] = None) -> CycleVector:
-    """Parse the term lines into a normalized, duplicate-free vector.
+    """Parse the term lines into a duplicate-free vector of orbit
+    representatives.
 
-    ``lines`` is an iterable of strings or an open file.  Terms sharing a
-    normalized key are accumulated; a term whose generator is zero by odd
+    ``lines`` is an iterable of strings or an open file.  Terms with one
+    representative are accumulated; a term whose generator is zero by odd
     symmetry raises :class:`CycleFormatError` rather than being dropped.
+    A forest moves onto the canonical graph as a contraction term moves
+    onto its target (:meth:`chain.BoundaryKernel.add_terms`): by the
+    :func:`forests.xor_table` of the labeling's edge map, then
+    :meth:`ForestIndex.record`.
     """
     store = store or ClassStore()
     acc: dict[ForestKey, int] = {}
-    graphs_by_key: dict[ForestKey, ForestedGraph] = {}
     shape: Optional[tuple[int, int]] = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        coeff, graph, forest_positions = _parse_line(line, lineno)
-        cls, _, edge_map = canonical_form_mapped(graph)
-        cls = store.intern(cls)
-        mapped = [edge_map[i] for i in forest_positions]
+        coeff, graph, src_mask = _parse_line(line, lineno)
+        lab = canonical_labeling(graph)
+        cls = store.intern(lab.graph_class())
+        e = graph.edge_count
+        table = xor_table(lab.edge_map(graph), e)
+        x = 0
+        for i in _mask_positions(src_mask):
+            x ^= table[i]
         try:
-            ref = store.forest_index(cls).normalize(mapped)
+            rep, parity, zero = store.forest_index(cls).record(x & ~(-1 << e))
         except ValueError as exc:
             raise CycleFormatError(f"line {lineno}: {exc}") from exc
-        if ref.sign == 0:
-            raise CycleFormatError(
-                f"line {lineno}: term is zero by odd symmetry ({ref.key})"
-            )
-        n = graph.edge_count - graph.vertex_count + 1
-        p = len(forest_positions)
+        key = forest_key(cls.canonical_key, rep)
+        if zero:
+            raise CycleFormatError(f"line {lineno}: term is zero by odd symmetry ({key})")
+        n = e - graph.vertex_count + 1
+        p = src_mask.bit_count()
         if shape is None:
             shape = (n, p)
         elif shape != (n, p):
             raise CycleFormatError(
                 f"line {lineno}: term shape (n={n}, p={p}) differs from {shape}"
             )
-        key = ref.key
-        acc[key] = acc.get(key, 0) + coeff * ref.sign
-        if key not in graphs_by_key:
-            graphs_by_key[key] = ForestedGraph(cls, key[1])
+        sign = -parity if (x >> e & src_mask).bit_count() & 1 else parity
+        acc[key] = acc.get(key, 0) + coeff * sign
     if shape is None:
         raise CycleFormatError("empty cycle file")
     terms = tuple(
-        (acc[key], graphs_by_key[key]) for key in sorted(acc) if acc[key] != 0
+        (acc[key], ForestedGraph(store.get(key[0]), key[1]))
+        for key in sorted(acc) if acc[key] != 0
     )
     return CycleVector(shape[0], shape[1], terms)
 
 
-def _parse_line(line: str, lineno: int) -> tuple[int, Multigraph, list[int]]:
+def _parse_line(line: str, lineno: int) -> tuple[int, Multigraph, int]:
+    """The coefficient, the graph and the forest mask over its positions.
+    The labels must be 0..max, each of valence at least 3 (a loop counts
+    twice) as in an admissible graph, checked before a graph is built."""
     m = re.match(r"^(-?\d+)\s*\[(.*)\]$", line)
     if m is None:
         raise CycleFormatError(f"line {lineno}: expected 'coefficient [edges]'")
@@ -91,7 +101,7 @@ def _parse_line(line: str, lineno: int) -> tuple[int, Multigraph, list[int]]:
         raise CycleFormatError(f"line {lineno}: zero coefficient or no edges")
     pairs: list[tuple[int, int]] = []
     in_forest: list[bool] = []
-    max_label = 0
+    valence: dict[int, int] = {}
     for tok in tokens:
         tm = _TOKEN.match(tok)
         if tm is None:
@@ -101,17 +111,28 @@ def _parse_line(line: str, lineno: int) -> tuple[int, Multigraph, list[int]]:
             raise CycleFormatError(f"line {lineno}: endpoints must satisfy x <= y")
         pairs.append((x, y))
         in_forest.append(sign == "+")
-        max_label = max(max_label, y)
-    graph = Multigraph(max_label + 1, tuple(pairs))
+        valence[x] = valence.get(x, 0) + 1
+        valence[y] = valence.get(y, 0) + 1
+    vertex_count = len(valence)
+    if max(valence) >= vertex_count:  # then a label below vertex_count is unused
+        unused = next(v for v in range(vertex_count) if v not in valence)
+        raise CycleFormatError(f"line {lineno}: vertex label {unused} is unused")
+    for v in range(vertex_count):
+        if valence[v] < 3:
+            raise CycleFormatError(
+                f"line {lineno}: vertex {v} has valence {valence[v]}, below 3"
+            )
+    graph = Multigraph(vertex_count, tuple(pairs))
     # stored edges are stably sorted, so position order is lexicographic,
     # which is exactly the forest orientation the format prescribes
     order = sorted(range(len(pairs)), key=lambda i: (pairs[i], i))
-    forest_positions = [pos for pos, i in enumerate(order) if in_forest[i]]
-    return coeff, graph, forest_positions
+    src_mask = sum(1 << pos for pos, i in enumerate(order) if in_forest[i])
+    return coeff, graph, src_mask
 
 
 def serialize_cycle(w: CycleVector) -> list[str]:
-    """One line per term, normalized: edges sorted, forest lexicographic."""
+    """One line per term, in canonical labels: edges sorted, forest
+    lexicographic."""
     lines = []
     for coeff, fg in sorted(w.terms, key=lambda t: t[1].key):
         forest = set(fg.forest)
@@ -163,10 +184,14 @@ def verify_cycle(
 
 
 def _in_basis(fg: ForestedGraph, p: int, keys: set[bytes], store: ClassStore) -> bool:
-    if fg.graph.canonical_key not in keys or len(fg.forest) != p:
+    forest = fg.forest
+    if fg.graph.canonical_key not in keys or len(forest) != p:
         return False
+    mask = sum(1 << i for i in forest if i >= 0)
+    if _mask_positions(mask) != list(forest) or mask >> fg.graph.canon.edge_count:
+        return False  # a position repeated, out of order or out of range
     try:
-        ref = store.forest_index(fg.graph).normalize(fg.forest)
-    except ValueError:  # a cycle, or a position repeated or out of range
+        rep, _, zero = store.forest_index(fg.graph).record(mask)
+    except ValueError:  # a cycle
         return False
-    return ref.sign != 0 and ref.key == fg.key
+    return rep == mask and not zero

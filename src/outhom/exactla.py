@@ -291,7 +291,7 @@ def _peel(m: SparseIntMat, p: Optional[int], max_nnz: Optional[int] = None):
 
 def _pivot_row(m: SparseIntMat, r: int, c: int, p: Optional[int]) -> dict:
     """Row r of ``m`` (a slice of its (row, col) order) as a pivot row:
-    live entries only, normalized to 1 at column c."""
+    live entries only, scaled to 1 at column c."""
     lo = bisect_left(m.row_ids, r)
     hi = bisect_left(m.row_ids, r + 1, lo)
     row = {
@@ -320,7 +320,7 @@ def _reduce(
     order.  Rows leave by being replaced with one shared empty dict: a
     pivot row when it is taken, and a victim row once it empties.
 
-    Pivot rows are normalized to 1 at the pivot column.  Once a row is
+    Pivot rows are scaled to 1 at the pivot column.  Once a row is
     pivotal it leaves the active set, so the stored dict never changes
     afterwards; its remaining entries sit in later pivot columns and free
     columns only, which is what the back-substitution requires.

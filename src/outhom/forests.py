@@ -37,6 +37,8 @@ popcount of the XOR, it is ``popcount((XOR of inv[i] over S) & S) & 1``.  Each
 element keeps one table ``inv[i] << e | 1 << g(i)`` (e edges), so a single
 XOR over the positions of S yields the image of S in the low e bits (the
 images are distinct bits) and the XOR of the inversion masks above them.
+The same table of a position map into another graph (a contraction, or a
+cycle file's canonical labeling) moves a forest there with its sign.
 
 Acyclic subsets are walked depth first with an explicit stack and a
 union-find whose links are undone on backtracking, in lexicographic order
@@ -56,7 +58,7 @@ ForestKey = tuple[bytes, tuple[int, ...]]
 
 @dataclass(frozen=True, slots=True)
 class ForestedGraph:
-    """A canonical graph with a normalized forest.
+    """A canonical graph with a forest in basis form.
 
     ``forest`` is the ascending representative of the orbit.
     """
@@ -67,18 +69,6 @@ class ForestedGraph:
     @property
     def key(self) -> ForestKey:
         return (self.graph.canonical_key, self.forest)
-
-
-@dataclass(frozen=True)
-class SignedRef:
-    """A sign in {-1, 0, +1} and the canonical key it refers to.
-
-    Sign 0 means the forested graph is zero by odd symmetry; the key is
-    still the orbit representative, for diagnostics.
-    """
-
-    sign: int
-    key: ForestKey
 
 
 class ForestIndex:
@@ -117,24 +107,6 @@ class ForestIndex:
                 [words.setdefault(w, w) for w in xor_table(g, e)] for g in elements
             ]
         return self._group
-
-    def normalize(self, ordered_forest: Sequence[int]) -> SignedRef:
-        """Signed canonical reference of an ordered forest.
-
-        Raises ``ValueError`` on duplicate positions or a cyclic edge set.
-        """
-        mask = 0
-        for i in ordered_forest:
-            if not (0 <= i < self.edge_count):
-                raise ValueError(f"edge position {i} out of range")
-            if mask >> i & 1:
-                raise ValueError("duplicate edge in forest")
-            mask |= 1 << i
-        rep, parity, zero = self.record(mask)
-        key = forest_key(self.graph.canonical_key, rep)
-        if zero:
-            return SignedRef(0, key)
-        return SignedRef(_perm_parity_of_ranks(ordered_forest) * parity, key)
 
     def record(self, mask: int) -> tuple[int, int, bool]:
         """The record ``(rep, parity, zero)`` of the forest ``mask``; raises
@@ -390,17 +362,6 @@ def xor_table(images: Sequence[Optional[int]], e: int) -> list[int]:
         0 if m is None else inv << e | 1 << m
         for inv, m in zip(_inversion_masks(images), images)
     ]
-
-
-def _perm_parity_of_ranks(seq: Sequence[int]) -> int:
-    """Parity of the permutation sorting ``seq`` (entries distinct)."""
-    inv = 0
-    seen = 0
-    for x in seq:
-        # earlier entries greater than x
-        inv += (seen >> x).bit_count()
-        seen |= 1 << x
-    return -1 if inv & 1 else 1
 
 
 def block_key_of(graph: GraphClass, forest: Sequence[int]) -> bytes:

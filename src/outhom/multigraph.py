@@ -3,8 +3,9 @@
 A graph is stored as a vertex count plus a sorted list of endpoint pairs;
 parallel edges appear as repeated pairs and are distinguished by their
 position in the list.  Loops (u, u) are representable because edge
-contraction produces them.  Nothing here tests admissibility: the enumerator
-builds admissible graphs only, so no classifier is needed.
+contraction produces them; only a one-edge contraction reports its position
+map (:func:`contract_one_edge`).  Nothing here tests admissibility: the
+enumerator builds admissible graphs only, so no classifier is needed.
 
 The canonical labeling here is a small self-contained partition-refinement
 canonicalizer: graphs in this project have at most ~2 dozen vertices, so a
@@ -94,18 +95,11 @@ class Multigraph:
 
 
 def contract_edges(g: Multigraph, which: Iterable[int]) -> Multigraph:
-    """Contract the edges at the given positions to points."""
-    return contract_edges_mapped(g, which)[0]
+    """Contract the edges at the given positions to points.
 
-
-def contract_edges_mapped(
-    g: Multigraph, which: Iterable[int]
-) -> tuple[Multigraph, tuple[Optional[int], ...]]:
-    """Contract edges; also return the old-position -> new-position map.
-
-    Contracted positions map to ``None``.  Merged vertices are relabeled by
-    order of first appearance in the original vertex order, so the result is
-    deterministic.  Parallel partners of a contracted edge become loops.
+    Merged vertices are relabeled by order of first appearance in the
+    original vertex order, so the result is deterministic.  Parallel
+    partners of a contracted edge become loops.
     """
     which = set(which)
     for pos in which:
@@ -130,26 +124,23 @@ def contract_edges_mapped(
         r = find(v)
         if r not in relabel:
             relabel[r] = len(relabel)
-    new_v = len(relabel)
 
-    kept: list[tuple[Edge, int]] = []
+    kept: list[Edge] = []
     for pos, (u, v) in enumerate(g.edges):
         if pos in which:
             continue
         a, b = relabel[find(u)], relabel[find(v)]
-        kept.append(((min(a, b), max(a, b)), pos))
+        kept.append((a, b) if a <= b else (b, a))
     kept.sort()
-    pos_map: list[Optional[int]] = [None] * g.edge_count
-    for new_pos, (_, old_pos) in enumerate(kept):
-        pos_map[old_pos] = new_pos
-    return Multigraph._from_sorted(new_v, tuple(e for e, _ in kept)), tuple(pos_map)
+    return Multigraph._from_sorted(len(relabel), tuple(kept))
 
 
 def contract_one_edge(
     g: Multigraph, pos: int
 ) -> tuple[Multigraph, tuple[Optional[int], ...]]:
-    """:func:`contract_edges_mapped` of the one non-loop edge at ``pos``,
-    without a union-find.
+    """:func:`contract_edges` of the one non-loop edge at ``pos``, without
+    a union-find, and the map from old to new edge positions (``None`` at
+    ``pos``; parallel edges keep their relative order).
 
     The edge is some ``(u, v)`` with ``u < v``: ``v`` merges into ``u`` and
     the labels above ``v`` shift down by one, which is the relabeling by
@@ -237,7 +228,8 @@ class Labeling:
 
     def edge_map(self, g: Multigraph) -> tuple[int, ...]:
         """Map from the positions of ``g``, the searched graph, to those of
-        ``canon``; see :func:`canonical_form_mapped`."""
+        ``canon``.  Within a parallel class the k-th position (in ascending
+        order) maps to the k-th position of the image class."""
         return _edge_map_under(g, self.canon, self.vertex_map)
 
 
@@ -253,20 +245,6 @@ def canonical_labeling(g: Multigraph) -> Labeling:
 def canonical_form(g: Multigraph) -> GraphClass:
     """Canonicalize ``g``; deterministic and invariant under relabeling."""
     return canonical_labeling(g).graph_class()
-
-
-def canonical_form_mapped(
-    g: Multigraph,
-) -> tuple[GraphClass, tuple[int, ...], tuple[int, ...]]:
-    """Canonicalize ``g``; also return the vertex and edge position maps.
-
-    The vertex map sends old labels to canonical labels.  The edge map sends
-    old positions to canonical positions; within a parallel class the k-th
-    position (in ascending order) maps to the k-th position of the image
-    class, which is the completion convention used throughout.
-    """
-    lab = canonical_labeling(g)
-    return lab.graph_class(), lab.vertex_map, lab.edge_map(g)
 
 
 def _canonical_search(

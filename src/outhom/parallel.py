@@ -24,17 +24,18 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], threads: int) -> Iterable[R]:
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     try:
-        pool = ProcessPoolExecutor(max_workers=min(threads, len(items)))
-        # map submits every chunk now, which starts the workers; the jobs'
-        # own exceptions are raised only when the results are read below
-        results = pool.map(fn, items, chunksize=max(1, len(items) // (8 * threads)))
-    except OSError as exc:  # pool unavailable in restricted environments
-        print(f"process pool unavailable ({exc}); running serially", file=sys.stderr)
-        return map(fn, items)
-    with pool:
         try:
+            pool = ProcessPoolExecutor(max_workers=min(threads, len(items)))
+            # map submits every chunk now, which starts the workers; the
+            # jobs' own exceptions are raised only when the results are read
+            results = pool.map(fn, items, chunksize=max(1, len(items) // (8 * threads)))
+        except OSError as exc:  # pool unavailable in restricted environments
+            print(f"process pool unavailable ({exc}); running serially", file=sys.stderr)
+            return map(fn, items)
+        with pool:
             return list(results)
-        except BrokenProcessPool as exc:
-            from .enumerator import ResourceCapError  # enumerator imports this module
+    except BrokenProcessPool as exc:  # also raised by a submit after a death
+        pool.shutdown(cancel_futures=True)
+        from .enumerator import ResourceCapError  # enumerator imports this module
 
-            raise ResourceCapError(f"process pool worker died ({exc})") from exc
+        raise ResourceCapError(f"process pool worker died ({exc})") from exc

@@ -1,20 +1,95 @@
-"""Test-side references for boundary assembly and the oracle.
+"""Test-side references for boundary assembly, forest signs, contraction
+and the oracle.
 
-``reference_boundary`` is the term generator as it was before the kernel in
-bit operations: each term's remaining forest is listed in order and put
-through ``ForestIndex.normalize``, which sorts it with the permutation
-parity and transports it to its orbit representative; the sums are keyed by
-``(target key, column)``.  The equivalence tests hold the production
-:func:`outhom.chain.assemble` to it, entries and row labels alike.
+``normalize`` is the sign of an ordered forest as it was before the
+transport in bit operations: ``ForestIndex.record`` of its set, times the
+parity of the sort, counted pairwise; it reads no ``xor_table``.
+``reference_boundary`` lists each term's remaining forest in order and puts
+it through ``normalize``; the sums are keyed by ``(target key, column)``.
+The equivalence tests hold the production :func:`outhom.chain.assemble` to
+it, entries and row labels alike.  ``contract_edges_mapped`` is the
+union-find contraction with its position map, the reference for
+``multigraph.contract_one_edge``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from outhom.chain import ChainBasis, ClassStore, InconsistencyError, SparseIntMat
-from outhom.forests import ForestedGraph, ForestKey
+from outhom.forests import ForestedGraph, ForestIndex, ForestKey, forest_key
+from outhom.multigraph import Multigraph
 from outhom.pipeline import _oracle_bases
+
+
+class SignedRef(NamedTuple):
+    """A sign in {-1, 0, +1} and the key of the orbit representative; sign 0
+    means the forested graph is zero by odd symmetry."""
+
+    sign: int
+    key: ForestKey
+
+
+def perm_parity(seq: Sequence[int]) -> int:
+    """Parity (+1 or -1) of the permutation sorting ``seq`` (entries
+    distinct), by a pairwise inversion count."""
+    inversions = sum(
+        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
+    )
+    return -1 if inversions & 1 else 1
+
+
+def normalize(fi: ForestIndex, ordered: Sequence[int]) -> SignedRef:
+    """Signed reference of the forest ``ordered`` of ``fi``'s class.
+
+    Raises ``ValueError`` on a position out of range or repeated, or a
+    cyclic edge set."""
+    mask = 0
+    for i in ordered:
+        if not 0 <= i < fi.edge_count:
+            raise ValueError(f"edge position {i} out of range")
+        if mask >> i & 1:
+            raise ValueError("duplicate edge in forest")
+        mask |= 1 << i
+    rep, parity, zero = fi.record(mask)
+    key = forest_key(fi.graph.canonical_key, rep)
+    return SignedRef(0 if zero else perm_parity(ordered) * parity, key)
+
+
+def contract_edges_mapped(
+    g: Multigraph, which: Iterable[int]
+) -> tuple[Multigraph, tuple[Optional[int], ...]]:
+    """``multigraph.contract_edges`` by a union-find, with the map from old to
+    new edge positions: contracted positions map to ``None``, parallel edges
+    keep their relative order."""
+    which = set(which)
+    for pos in which:
+        if not (0 <= pos < g.edge_count):
+            raise IndexError(f"edge position {pos} out of range")
+    parent = list(range(g.vertex_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for pos in which:
+        ru, rv = find(g.edges[pos][0]), find(g.edges[pos][1])
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    relabel: dict[int, int] = {}
+    for v in range(g.vertex_count):
+        relabel.setdefault(find(v), len(relabel))
+    kept = []
+    for pos, (u, v) in enumerate(g.edges):
+        if pos not in which:
+            a, b = relabel[find(u)], relabel[find(v)]
+            kept.append(((min(a, b), max(a, b)), pos))
+    kept.sort()
+    pos_map: list[Optional[int]] = [None] * g.edge_count
+    for new_pos, (_, old_pos) in enumerate(kept):
+        pos_map[old_pos] = new_pos
+    return Multigraph(len(relabel), tuple(e for e, _ in kept)), tuple(pos_map)
 
 
 def boundary_terms(
@@ -29,9 +104,9 @@ def boundary_terms(
         rest = [f for f in forest if f != pos]
         if kind == "contract":
             target, pos_map = store.contract_one(src, pos)
-            ref = store.forest_index(target).normalize([pos_map[f] for f in rest])
+            ref = normalize(store.forest_index(target), [pos_map[f] for f in rest])
         else:
-            ref = store.forest_index(src).normalize(rest)
+            ref = normalize(store.forest_index(src), rest)
         if ref.sign != 0:
             yield (-ref.sign if i & 1 else ref.sign), ref.key
 

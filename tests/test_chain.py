@@ -18,9 +18,9 @@ from outhom.chain import (
     vstack,
 )
 from outhom.forests import ForestIndex, block_key_of
-from outhom.multigraph import canonical_form_mapped, contract_edges_mapped
+from outhom.multigraph import canonical_labeling, contract_edges
 from outhom.pipeline import _oracle_bases
-from reference_chain import basis_from_labels, reference_boundary
+from reference_chain import basis_from_labels, contract_edges_mapped, normalize, reference_boundary
 
 CONTRACT = (("contract", 1),)
 REMOVE = (("remove", 1),)
@@ -67,7 +67,7 @@ class TestSmallExamples:
                 e1, e2 = el.forest
                 expected: dict[int, int] = {}
                 for sgn, kept in ((-1, (e2,)), (1, (e1,))):
-                    ref = fi.normalize(list(kept))
+                    ref = normalize(fi, list(kept))
                     if ref.sign == 0:
                         continue
                     row = row_of[ref.key]
@@ -144,7 +144,7 @@ class TestComplexIdentities:
 
 class TestReferenceEquivalence:
     """The kernel builds the same matrices, entries and row labels, as the
-    normalize-based reference generator.  Each side gets its own store, so
+    ``normalize``-based reference generator.  Each side gets its own store, so
     the kernel's forest indices for contraction targets are its own."""
 
     @staticmethod
@@ -366,9 +366,10 @@ class TestBasisStructure:
 
 class TestContractOne:
     """``contract_one`` builds a target class only for a key it has not
-    interned, and answers as a fresh ``canonical_form_mapped`` would."""
+    interned, and answers as a fresh canonical labeling of the contraction
+    would."""
 
-    def test_matches_canonical_form_mapped(self, trivalent_by_rank):
+    def test_matches_a_fresh_canonical_labeling(self, trivalent_by_rank):
         store = ClassStore()
         first: dict = {}
         returned: dict = {}
@@ -377,7 +378,8 @@ class TestContractOne:
             for cls in trivalent_by_rank[n]:
                 for pos in range(cls.canon.edge_count):
                     contracted, raw_map = contract_edges_mapped(cls.canon, [pos])
-                    want, _, edge_map = canonical_form_mapped(contracted)
+                    lab = canonical_labeling(contracted)
+                    want, edge_map = lab.graph_class(), lab.edge_map(contracted)
                     key = want.canonical_key
                     if key in first:
                         interned += 1
@@ -402,7 +404,8 @@ class TestContractOne:
             for cls in trivalent_by_rank[n]:
                 for pos in range(cls.canon.edge_count):
                     contracted, raw_map = contract_edges_mapped(cls.canon, [pos])
-                    want, _, edge_map = canonical_form_mapped(contracted)
+                    lab = canonical_labeling(contracted)
+                    want, edge_map = lab.graph_class(), lab.edge_map(contracted)
                     if key_first:
                         key = store.contract_key(cls, pos)
                         target, pos_map = store.contract_one(cls, pos)
@@ -423,7 +426,7 @@ class TestContractOne:
         cls = trivalent_by_rank[3][0]
         by_key = {}
         for pos in range(cls.canon.edge_count):
-            target = canonical_form_mapped(contract_edges_mapped(cls.canon, [pos])[0])[0]
+            target = canonical_labeling(contract_edges(cls.canon, [pos])).graph_class()
             by_key.setdefault(target.canonical_key, target)
         assert len(by_key) > 1
         built = []

@@ -155,6 +155,33 @@ class TestValidation:
         assert code == 1 and out == ""
         assert "error: --threads must be at least 1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("basis", "--n", "3", "--p", "1", "--max-basis"),
+            ("matrices", "--n", "3", "--max-basis"),
+            ("homology", "--n", "3", "--max-basis"),
+            ("homology", "--n", "3", "--max-nnz"),
+            ("check", "--n", "3", "--max-basis"),
+            ("check", "--n", "3", "--max-nnz"),
+        ],
+    )
+    def test_negative_cap_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "-1")
+        assert (code, out, err) == (1, "", f"error: {argv[-1]} must be at least 0\n")
+
+    @pytest.mark.parametrize(
+        "argv, below",
+        [(("homology", "--n", "2"), ""), (("graphs", "--n", "3"), "x")],
+    )
+    def test_unusable_cache_dir_is_an_error(self, tmp_path, capsys, argv, below):
+        # a regular file where the cache directory, or one of its parents, should be
+        cache = tmp_path / "file"
+        cache.write_text("")
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache / below))
+        assert code == 1 and out == ""
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["homology", "--bogus"]) == 1
 

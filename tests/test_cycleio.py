@@ -21,6 +21,7 @@ from outhom.cycleio import (
 from outhom.exactla import FieldSpec, nullspace_of
 from outhom.forests import ForestedGraph
 from outhom.pipeline import oracle_graphs
+from reference_chain import normalize, perm_parity
 from reference_la import mat_vec
 
 
@@ -75,6 +76,26 @@ class TestParse:
         with pytest.raises(CycleFormatError):
             parse_cycle([line])
 
+    @pytest.mark.parametrize(
+        "line, why",
+        [
+            # 2,999 isolated vertices would sit in one refinement cell
+            ("1 [0+1 0-1 0-3000]", "vertex label 2 is unused"),
+            ("1 [0+1 0-1 0-5]", "vertex label 2 is unused"),
+            ("1 [0+1 0-1 0-1 1-2]", "vertex 2 has valence 1, below 3"),
+            ("1 [0+1 0-1 1-1]", "vertex 0 has valence 2, below 3"),
+        ],
+    )
+    def test_labels_and_valences_checked_before_any_graph(self, line, why, monkeypatch):
+        import outhom.cycleio as cycleio
+
+        def no_graph(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(cycleio, "Multigraph", no_graph)
+        with pytest.raises(CycleFormatError, match=f"^line 1: {why}$"):
+            parse_cycle([line])
+
     def test_empty_file_rejected(self):
         with pytest.raises(CycleFormatError):
             parse_cycle([])
@@ -84,6 +105,60 @@ class TestParse:
         line = "1 [0+1 0-1 2+3 2-3 0-2 1-3]"
         with pytest.raises(CycleFormatError, match="odd symmetry"):
             parse_cycle([line])
+
+
+def _relabeled_line(coeff: int, fg: ForestedGraph, rng: random.Random) -> str:
+    """The line of ``coeff`` times ``fg`` after a random vertex relabeling
+    and token shuffle.  The forest is oriented lexicographically in the new
+    labels, so the coefficient takes the parity of that reordering."""
+    canon = fg.graph.canon
+    perm = list(range(canon.vertex_count))
+    rng.shuffle(perm)
+    edges = [tuple(sorted((perm[u], perm[v]))) for u, v in canon.edges]
+    coeff *= perm_parity([edges[i] for i in fg.forest])
+    tokens = [
+        f"{u}{'+' if pos in fg.forest else '-'}{v}" for pos, (u, v) in enumerate(edges)
+    ]
+    rng.shuffle(tokens)
+    return f"{coeff} [{' '.join(tokens)}]"
+
+
+class TestRelabeledFiles:
+    """A file written in other vertex labels, with its forest reoriented and
+    the coefficient signed to match, parses to the same vector."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_basis_element(self, n, bases_by_rank, trivalent_by_rank, store):
+        rng = random.Random(n)
+        keys = {cls.canonical_key for cls in trivalent_by_rank[n]}
+        others = [cls for cls in oracle_graphs(n) if cls.canonical_key not in keys]
+        checked = 0
+        for p, basis in enumerate(bases_by_rank[n]):
+            elements = basis.elements + build_chain_basis(n, p, others, store).elements
+            for el in elements:
+                for _ in range(3):
+                    w = parse_cycle([_relabeled_line(3, el, rng)])
+                    assert (w.n, w.p) == (n, p)
+                    assert [(c, fg.key) for c, fg in w.terms] == [(3, el.key)]
+                    checked += 1
+        assert checked
+
+    def test_n4_joint_kernel_vectors_stay_cycles(self, bases_by_rank, trivalent_by_rank, store):
+        basis = bases_by_rank[4][4]
+        dc = boundary_contract(basis, store)
+        dr = boundary_remove(basis, bases_by_rank[4][3], store)
+        stacked = SparseIntMat(
+            dc.rows + dr.rows, basis.dim,
+            dc.entries + tuple((r + dc.rows, c, v) for r, c, v in dr.entries),
+        )
+        joint = nullspace_of(stacked, FieldSpec.rational())
+        assert joint.dim == 3
+        rng = random.Random(44)
+        for col in joint.columns:
+            terms = tuple((v, basis.elements[i]) for i, v in sorted(col.items()))
+            w = parse_cycle([_relabeled_line(v, el, rng) for v, el in terms], store)
+            assert [(c, fg.key) for c, fg in w.terms] == [(c, el.key) for c, el in terms]
+            assert verify_cycle(w, trivalent_by_rank[4], store).is_cycle
 
 
 class TestSerialize:
@@ -239,7 +314,7 @@ class TestVerify:
         el = next(e for e in basis.elements if len(e.forest) == 2)
         i, j = el.forest
         fi = store.forest_index(store.intern(el.graph))
-        ref = fi.normalize([j, i])
+        ref = normalize(fi, [j, i])
         assert ref.key == el.key and ref.sign == -1
         normalized_term = (-5 * ref.sign, el)
         assert normalized_term == (5, el)

@@ -70,3 +70,16 @@ def test_dead_worker_leaves_a_hole_not_a_traceback(capsys, monkeypatch):
     assert code == 2
     assert "worker died" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_worker_death_during_submission_is_a_resource_cap(monkeypatch):
+    # a worker that dies before map has submitted every chunk makes the
+    # next submit raise; that too is a dead worker, not a traceback
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    def broken(self, *args, **kwargs):
+        raise BrokenProcessPool("a worker died during submission")
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", broken)
+    with pytest.raises(ResourceCapError, match="worker died"):
+        pmap(abs, [1, -2, 3], 2)
