@@ -45,7 +45,6 @@ from .forests import (
     block_key_of,
     forest_key,
     mask_order,
-    xor_table,
 )
 from .multigraph import (
     GraphClass,
@@ -245,6 +244,14 @@ class ClassStore:
         self._labelings.pop(cls.canonical_key, None)
         return self._classes.setdefault(cls.canonical_key, cls)
 
+    def class_of(self, lab: Labeling) -> GraphClass:
+        """The class held under ``lab.key``; only when there is none is it
+        built from ``lab`` and interned."""
+        cls = self._classes.get(lab.key)
+        if cls is None:
+            cls = self.intern(lab.graph_class())
+        return cls
+
     def get(self, key: bytes) -> GraphClass:
         cls = self._classes.get(key)
         if cls is None:
@@ -343,8 +350,13 @@ class BoundaryKernel:
     orbit, with sign +1 and never zero.  A nonempty remaining forest goes
     through a table, one per (source class, position), built from
     ``ClassStore.contract_one``'s position map the first time such a term
-    needs it: :func:`forests.xor_table`, whose XOR over the remaining forest
-    gives the target mask and the parity of the order the map puts on it.
+    needs it: :meth:`forests.ForestIndex.collapsed_table`, the map followed
+    by the target's collapse onto the first position of each parallel
+    class, whose XOR over the remaining forest gives the collapsed target
+    mask and the parity of the order the map puts on it.  Removal terms of
+    a representative are collapsed already, so every lookup is
+    :meth:`forests.ForestIndex.orbit`'s scan of the lifted vertex
+    automorphisms alone.
 
     Orbits are looked up through the store's index of each class met
     (:meth:`ClassStore.forest_index`), fetched once per removal source class
@@ -405,7 +417,7 @@ class BoundaryKernel:
                     if table is None:
                         target, pos_map = self.store.contract_one(src, pos)
                         fi = entry[1] = self.store.forest_index(target)
-                        table = entry[2] = xor_table(pos_map, fi.edge_count)
+                        table = entry[2] = fi.collapsed_table(pos_map)
                     e = fi.edge_count
                     x = 0
                     for j in forest:

@@ -45,7 +45,9 @@ def parse_cycle(lines, store: Optional[ClassStore] = None) -> CycleVector:
     A forest moves onto the canonical graph as a contraction term moves
     onto its target (:meth:`chain.BoundaryKernel.add_terms`): by the
     :func:`forests.xor_table` of the labeling's edge map, then
-    :meth:`ForestIndex.record`.
+    :meth:`ForestIndex.record`.  A line's class comes from
+    :meth:`chain.ClassStore.class_of`, which builds one only for a key the
+    store does not hold.
     """
     store = store or ClassStore()
     acc: dict[ForestKey, int] = {}
@@ -56,7 +58,7 @@ def parse_cycle(lines, store: Optional[ClassStore] = None) -> CycleVector:
             continue
         coeff, graph, src_mask = _parse_line(line, lineno)
         lab = canonical_labeling(graph)
-        cls = store.intern(lab.graph_class())
+        cls = store.class_of(lab)
         e = graph.edge_count
         table = xor_table(lab.edge_map(graph), e)
         x = 0

@@ -161,6 +161,33 @@ class TestRelabeledFiles:
             assert verify_cycle(w, trivalent_by_rank[4], store).is_cycle
 
 
+    def test_one_class_build_per_class(self, bases_by_rank, store, monkeypatch):
+        # a line whose class the store holds builds no class: the first
+        # n = 4, p = 4 joint kernel vector (the Morita class) written out
+        # and read back into a fresh store
+        from outhom.multigraph import Labeling
+
+        basis = bases_by_rank[4][4]
+        dc = boundary_contract(basis, store)
+        dr = boundary_remove(basis, bases_by_rank[4][3], store)
+        stacked = SparseIntMat(
+            dc.rows + dr.rows, basis.dim,
+            dc.entries + tuple((r + dc.rows, c, v) for r, c, v in dr.entries),
+        )
+        col = nullspace_of(stacked, FieldSpec.rational()).columns[0]
+        w = CycleVector(4, 4, tuple((v, basis.elements[i]) for i, v in sorted(col.items())))
+        lines = serialize_cycle(w)
+        builds = []
+        real = Labeling.graph_class
+        monkeypatch.setattr(
+            Labeling, "graph_class", lambda lab: builds.append(lab.key) or real(lab)
+        )
+        parsed = parse_cycle(lines, ClassStore())
+        assert [(c, fg.key) for c, fg in parsed.terms] == [(c, fg.key) for c, fg in w.terms]
+        classes = {fg.graph.canonical_key for _, fg in w.terms}
+        assert len(lines) > len(builds) == len(set(builds)) == len(classes) == 4
+
+
 class TestSerialize:
     def test_round_trip_idempotent_synthetic(self, bases_by_rank):
         rng = random.Random(17)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -132,14 +134,16 @@ class TestOrbitEnumeration:
         assert ForestIndex(theta).orbit_representatives(2) == []
 
     def test_completeness_orbit_sizes(self, trivalent_by_rank):
-        # sum of orbit sizes = number of acyclic subsets, every graph, every p
-        for n in (3, 4):
-            for cls in trivalent_by_rank[n]:
-                fi = ForestIndex(cls)
-                for p in range(cls.canon.vertex_count):
-                    subsets = sum(1 for _ in fi.acyclic_subsets(p))
-                    orbits = fi.orbit_representatives(p)
-                    assert sum(size for _, size, _ in orbits) == subsets
+        # sum of orbit sizes = number of acyclic subsets, every p, for every
+        # class, contraction target and loop-bearing oracle class at n <= 4:
+        # the walk visits collapsed subsets only, and each size multiplies
+        # the index of the stabilizer in Q by the edges' class sizes
+        for cls in _quotient_cases(trivalent_by_rank):
+            fi = ForestIndex(cls)
+            for p in range(cls.canon.vertex_count):
+                subsets = sum(1 for _ in fi.acyclic_subsets(p))
+                orbits = fi.orbit_representatives(p)
+                assert sum(size for _, size, _ in orbits) == subsets
 
     def test_representatives_are_minimal_and_sorted(self, trivalent_by_rank):
         for cls in trivalent_by_rank[4]:
@@ -221,6 +225,27 @@ def _classes_and_contractions(trivalent_by_rank):
     return classes + _contraction_targets(trivalent_by_rank)
 
 
+def _quotient_cases(trivalent_by_rank):
+    """Every class at n <= 4, each of its one-edge contractions and every
+    class of the full complex at n <= 4 (loops and parallel edges), each
+    once."""
+    from outhom.pipeline import oracle_graphs
+
+    cases = _classes_and_contractions(trivalent_by_rank)
+    cases += [cls for n in (2, 3, 4) for cls in oracle_graphs(n)]
+    return list({cls.canonical_key: cls for cls in cases}.values())
+
+
+def _lifts(fi):
+    """The non-identity elements of Q that ``fi`` scans, as permutations,
+    read off the image bits of their tables."""
+    full = (1 << fi.edge_count) - 1
+    return [
+        tuple((w & full).bit_length() - 1 for w in table)
+        for table in fi._group_tables()
+    ]
+
+
 def _brute_force_record(group, subset):
     """``(rep, parity, zero, size)`` of the orbit of ``subset`` under the
     whole ``group``: the smallest image mask, the parity of the order an
@@ -277,15 +302,19 @@ class TestGeneratingSet:
 
     def test_group_scan_matches_brute_force(self, trivalent_by_rank):
         # the scan the boundary kernel reads, ``orbit`` with no acyclicity
-        # check, on every acyclic subset of every contraction target at
-        # n <= 4
-        zeros = nontrivial = 0
+        # check, on every collapsed acyclic subset (each edge the first of
+        # its parallel class) of every contraction target at n <= 4,
+        # against the whole edge group
+        zeros = nontrivial = skipped = 0
         for cls in _contraction_targets(trivalent_by_rank):
             group = _edge_group(cls.edge_perm_generators, cls.canon.edge_count)
             nontrivial += len(group) > 1
             fi = ForestIndex(cls)
             for p in range(cls.canon.vertex_count):
                 for subset in fi.acyclic_subsets(p):
+                    if any(fi.collapse[i] != i for i in subset):
+                        skipped += 1
+                        continue
                     mask = sum(1 << i for i in subset)
                     rep, parity, zero, _ = _brute_force_record(group, subset)
                     got_rep, got_parity, got_zero = fi.orbit(mask)
@@ -293,7 +322,31 @@ class TestGeneratingSet:
                     if not zero:
                         assert got_parity == parity
                     zeros += zero
-        assert zeros > 0 and nontrivial > 0
+        assert zeros > 0 and nontrivial > 0 and skipped > 0
+
+    def test_group_is_lifts_times_parallel_swaps(self, trivalent_by_rank):
+        # G = Q ⋉ P, P the permutations inside parallel classes, and the
+        # scan lists only Q: |G| = |Q| * prod |C|!, and every element of Q
+        # keeps each edge's rank within its class, so Q meets P only in
+        # the identity
+        parallel = loops = 0
+        for cls in _quotient_cases(trivalent_by_rank):
+            e = cls.canon.edge_count
+            fi = ForestIndex(cls)
+            first = fi.collapse
+            group = _edge_group(cls.edge_perm_generators, e)
+            lifts = _lifts(fi)
+            assert len(set(lifts)) == len(lifts) and set(lifts) <= group
+            swaps = 1
+            for size in Counter(first).values():
+                swaps *= math.factorial(size)
+            assert len(group) == (len(lifts) + 1) * swaps
+            for g in lifts:
+                assert all(g[i] - first[g[i]] == i - first[i] for i in range(e))
+                assert any(first[g[i]] != first[i] for i in range(e))
+            parallel += swaps > 1
+            loops += any(u == v for u, v in cls.canon.edges)
+        assert parallel and loops
 
 
 def test_mask_order_is_forest_key_order():
@@ -415,6 +468,14 @@ class TestKernel:
             zeros += sum(zero for _, _, zero in expected)
         assert zeros > 0
 
+    def test_largest_n7_group_scans_12_lifts(self, largest_group_n7):
+        # the 768-element group has six doubled edges: 2^6 parallel swaps
+        # times 12 lifts, and the scan lists the 12
+        big = largest_group_n7
+        assert len(_edge_group(big.edge_perm_generators, big.canon.edge_count)) == 768
+        assert sorted(Counter(big.canon.edges).values()) == [1] * 6 + [2] * 6
+        assert len(ForestIndex(big)._group_tables()) + 1 == 12
+
     def test_mask_positions_match_bit_loop(self):
         rng = random.Random(11)
         for _ in range(2000):
@@ -448,12 +509,15 @@ class TestKernel:
             assert (x & s).bit_count() & 1 == inversions & 1
 
     def test_inversion_masks_of_partial_maps(self, trivalent_by_rank):
-        # a position mapped to None gets 0 and takes part in no inversion
+        # a position mapped to None gets 0 and takes part in no inversion,
+        # and two positions with one image make none
         rng = random.Random(7)
-        for _ in range(300):
+        for k in range(600):
             degree = rng.randint(0, 12)
             images = list(range(degree))
             rng.shuffle(images)
+            if k & 1:
+                images = [rng.randrange(degree) for _ in images]
             for i in rng.sample(range(degree), rng.randint(0, degree)):
                 images[i] = None
             assert _inversion_masks(images) == [
@@ -464,20 +528,33 @@ class TestKernel:
                 )
                 for i, m in enumerate(images)
             ]
-        # every map the scan and the assembly pass in is injective into
-        # range(len(images)), as the one pass over the images needs: the
-        # group elements and the one-edge contraction maps at n <= 4
+        # every map the scan and the assembly pass in is injective on every
+        # forest, as the XOR of image bits needs, at n <= 4: the elements of
+        # Q are permutations, and a one-edge contraction's map followed by
+        # the target's collapse repeats an image only on positions that no
+        # forest holding the contracted edge holds together
         store = ClassStore()
+        repeating = 0
         for cls in _classes_and_contractions(trivalent_by_rank):
             e = cls.canon.edge_count
-            maps = list(forests._group_elements(cls.edge_perm_generators, e))
+            fi = ForestIndex(cls)
+            for g in _lifts(fi):
+                assert sorted(g) == list(range(e))
             for pos, (u, v) in enumerate(cls.canon.edges):
-                if u != v:
-                    maps.append(store.contract_one(cls, pos)[1])
-            for images in maps:
+                if u == v:
+                    continue
+                target, pos_map = store.contract_one(cls, pos)
+                first = store.forest_index(target).collapse
+                images = [None if m is None else first[m] for m in pos_map]
                 taken = [m for m in images if m is not None]
-                assert len(set(taken)) == len(taken)
-                assert all(0 <= m < len(images) for m in taken)
+                assert all(0 <= m < target.canon.edge_count for m in taken)
+                repeating += len(set(taken)) < len(taken)
+                for p in range(2, cls.canon.vertex_count):
+                    for forest in fi.acyclic_subsets(p):
+                        if pos in forest:
+                            moved = [images[i] for i in forest if i != pos]
+                            assert len(set(moved)) == len(moved)
+        assert repeating
 
     def test_low_forests_list_no_group(self, monkeypatch):
         # a single edge has no sign: a profile of p <= 1 never lists a group
@@ -525,7 +602,8 @@ class TestKernel:
 
     def test_boundary_targets_are_forests(self, bases_by_rank, monkeypatch):
         """The assembly looks target orbits up without the acyclicity check
-        of ``record``; every target it meets at n <= 5 passes that check."""
+        and the collapse of ``record``; every target it meets at n <= 5 is a
+        forest with each edge the first of its parallel class."""
         from outhom.chain import boundary_contract, boundary_remove
 
         real = ForestIndex.orbit
@@ -534,7 +612,9 @@ class TestKernel:
         def orbit(fi, mask):
             nonlocal met
             met += 1
-            assert fi.is_acyclic(_mask_positions(mask)), (fi.graph.canonical_key, mask)
+            positions = _mask_positions(mask)
+            assert fi.is_acyclic(positions), (fi.graph.canonical_key, mask)
+            assert all(fi.collapse[i] == i for i in positions), (fi.graph.canonical_key, mask)
             return real(fi, mask)
 
         monkeypatch.setattr(ForestIndex, "orbit", orbit)
