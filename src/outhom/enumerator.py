@@ -95,8 +95,9 @@ def enumerate_graphs(spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
     ``threads`` applies to the trivalent level, and there only to the rank
     steps with at least ``POOL_MIN_PARENTS`` parents (see
     :func:`cubic_level`); the contraction steps are serial.  Edges are
-    taken in position order and each orbit at its smallest position, so
-    every key is met first where contracting every edge would meet it.
+    taken in position order and each orbit at its smallest position, the
+    first of its parallel class, so every key is met first where
+    contracting every edge would meet it.
     """
     found = cubic_level(spec.n, threads)
     level = list(found)
@@ -105,13 +106,14 @@ def enumerate_graphs(spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
         for key in sorted(level):
             cls = found[key]
             g = cls.canon
-            mult = g.multiplicity()
+            first = cls.first
             seen: set[int] = set()
             for pos, (u, v) in enumerate(g.edges):
-                if pos in seen:
+                if first[pos] != pos or pos in seen:
                     continue
                 seen |= orbit_of((pos,), cls.edge_perm_generators)
-                if u == v or (not spec.allow_loops and mult[(u, v)] > 1):
+                twin = pos + 1 < g.edge_count and first[pos + 1] == pos
+                if u == v or (not spec.allow_loops and twin):
                     continue
                 lab = canonical_labeling(contract_one_edge(g, pos)[0])
                 if lab.key in found:
@@ -242,7 +244,11 @@ def _children(parent: GraphClass) -> list[Labeling]:
     (McKay 1998), one per class.
 
     Insertions at edge pairs in one orbit of the parent's edge automorphisms
-    give isomorphic children, so one pair {e <= f} per orbit is tried.  A
+    give isomorphic children, so one pair {e <= f} per orbit is tried.
+    Swapping parallel edges maps each pair to one whose e is the first of
+    its class and whose f is the first of its class or e's twin e + 1, and
+    of those pairs one per orbit of the lifted automorphisms is tried: the
+    smallest pair of each orbit.  A
     child is kept iff its inserted edge lies in its canonical reducible-edge
     orbit: the orbit, under the child's automorphisms, of the smallest
     canonical position among the reducible edges of largest invariant.
@@ -253,13 +259,16 @@ def _children(parent: GraphClass) -> list[Labeling]:
     """
     g = parent.canon
     gens = parent.edge_perm_generators
+    first = parent.first
     e_cnt = g.edge_count
     xy = (g.vertex_count, g.vertex_count + 1)  # the inserted edge
     seen: set[tuple[int, int]] = set()
     out: list[Labeling] = []
     for e in range(e_cnt):
+        if first[e] != e:
+            continue
         for f in range(e, e_cnt):
-            if (e, f) in seen:
+            if (f > e + 1 and first[f] != f) or (e, f) in seen:
                 continue
             seen |= _pair_orbit((e, f), gens)
             child = _insert_edge(g, e, f)
@@ -268,8 +277,8 @@ def _children(parent: GraphClass) -> list[Labeling]:
                 continue
             lab = canonical_labeling(child)
             vm = lab.vertex_map
-            first = min(ties, key=lambda t: sorted((vm[t[0]], vm[t[1]])))
-            if first in _pair_orbit(xy, lab.automorphisms):
+            lead = min(ties, key=lambda t: sorted((vm[t[0]], vm[t[1]])))
+            if lead in _pair_orbit(xy, lab.automorphisms):
                 out.append(lab)
     return out
 

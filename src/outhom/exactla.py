@@ -33,7 +33,9 @@ drops nothing, so its pivots and kernel vectors do not depend on the pass.
 
 The ``max_nnz`` cap bounds the live entries of the whole input, before the
 peel, and the fill of the elimination of the core, counted after each row
-it reduces, in ascending row order, and after each pass's drops.
+it reduces, in ascending row order, and after each pass's drops.  A rank
+keeps no pivot row, so it counts a pivot row's entries only until its step
+ends.
 """
 
 from __future__ import annotations
@@ -330,7 +332,7 @@ def _reduce(
     what they were at the last pass (the core's columns, for the first),
     and the pivot order is the one that follows from the drops.  The nnz
     cap bounds the fill, counted after each victim row; it counts the fill
-    that is left after the drops.
+    that is left after the drops, and no released pivot row.
     """
     nnz = sum(len(rw) for rw in rows)
     peak = nnz
@@ -436,6 +438,8 @@ def _reduce(
         pivots.append((r_star, c_star))
         if piv_rows is not None:
             piv_rows.append(piv)
+        else:
+            nnz -= len(piv)
     return pivots, piv_rows, peak
 
 

@@ -8,15 +8,13 @@ preserves the forest setwise while permuting its edges oddly.
 Forest sets are encoded as bitmasks over edge positions.  The representative
 of an orbit is its member with the smallest bitmask.
 
-A class's edge automorphism group is G = Q ⋉ P.  P permutes the edges
-inside each parallel class (the transpositions of
-:meth:`multigraph.Labeling.graph_class`); Q holds the lifts of the vertex
-automorphisms, which send the k-th edge of a class to the k-th edge of its
-image class (the other ``edge_perm_generators``).  A forest holds at most
-one edge of each parallel class, and a class's positions are adjacent in
-the sorted edge list, so P never changes a forest's orbit, sign or zero
-flag.  Let the collapse of a forest move each edge to the first position
-of its class, which keeps the order of its edges.  Then the smallest image
+A class's edge automorphism group is G = Q ⋉ P: Q is generated by the
+lifts of the vertex automorphisms (``GraphClass.edge_perm_generators``),
+and P permutes the edges inside each parallel class.  A forest holds at
+most one edge of each parallel class, so P never changes its orbit, sign or
+zero flag.  The collapse of a forest moves each edge to the first position
+of its class (``GraphClass.first``), which keeps the order of its edges,
+as a class's positions are adjacent.  Then the smallest image
 of a forest under G is that of its collapse under Q, the transport parity
 is that of the element of Q reaching it, the forest is zero exactly when
 an element of Q fixes its collapse with odd parity, and its orbit has
@@ -36,7 +34,7 @@ build and of an assembly.  (The removal boundary, whose terms repeat
 masks, keeps a memo for one source class at a time; see
 :class:`chain.BoundaryKernel`.)  The empty mask is its own orbit, and a
 one-edge mask has no sign, so its representative is the smallest position
-of its orbit under the generators; forests of size at most 1 never list a
+of its orbit under Q; forests of size at most 1 never list a
 group, nor do the one-edge lookups of the p = 2 boundaries in their target
 and source classes.
 
@@ -100,14 +98,13 @@ class ForestIndex:
     order to the representative's, and the zero flag.  It is found by a scan
     of Q, the lifts of the class's vertex automorphisms (see the module
     docstring), listed on the first lookup that needs it, one
-    :func:`xor_table` per non-identity element; the collapse onto the first
-    position of each parallel class is built on its first read.  Nothing is
-    kept per mask; the slots below are all an index holds.  The pipeline
+    :func:`xor_table` per non-identity element.  Nothing is kept per mask;
+    the slots below are all an index holds.  The pipeline
     gets its indexes from :meth:`chain.ClassStore.forest_index`, one per
     class for as long as the store lives.
     """
 
-    __slots__ = ("graph", "edge_count", "vertex_count", "endpoints", "_group", "_collapse")
+    __slots__ = ("graph", "edge_count", "vertex_count", "endpoints", "_group")
 
     def __init__(self, graph: GraphClass):
         self.graph = graph
@@ -116,37 +113,16 @@ class ForestIndex:
         self.vertex_count = g.vertex_count
         self.endpoints = g.edges
         self._group: Optional[list[list[int]]] = None
-        self._collapse: Optional[tuple[int, ...]] = None
-
-    @property
-    def collapse(self) -> tuple[int, ...]:
-        """Per position, the first position of its parallel class.  The
-        edges are sorted, so a class's positions are adjacent and the
-        collapse keeps the order of a forest's edges."""
-        if self._collapse is None:
-            ends = self.endpoints
-            first = list(range(self.edge_count))
-            for i in range(1, self.edge_count):
-                if ends[i] == ends[i - 1]:
-                    first[i] = first[i - 1]
-            self._collapse = tuple(first)
-        return self._collapse
 
     def _group_tables(self) -> list[list[int]]:
         """The :func:`xor_table` of each non-identity element of Q, listed
-        once from the generators that move some position to another
-        parallel class.  Equal words are kept as one int object."""
+        once from its generators.  Equal words are kept as one int object."""
         if self._group is None:
             e = self.edge_count
-            first = self.collapse
-            lifts = [
-                g for g in self.graph.edge_perm_generators
-                if any(first[g[i]] != first[i] for i in range(e))
-            ]
             words: dict[int, int] = {}
             self._group = [
                 [words.setdefault(w, w) for w in xor_table(g, e)]
-                for g in _group_elements(lifts, e)
+                for g in _group_elements(self.graph.edge_perm_generators, e)
             ]
         return self._group
 
@@ -155,7 +131,7 @@ class ForestIndex:
         graph followed by the collapse: its XOR over a forest whose image
         is a forest gives the collapsed image and the parity of the order
         the map puts on the forest."""
-        first = self.collapse
+        first = self.graph.first
         return xor_table(
             [None if m is None else first[m] for m in images], self.edge_count
         )
@@ -164,16 +140,12 @@ class ForestIndex:
         """The record ``(rep, parity, zero)`` of the forest ``mask``, which
         need not be collapsed; raises ``ValueError`` if ``mask`` has a
         cycle.  The collapse keeps the order of the edges, so it adds no
-        sign."""
+        sign, and it moves the edges of a forest to distinct positions."""
         positions = _mask_positions(mask)
         if not self.is_acyclic(positions):
             raise ValueError("forest contains a cycle")
-        if mask & mask - 1:
-            first = self.collapse
-            mask = 0
-            for i in positions:
-                mask |= 1 << first[i]
-        return self.orbit(mask)
+        first = self.graph.first
+        return self.orbit(sum(1 << first[i] for i in positions))
 
     def orbit(self, mask: int) -> tuple[int, int, bool]:
         """The record of :meth:`record` for a collapsed forest, without the
@@ -303,31 +275,30 @@ class ForestIndex:
         subset stops at the first element that does; for a representative
         it counts the stabilizer in Q, whose index times the class sizes of
         the subset's edges is the orbit size, and an odd stabilizer element
-        makes the orbit zero.  At p <= 1 the orbits are those of the
-        generators on positions, and no group is listed.
+        makes the orbit zero.  At p <= 1 no group is listed: the orbit of
+        a first position is its orbit under the generators of Q times its
+        class size.
         """
+        first = self.graph.first
+        class_size = Counter(first)
+        firsts = [i for i, (u, v) in enumerate(self.endpoints) if first[i] == i and u != v]
+        reps: list[tuple[tuple[int, ...], int, bool]] = []
         if p <= 1:
-            gens = self.graph.edge_perm_generators
-            reps: list[tuple[tuple[int, ...], int, bool]] = []
             seen: set[int] = set()
-            for mask in self._acyclic_masks(p):
+            for mask in self._acyclic_masks(p, firsts):
                 if not mask:
                     reps.append(((), 1, False))
                     continue
                 pos = mask.bit_length() - 1
                 if pos not in seen:
-                    orbit = orbit_of((pos,), gens)
+                    orbit = orbit_of((pos,), self.graph.edge_perm_generators)
                     seen |= orbit
-                    reps.append(((pos,), len(orbit), False))
+                    reps.append(((pos,), len(orbit) * class_size[pos], False))
             return reps
         tables = self._group_tables()
         order = len(tables) + 1
-        first = self.collapse
-        class_size = Counter(first)
-        firsts = [i for i, (u, v) in enumerate(self.endpoints) if first[i] == i and u != v]
         e = self.edge_count
         full = (1 << e) - 1
-        reps = []
         for mask in self._acyclic_masks(p, firsts):
             positions = _mask_positions(mask)
             stabilizer, zero = 1, False

@@ -13,10 +13,10 @@ backtracking search over refined partitions, pruned with the automorphisms
 it has found, is entirely adequate.  Refinement compares the vertices of a
 cell by integer signatures, the sorted ``cell * k + multiplicity`` over
 their neighbours.  :func:`canonical_labeling` returns the search result and
-the canonical key; :meth:`Labeling.graph_class` builds from it the class
-with generators of the automorphism group acting on vertices and on edge
-positions, so callers that deduplicate by key build a class only on a key's
-first occurrence.
+the canonical key; :meth:`Labeling.graph_class` builds from it the class,
+with generators of the automorphism group on vertices, their lifts to edge
+positions and the parallel classes, so callers that deduplicate by key
+build a class only on a key's first occurrence.
 """
 
 from __future__ import annotations
@@ -178,9 +178,12 @@ class GraphClass:
     ``vertex_perm_generators`` generate the automorphism group of ``canon``:
     they are the automorphisms the pruned canonical search found, a
     generating set rather than the whole group.  ``edge_perm_generators``
-    are their induced permutations of edge positions, extended by the
-    transpositions within each parallel class (those are automorphisms
-    fixing all vertices).  ``canonical_key`` is shared by all
+    are their lifts to edge positions other than the identity: a lift sends
+    the k-th edge of a parallel class to the k-th edge of its image class,
+    and the lifts form the group Q.  The edge automorphism group is Q times
+    the permutations inside each parallel class, which ``first`` gives: per
+    position, the first position of its class (the edges are sorted, so a
+    class's positions are adjacent).  ``canonical_key`` is shared by all
     graphs isomorphic to ``canon``.
     """
 
@@ -188,6 +191,7 @@ class GraphClass:
     vertex_perm_generators: tuple[tuple[int, ...], ...]
     edge_perm_generators: tuple[tuple[int, ...], ...]
     canonical_key: bytes
+    first: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,8 @@ class Labeling:
 
     def graph_class(self) -> GraphClass:
         """The class of ``canon``, with the automorphisms conjugated by
-        ``vertex_map`` into canonical labels."""
+        ``vertex_map`` into canonical labels, their lifts to edge positions
+        and each position's class-first."""
         perm0 = self.vertex_map
         inv0 = _invert(perm0)
         vertex_gens = tuple(dict.fromkeys(
@@ -217,13 +222,13 @@ class Labeling:
         canon = self.canon
         classes = _class_positions(canon)
         edge_gens = [_edge_map_under(canon, canon, aut, classes) for aut in vertex_gens]
-        edge_gens.extend(_parallel_class_transpositions(classes, canon.edge_count))
         identity = tuple(range(canon.edge_count))
         return GraphClass(
             canon=canon,
             vertex_perm_generators=vertex_gens,
             edge_perm_generators=tuple(p for p in dict.fromkeys(edge_gens) if p != identity),
             canonical_key=self.key,
+            first=tuple(classes[e][0] for e in canon.edges),
         )
 
     def edge_map(self, g: Multigraph) -> tuple[int, ...]:
@@ -393,19 +398,6 @@ def _class_positions(g: Multigraph) -> dict[Edge, list[int]]:
     for pos, e in enumerate(g.edges):
         classes.setdefault(e, []).append(pos)
     return classes
-
-
-def _parallel_class_transpositions(
-    classes: dict[Edge, list[int]], edge_count: int
-) -> list[tuple[int, ...]]:
-    gens = []
-    for positions in classes.values():
-        for i in range(len(positions) - 1):
-            p = list(range(edge_count))
-            a, b = positions[i], positions[i + 1]
-            p[a], p[b] = p[b], p[a]
-            gens.append(tuple(p))
-    return gens
 
 
 def _edge_map_under(

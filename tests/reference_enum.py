@@ -1,4 +1,5 @@
-"""Test-side reference for graph enumeration: half-edge pairing.
+"""Test-side reference for graph enumeration: half-edge pairing, and the
+whole edge automorphism group of a class.
 
 ``pairing_classes`` enumerates perfect matchings of half-edges over every
 valence sequence and keeps the admissible ones by :func:`classify`.  It is
@@ -6,6 +7,11 @@ slow (exponential in the rank) but shares nothing with the production
 generator, the contraction closure of the trivalent classes in
 :mod:`outhom.enumerator`, except the canonical labeling; the equivalence
 tests hold the production key sets to it.
+
+A class lists generators of Q, the lifts of its vertex automorphisms, only;
+:func:`full_edge_generators` adds the swaps inside its parallel classes,
+read off the edge list, so the tests compare against the whole group
+G = Q ⋉ P.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from outhom.enumerator import EnumSpec
-from outhom.multigraph import Multigraph, canonical_labeling
+from outhom.multigraph import GraphClass, Multigraph, canonical_labeling
 
 
 @dataclass(frozen=True)
@@ -163,3 +169,24 @@ def _pair_half_edges(valences: tuple[int, ...], allow_loops: bool) -> Iterator[M
         remaining[u] += 1
 
     yield from rec(None)
+
+
+def parallel_swaps(g: Multigraph) -> list[tuple[int, ...]]:
+    """The transpositions of consecutive positions of each parallel class of
+    ``g``: they generate P, the edge permutations that fix every vertex."""
+    classes: dict[tuple[int, int], list[int]] = {}
+    for pos, e in enumerate(g.edges):
+        classes.setdefault(e, []).append(pos)
+    gens = []
+    for positions in classes.values():
+        for a, b in zip(positions, positions[1:]):
+            p = list(range(g.edge_count))
+            p[a], p[b] = b, a
+            gens.append(tuple(p))
+    return gens
+
+
+def full_edge_generators(cls: GraphClass) -> tuple[tuple[int, ...], ...]:
+    """Generators of the whole edge automorphism group of ``cls``: its
+    lifts and the parallel swaps."""
+    return cls.edge_perm_generators + tuple(parallel_swaps(cls.canon))

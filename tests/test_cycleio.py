@@ -22,6 +22,7 @@ from outhom.exactla import FieldSpec, nullspace_of
 from outhom.forests import ForestedGraph
 from outhom.pipeline import oracle_graphs
 from reference_chain import normalize, perm_parity
+from reference_enum import full_edge_generators
 from reference_la import mat_vec
 
 
@@ -240,8 +241,9 @@ class TestBasisMembership:
                 if zero:
                     strays["zero"].append(ForestedGraph(cls, rep))
                 elif size > 1:
-                    # another member of the orbit: the image under a generator
-                    for g in cls.edge_perm_generators:
+                    # another member of the orbit: the image under a
+                    # generator of the whole edge group
+                    for g in full_edge_generators(cls):
                         moved = tuple(sorted(g[i] for i in rep))
                         if moved != rep:
                             strays["moved"].append(ForestedGraph(cls, moved))

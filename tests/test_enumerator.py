@@ -20,7 +20,7 @@ from outhom.enumerator import (
     enumerate_graphs,
 )
 from outhom.multigraph import Multigraph, canonical_form, canonical_labeling
-from reference_enum import classify, pairing_classes
+from reference_enum import classify, full_edge_generators, pairing_classes
 
 # every (n, max_degree, allow_loops) with n <= 4
 SMALL_SPECS = [
@@ -146,6 +146,18 @@ class TestAllDegreeEnumeration:
                 expected.append(cls)
         assert loopless == expected
 
+    @pytest.mark.parametrize("allow_loops,searches", [(True, 1489), (False, 487)])
+    def test_closure_search_count_n5(self, allow_loops, searches, monkeypatch):
+        # one canonical search per orbit of contractible edges of each
+        # class, the 23 of the trivalent level included
+        real = enumerator.canonical_labeling
+        calls = []
+        monkeypatch.setattr(
+            enumerator, "canonical_labeling", lambda g: calls.append(g) or real(g)
+        )
+        enumerate_graphs(EnumSpec(5, 7, allow_loops))
+        assert len(calls) == searches
+
     def test_class_cap_on_contraction_steps(self, monkeypatch):
         # 5 trivalent classes pass the cap; the first degree-1 class over it raises
         monkeypatch.setattr(enumerator, "MAX_CLASSES", 6)
@@ -263,7 +275,8 @@ class TestInsertionPruning:
         assert steps == [(1, 1), (2, 1), (5, 2), (16, 2)]
 
     def test_search_count(self, monkeypatch):
-        # 3172 searches (one per orbit of edge pairs) before augmentation
+        # 3172 insertions (one per orbit of edge pairs), and the edge
+        # invariant leaves at most 700 of them for a canonical search
         import outhom.enumerator as enumerator
 
         real = enumerator.canonical_labeling
@@ -271,8 +284,41 @@ class TestInsertionPruning:
         monkeypatch.setattr(
             enumerator, "canonical_labeling", lambda g: calls.append(g) or real(g)
         )
+        real_insert = enumerator._insert_edge
+        inserts = []
+        monkeypatch.setattr(
+            enumerator, "_insert_edge",
+            lambda g, e, f: inserts.append((e, f)) or real_insert(g, e, f),
+        )
         assert len(cubic_level(7)) == 365
         assert len(calls) <= 700
+        assert len(inserts) == 3172
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_insertion_per_orbit_of_pairs(self, n, monkeypatch):
+        # the pairs {e <= f} that ``_children`` inserts at are one per orbit
+        # of the whole edge group, lifts and parallel swaps, of each parent
+        import outhom.enumerator as enumerator
+
+        real_insert = enumerator._insert_edge
+        inserts = []
+        monkeypatch.setattr(
+            enumerator, "_insert_edge",
+            lambda g, e, f: inserts.append((e, f)) or real_insert(g, e, f),
+        )
+        for parent in cubic_level(n).values():
+            inserts.clear()
+            _children(parent)
+            e_cnt = parent.canon.edge_count
+            group = _edge_group(full_edge_generators(parent)) or {tuple(range(e_cnt))}
+            orbits = {
+                frozenset(tuple(sorted((g[e], g[f]))) for g in group)
+                for e in range(e_cnt)
+                for f in range(e, e_cnt)
+            }
+            met = set(inserts)
+            assert len(met) == len(inserts) == len(orbits)
+            assert all(len(orbit & met) == 1 for orbit in orbits)
 
     def test_repeated_key_raises(self, monkeypatch):
         import outhom.enumerator as enumerator

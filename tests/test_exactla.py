@@ -451,6 +451,25 @@ class TestGuards:
         with pytest.raises(ResourceCapError):
             nullspace_of(m, GF1, max_nnz=10)
 
+    def test_rank_cap_counts_live_rows_only(self):
+        # nothing peels off this matrix, and a rank releases each pivot row
+        # when its step ends: the live rows never hold more than 23 entries
+        # over GF(3), so a cap of 23 passes.  A kernel keeps its pivot rows
+        # and counts 25, which a rank counted too while it held none.
+        gf3 = FieldSpec.prime(3)
+        m = SparseIntMat(7, 11, (
+            (0, 3, -1), (0, 6, 1), (0, 8, 1), (1, 0, -1), (1, 7, -1), (1, 9, -1),
+            (1, 10, 1), (2, 1, 1), (2, 3, -1), (2, 4, 1), (3, 7, 1), (3, 9, 1),
+            (3, 10, -1), (4, 0, 1), (4, 1, -1), (4, 5, 1), (4, 7, -1), (5, 4, 1),
+            (5, 9, 1), (6, 5, -1), (6, 6, -1), (6, 8, -1),
+        ))
+        assert not _peel(m, 3)[0]
+        assert _reference_eliminate(m, 3, drop_repeats=True)[2] == 23
+        assert _reference_eliminate(m, 3)[2] == 25
+        assert rank_of(m, gf3, max_nnz=23) == bareiss_rank(m) == 7
+        with pytest.raises(ResourceCapError, match="elimination fill 23 exceeded cap 22"):
+            rank_of(m, gf3, max_nnz=22)
+
 
 def _reference_drop(rows, taken, col_rows, p):
     """Drops, in ascending row order, each live row whose entries are those
@@ -490,7 +509,7 @@ def _reference_eliminate(m, p, max_nnz=None, events=None, drop_repeats=False):
     the pivot step at which the active columns are at most half of what
     they were at the last drop (the whole matrix's, for the first),
     :func:`_reference_drop` drops repeated rows (``events["drop"]`` counts
-    them).
+    them), and a pivot row's entries leave the count when its step ends.
     """
     cancelled = set()
     rows = [dict() for _ in range(m.rows)]
@@ -560,6 +579,9 @@ def _reference_eliminate(m, p, max_nnz=None, events=None, drop_repeats=False):
                     )
         pivots.append((r_star, c_star))
         piv_rows.append(piv)
+        if drop_repeats:
+            # the rank path releases the pivot row when its step ends
+            nnz -= len(piv)
     return pivots, piv_rows, peak
 
 

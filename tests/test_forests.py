@@ -20,6 +20,7 @@ from outhom.forests import (
 )
 from outhom.multigraph import Multigraph, canonical_form
 from reference_chain import normalize, perm_parity
+from reference_enum import full_edge_generators
 
 
 class TestNormalize:
@@ -66,11 +67,12 @@ class TestNormalize:
         assert ref.sign == 0
 
     def test_orbit_transport_invariance(self, trivalent_by_rank):
-        # applying an automorphism to an ordered forest changes nothing
+        # applying an automorphism to an ordered forest changes nothing:
+        # the generators of the whole group, lifts and parallel swaps
         rng = random.Random(7)
         for cls in trivalent_by_rank[4]:
             fi = ForestIndex(cls)
-            gens = cls.edge_perm_generators
+            gens = full_edge_generators(cls)
             if not gens:
                 continue
             for _ in range(20):
@@ -273,7 +275,7 @@ class TestGeneratingSet:
     def test_same_edge_group(self, trivalent_by_rank):
         for cls in _classes_and_contractions(trivalent_by_rank):
             e = cls.canon.edge_count
-            generated = _edge_group(cls.edge_perm_generators, e)
+            generated = _edge_group(full_edge_generators(cls), e)
             assert generated == _brute_force_edge_group(cls.canon)
 
     def test_orbit_info_matches_brute_force(self, trivalent_by_rank):
@@ -283,7 +285,7 @@ class TestGeneratingSet:
         # ``orbit_representatives``
         zeros = 0
         for cls in _classes_and_contractions(trivalent_by_rank):
-            group = _edge_group(cls.edge_perm_generators, cls.canon.edge_count)
+            group = _edge_group(full_edge_generators(cls), cls.canon.edge_count)
             fi = ForestIndex(cls)
             for p in range(cls.canon.vertex_count):
                 reps = []
@@ -307,12 +309,12 @@ class TestGeneratingSet:
         # against the whole edge group
         zeros = nontrivial = skipped = 0
         for cls in _contraction_targets(trivalent_by_rank):
-            group = _edge_group(cls.edge_perm_generators, cls.canon.edge_count)
+            group = _edge_group(full_edge_generators(cls), cls.canon.edge_count)
             nontrivial += len(group) > 1
             fi = ForestIndex(cls)
             for p in range(cls.canon.vertex_count):
                 for subset in fi.acyclic_subsets(p):
-                    if any(fi.collapse[i] != i for i in subset):
+                    if any(cls.first[i] != i for i in subset):
                         skipped += 1
                         continue
                     mask = sum(1 << i for i in subset)
@@ -326,17 +328,19 @@ class TestGeneratingSet:
 
     def test_group_is_lifts_times_parallel_swaps(self, trivalent_by_rank):
         # G = Q ⋉ P, P the permutations inside parallel classes, and the
-        # scan lists only Q: |G| = |Q| * prod |C|!, and every element of Q
-        # keeps each edge's rank within its class, so Q meets P only in
+        # class lists generators of Q only, which the scan lists: |G| = |Q|
+        # * prod |C|! over the classes ``first`` gives, and every element of
+        # Q keeps each edge's rank within its class, so Q meets P only in
         # the identity
         parallel = loops = 0
         for cls in _quotient_cases(trivalent_by_rank):
             e = cls.canon.edge_count
             fi = ForestIndex(cls)
-            first = fi.collapse
-            group = _edge_group(cls.edge_perm_generators, e)
+            first = cls.first
+            group = _edge_group(full_edge_generators(cls), e)
             lifts = _lifts(fi)
             assert len(set(lifts)) == len(lifts) and set(lifts) <= group
+            assert set(lifts) | {tuple(range(e))} == _edge_group(cls.edge_perm_generators, e)
             swaps = 1
             for size in Counter(first).values():
                 swaps *= math.factorial(size)
@@ -394,7 +398,7 @@ class TestKernel:
     def _recursive_representatives(cls, p):
         """Orbit representatives from the recursive depth-first walk, with
         their orbit sizes and zero flags from the whole edge group."""
-        group = _edge_group(cls.edge_perm_generators, cls.canon.edge_count)
+        group = _edge_group(full_edge_generators(cls), cls.canon.edge_count)
         edges = cls.canon.edges
         e = len(edges)
         parent = list(range(cls.canon.vertex_count))
@@ -431,7 +435,7 @@ class TestKernel:
         """The n = 7 class with the largest edge automorphism group."""
         return max(
             enumerate_graphs(EnumSpec(7)),
-            key=lambda c: len(_edge_group(c.edge_perm_generators, c.canon.edge_count)),
+            key=lambda c: len(_edge_group(full_edge_generators(c), c.canon.edge_count)),
         )
 
     def test_acyclic_subsets_match_combinations(self, trivalent_by_rank, rank6):
@@ -453,7 +457,7 @@ class TestKernel:
         # size off the stabilizer; both against the whole group, including
         # the n = 7 class whose group has 768 elements
         big = largest_group_n7
-        assert len(_edge_group(big.edge_perm_generators, big.canon.edge_count)) == 768
+        assert len(_edge_group(full_edge_generators(big), big.canon.edge_count)) == 768
         cases = [
             (cls, p)
             for n in (2, 3, 4, 5)
@@ -470,10 +474,13 @@ class TestKernel:
 
     def test_largest_n7_group_scans_12_lifts(self, largest_group_n7):
         # the 768-element group has six doubled edges: 2^6 parallel swaps
-        # times 12 lifts, and the scan lists the 12
+        # times 12 lifts; the class's generators generate the 12, and the
+        # scan lists them
         big = largest_group_n7
-        assert len(_edge_group(big.edge_perm_generators, big.canon.edge_count)) == 768
+        e = big.canon.edge_count
+        assert len(_edge_group(full_edge_generators(big), e)) == 768
         assert sorted(Counter(big.canon.edges).values()) == [1] * 6 + [2] * 6
+        assert len(_edge_group(big.edge_perm_generators, e)) == 12
         assert len(ForestIndex(big)._group_tables()) + 1 == 12
 
     def test_mask_positions_match_bit_loop(self):
@@ -544,7 +551,7 @@ class TestKernel:
                 if u == v:
                     continue
                 target, pos_map = store.contract_one(cls, pos)
-                first = store.forest_index(target).collapse
+                first = target.first
                 images = [None if m is None else first[m] for m in pos_map]
                 taken = [m for m in images if m is not None]
                 assert all(0 <= m < target.canon.edge_count for m in taken)
@@ -614,7 +621,7 @@ class TestKernel:
             met += 1
             positions = _mask_positions(mask)
             assert fi.is_acyclic(positions), (fi.graph.canonical_key, mask)
-            assert all(fi.collapse[i] == i for i in positions), (fi.graph.canonical_key, mask)
+            assert all(fi.graph.first[i] == i for i in positions), (fi.graph.canonical_key, mask)
             return real(fi, mask)
 
         monkeypatch.setattr(ForestIndex, "orbit", orbit)

@@ -19,7 +19,7 @@ from outhom.multigraph import (
     contract_one_edge,
 )
 from reference_chain import contract_edges_mapped
-from reference_enum import classify
+from reference_enum import classify, full_edge_generators
 
 
 def _generated_group(gens, degree):
@@ -88,7 +88,10 @@ class TestCanonicalForm:
         base = Multigraph(2, ((0, 1),) * 3)
         for perm in itertools.permutations(range(2)):
             assert canonical_form(apply_vertex_perm(base, perm)).canonical_key == theta.canonical_key
-        group = _generated_group(theta.edge_perm_generators, 3)
+        # the vertex swap lifts to the identity, so Q is trivial, and the
+        # parallel swaps make up the whole group S3
+        assert theta.edge_perm_generators == () and theta.first == (0, 0, 0)
+        group = _generated_group(full_edge_generators(theta), 3)
         assert group == set(itertools.permutations(range(3)))
 
     def test_k4_key_stable_under_all_24_perms(self, k4):
