@@ -8,7 +8,9 @@ class key and representative mask, then the rows are re-sorted by canonical
 key so the matrix does not depend on sweep order.  A target's class and the
 contraction's position map are built only for a term whose remaining forest
 is not empty; a one-edge forest, every generator at p = 1, needs only the
-target key.
+target key.  Contractions of the positions of one edge orbit of a class
+share one canonical search, that of the orbit's smallest position, which
+is the one the p = 1 basis holds.
 The removal boundary stays on the same graph, so its rows are the basis one
 forest size down, matched to the sorted rows by one walk over its elements.
 
@@ -50,6 +52,7 @@ from .multigraph import (
     GraphClass,
     Labeling,
     _edge_map_under,
+    _invert,
     canonical_labeling,
     contract_one_edge,
 )
@@ -219,12 +222,15 @@ class ChainBasis:
 class ClassStore:
     """Interning table for graph classes plus contraction memoization.
 
-    It contracts each (class, position) once, with one canonical search,
-    and memoizes the target key and the labeling's vertex map
-    (:meth:`contract_key`).  A target key with no class yet keeps its
-    :class:`Labeling`, and :meth:`get` builds the class from it on first
-    read; the position map is built, from a second contraction and the
-    stored vertex map, only when :meth:`contract_one` is asked for it.
+    It memoizes per (class, position) the target key and the labeling's
+    vertex map of at most one canonical search (:meth:`contract_key`).  A
+    target key with no class yet keeps its :class:`Labeling`, and
+    :meth:`get` builds the class from it on first read.
+    :meth:`contract_one` adds the position map, a map onto the target
+    shared by an edge orbit: the orbit's smallest position gets it from a
+    second contraction and the stored vertex map, and every other position
+    not yet searched from that map through an edge automorphism, with no
+    search of its own.
 
     :meth:`forest_index` is where every :class:`ForestIndex` of a run is
     made: one per class it is asked for, kept as long as the store, so each
@@ -239,6 +245,10 @@ class ClassStore:
         # per (class key, position): (target key, vertex map, None), then
         # (target key, None, position map) once the map is built
         self._contract: dict[tuple[bytes, int], tuple] = {}
+        # the class key and :func:`_edge_orbits` of the last class that
+        # ``contract_one`` resolved a position of; assembly walks the
+        # classes in order, so no other class's table is kept
+        self._orbits: tuple = (None, None)
 
     def intern(self, cls: GraphClass) -> GraphClass:
         self._labelings.pop(cls.canonical_key, None)
@@ -289,17 +299,73 @@ class ClassStore:
     ) -> tuple[GraphClass, tuple[Optional[int], ...]]:
         """Contract one non-loop edge of the canonical graph.
 
-        Returns the interned target class and the map from source edge
-        positions to target canonical positions (``None`` for ``pos``).
+        Returns the interned target class and a map from source edge
+        positions to target canonical positions (``None`` for ``pos``), an
+        edge isomorphism of the contraction onto the target's canonical
+        graph.  The map is shared by an edge orbit: a position that is not
+        the smallest of its orbit under the class's edge automorphisms gets
+        ``rep_map[g[j]]`` for an automorphism g sending it to that
+        representative, whose map ``rep_map`` comes from a canonical search.
+        Another isomorphism than a fresh labeling's may result, but it moves
+        every forest onto the same representative with the same sign.
         """
-        key, vertex_map, pos_map = self._contraction(cls, pos)
-        target = self.get(key)
+        key = cls.canonical_key
+        memo = self._contract.get((key, pos))
+        if memo is None:
+            if self._orbits[0] != key:
+                self._orbits = (key, _edge_orbits(cls))
+            rep, g = self._orbits[1][pos]
+            if rep != pos:
+                target, rep_map = self.contract_one(cls, rep)
+                pos_map = tuple([rep_map[i] for i in g])
+                self._contract[(key, pos)] = (target.canonical_key, None, pos_map)
+                return target, pos_map
+            memo = self._contraction(cls, pos)
+        target_key, vertex_map, pos_map = memo
+        target = self.get(target_key)
         if pos_map is None:
             contracted, raw_map = contract_one_edge(cls.canon, pos)
             edge_map = _edge_map_under(contracted, target.canon, vertex_map)
             pos_map = tuple(None if m is None else edge_map[m] for m in raw_map)
-            self._contract[(cls.canonical_key, pos)] = (key, None, pos_map)
+            self._contract[(key, pos)] = (target_key, None, pos_map)
         return target, pos_map
+
+
+def _edge_orbits(cls: GraphClass) -> list[tuple[int, tuple[int, ...]]]:
+    """Per edge position of ``cls``, the smallest position of its orbit
+    under the edge automorphisms and one automorphism sending it there.
+
+    The lifts (``edge_perm_generators``) map class-firsts to class-firsts,
+    so a breadth-first walk over them from each class-first not yet
+    reached, in ascending order, reaches that first's orbit of class-firsts
+    with, for each, a lift h from the start; the inverse of h sends it back
+    to the start, its orbit's smallest position.  Another position of a
+    parallel class first swaps with its class-first."""
+    gens = cls.edge_perm_generators
+    first = cls.first
+    back: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for start, f in enumerate(first):
+        if f != start or start in back:
+            continue
+        reached = {start: tuple(range(len(first)))}
+        queue = [start]
+        for x in queue:
+            h = reached[x]
+            for s in gens:
+                if s[x] not in reached:
+                    reached[s[x]] = tuple([s[i] for i in h])
+                    queue.append(s[x])
+        for x, h in reached.items():
+            back[x] = (start, _invert(h))
+    out = []
+    for pos, f in enumerate(first):
+        rep, g = back[f]
+        if pos != f:
+            swapped = list(g)
+            swapped[pos], swapped[f] = g[f], g[pos]
+            g = tuple(swapped)
+        out.append((rep, g))
+    return out
 
 
 def build_chain_basis(
@@ -339,23 +405,27 @@ def build_chain_basis(
 class BoundaryKernel:
     """Signed boundary terms of forested graphs, with integer row ids.
 
-    A kernel serves one assembly.  Rows are interned once per orbit of a
-    target class, in ``rows`` under the class key and the representative
-    mask, and numbered in the order met; :func:`assemble` renumbers them.
+    A kernel serves one assembly, or one cycle's support: generators of
+    one forest size.  Rows are interned once per orbit of a target class,
+    in ``rows`` under the class key and the representative mask, and
+    numbered in the order met; :func:`assemble` renumbers them.
 
     Removing the forest edge at ``pos`` leaves the mask ``F ^ 1 << pos``,
     already in ascending order.  Contracting it needs only the target key
     (``ClassStore.contract_key``) when the remaining forest is empty, as it
     is for every term of a one-edge forest: the empty forest is its own
-    orbit, with sign +1 and never zero.  A nonempty remaining forest goes
-    through a table, one per (source class, position), built from
-    ``ClassStore.contract_one``'s position map the first time such a term
+    orbit, with sign +1 and never zero.  A nonempty remaining forest takes
+    its target from ``ClassStore.contract_one`` and goes through a table,
+    one per (source class, position), built from its position map, a map
+    onto the target shared by an edge orbit, the first time such a term
     needs it: :meth:`forests.ForestIndex.collapsed_table`, the map followed
     by the target's collapse onto the first position of each parallel
     class, whose XOR over the remaining forest gives the collapsed target
-    mask and the parity of the order the map puts on it.  Removal terms of
-    a representative are collapsed already, so every lookup is
-    :meth:`forests.ForestIndex.orbit`'s scan of the lifted vertex
+    mask and the parity of the order the map puts on it.  Any edge
+    isomorphism onto the target gives the same record: two differ by an
+    automorphism of the target, whose scan the record already takes.
+    Removal terms of a representative are collapsed already, so every
+    lookup is :meth:`forests.ForestIndex.orbit`'s scan of the lifted vertex
     automorphisms alone.
 
     Orbits are looked up through the store's index of each class met
@@ -373,9 +443,10 @@ class BoundaryKernel:
         # mask, numbered in the order met
         self.rows: dict[bytes, dict[int, int]] = {}
         self.row_count = 0
-        # per source class, per position: [the target class's ``rows``
-        # entry, index or None, table or None]
-        self._contractions: dict[bytes, list[Optional[list]]] = {}
+        # per source class, per position: (the target class's ``rows``
+        # entry, index and table, both None when the remaining forests are
+        # empty)
+        self._contractions: dict[bytes, list[Optional[tuple]]] = {}
         # the removal source class key, its index, and its records by mask
         self._removal: tuple = (None, None, {})
 
@@ -410,14 +481,19 @@ class BoundaryKernel:
             if kind == "contract":
                 entry = per_pos[pos]
                 if entry is None:
-                    rows = self.rows.setdefault(self.store.contract_key(src, pos), {})
-                    entry = per_pos[pos] = [rows, None, None]
+                    # the generators of one kernel share a forest size, so
+                    # a position's remaining forests are all empty or none
+                    if mask:
+                        target, pos_map = self.store.contract_one(src, pos)
+                        fi = self.store.forest_index(target)
+                        rows = self.rows.setdefault(target.canonical_key, {})
+                        entry = (rows, fi, fi.collapsed_table(pos_map))
+                    else:
+                        rows = self.rows.setdefault(self.store.contract_key(src, pos), {})
+                        entry = (rows, None, None)
+                    per_pos[pos] = entry
                 rows, fi, table = entry
                 if mask:
-                    if table is None:
-                        target, pos_map = self.store.contract_one(src, pos)
-                        fi = entry[1] = self.store.forest_index(target)
-                        table = entry[2] = fi.collapsed_table(pos_map)
                     e = fi.edge_count
                     x = 0
                     for j in forest:

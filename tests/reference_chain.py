@@ -6,6 +6,9 @@ transport in bit operations: ``ForestIndex.record`` of its set, times the
 parity of the sort, counted pairwise; it reads no ``xor_table``.
 ``reference_boundary`` lists each term's remaining forest in order and puts
 it through ``normalize``; the sums are keyed by ``(target key, column)``.
+It moves a contraction term by that contraction's own canonical labeling
+(``fresh_contraction``), so the production path's maps shared by an edge
+orbit are checked against maps that share nothing.
 The equivalence tests hold the production :func:`outhom.chain.assemble` to
 it, entries and row labels alike.  ``contract_edges_mapped`` is the
 union-find contraction with its position map, the reference for
@@ -18,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from outhom.chain import ChainBasis, ClassStore, InconsistencyError, SparseIntMat
 from outhom.forests import ForestedGraph, ForestIndex, ForestKey, forest_key
-from outhom.multigraph import Multigraph
+from outhom.multigraph import GraphClass, Multigraph, canonical_labeling
 from outhom.pipeline import _oracle_bases
 
 
@@ -92,18 +95,36 @@ def contract_edges_mapped(
     return Multigraph(len(relabel), tuple(e for e, _ in kept)), tuple(pos_map)
 
 
+def fresh_contraction(
+    cls: GraphClass, pos: int, store: ClassStore
+) -> tuple[GraphClass, tuple[Optional[int], ...]]:
+    """The contraction of the edge at ``pos`` as its own canonical labeling
+    gives it: the interned target class and the labeling's map from source
+    positions to target positions (``None`` for ``pos``), with no edge
+    orbit shared, unlike ``ClassStore.contract_one``."""
+    contracted, raw_map = contract_edges_mapped(cls.canon, [pos])
+    lab = canonical_labeling(contracted)
+    edge_map = lab.edge_map(contracted)
+    return store.class_of(lab), tuple(None if m is None else edge_map[m] for m in raw_map)
+
+
 def boundary_terms(
-    el: ForestedGraph, kind: str, store: ClassStore
+    el: ForestedGraph, kind: str, store: ClassStore, contractions: dict
 ) -> Iterator[tuple[int, ForestKey]]:
     """Terms ``(sign, target key)`` of the ``"contract"`` or ``"remove"``
     boundary of one generator: the i-th forest edge is contracted or dropped,
-    with sign ``(-1)^i``.  Targets zero by odd symmetry are skipped."""
+    with sign ``(-1)^i``.  Targets zero by odd symmetry are skipped.  A
+    contraction is a :func:`fresh_contraction`, kept in ``contractions`` by
+    (class key, position)."""
     src = store.intern(el.graph)
     forest = el.forest
     for i, pos in enumerate(forest, start=1):
         rest = [f for f in forest if f != pos]
         if kind == "contract":
-            target, pos_map = store.contract_one(src, pos)
+            held = (src.canonical_key, pos)
+            if held not in contractions:
+                contractions[held] = fresh_contraction(src, pos, store)
+            target, pos_map = contractions[held]
             ref = normalize(store.forest_index(target), [pos_map[f] for f in rest])
         else:
             ref = normalize(store.forest_index(src), rest)
@@ -121,9 +142,10 @@ def reference_boundary(
     over ``(target key, column)`` cells, and the key of each row: the sorted
     nonzero keys, or the ``target`` basis keys."""
     acc: dict[tuple[ForestKey, int], int] = {}
+    contractions: dict = {}
     for kind, scale in parts:
         for col, el in enumerate(b.elements):
-            for sign, key in boundary_terms(el, kind, store):
+            for sign, key in boundary_terms(el, kind, store, contractions):
                 cell = (key, col)
                 acc[cell] = acc.get(cell, 0) + scale * sign
     if target is None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -17,8 +18,9 @@ from outhom.chain import (
     matmul,
     vstack,
 )
+from outhom.enumerator import EnumSpec, enumerate_graphs
 from outhom.forests import ForestIndex, block_key_of
-from outhom.multigraph import canonical_labeling, contract_edges
+from outhom.multigraph import canonical_labeling, contract_edges, orbit_of
 from outhom.pipeline import _oracle_bases
 from reference_chain import basis_from_labels, contract_edges_mapped, normalize, reference_boundary
 
@@ -179,6 +181,22 @@ class TestReferenceEquivalence:
                 else:
                     wrapped = boundary_remove(basis, target, store)
                 self._assert_same_matrix(wrapped, want[0])
+
+    def test_n6_levels_where_orbits_share_searches(self):
+        # from p = 2 on most contraction terms sit at positions that reuse
+        # their orbit representative's search; the levels are walked on one
+        # store in ascending p, as the pipeline walks them, so the p = 1
+        # keys are memoized before any map is asked for
+        graphs = enumerate_graphs(EnumSpec(6))
+        store = ClassStore()
+        bases = [build_chain_basis(6, p, graphs, store) for p in range(4)]
+        for p in (1, 2, 3):
+            for parts, target in ((CONTRACT, None), (REMOVE, bases[p - 1])):
+                self._assert_same(
+                    assemble(bases[p], parts, store, target),
+                    reference_boundary(bases[p], parts, ClassStore(), target),
+                    target,
+                )
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_oracle_levels(self, n):
@@ -364,59 +382,96 @@ class TestBasisStructure:
                 assert set(valences) == {3}
 
 
+def _orbit_rep(cls, pos: int) -> int:
+    """The smallest position of the orbit of ``pos`` under the class's edge
+    automorphisms: the smallest class-first of the orbit of its class-first
+    under the lifts."""
+    return min(orbit_of((cls.first[pos],), cls.edge_perm_generators))
+
+
+def _carried_by_vertices(g, h, edge_map) -> bool:
+    """Whether ``edge_map``, from the positions of ``g`` onto those of
+    ``h``, is a bijection that one vertex bijection carries: every edge's
+    endpoints go to its image's endpoints."""
+    if g.vertex_count != h.vertex_count or sorted(edge_map) != list(range(h.edge_count)):
+        return False
+    images = [set(range(h.vertex_count)) for _ in range(g.vertex_count)]
+    for (u, v), m in zip(g.edges, edge_map):
+        images[u] &= set(h.edges[m])
+        images[v] &= set(h.edges[m])
+    return any(
+        len(set(phi)) == len(phi)
+        and all(
+            tuple(sorted((phi[u], phi[v]))) == h.edges[m]
+            for (u, v), m in zip(g.edges, edge_map)
+        )
+        for phi in itertools.product(*(sorted(c) for c in images))
+    )
+
+
 class TestContractOne:
     """``contract_one`` builds a target class only for a key it has not
-    interned, and answers as a fresh canonical labeling of the contraction
-    would."""
+    interned.  At the smallest position of an edge orbit it answers as a
+    fresh canonical labeling of the contraction would; every other position
+    of the orbit shares that search, so its map is another edge isomorphism
+    onto the same target."""
+
+    @staticmethod
+    def _check(store, cls, pos, target, pos_map, first, exact=False) -> bool:
+        """Checks ``contract_one``'s answer for ``(cls, pos)`` against a
+        fresh labeling of the contraction: the same map if ``exact`` or at
+        an orbit representative, else an edge isomorphism onto the same
+        canonical graph.  Returns whether ``pos`` is a representative."""
+        contracted, raw_map = contract_edges_mapped(cls.canon, [pos])
+        lab = canonical_labeling(contracted)
+        want, edge_map = lab.graph_class(), lab.edge_map(contracted)
+        key = want.canonical_key
+        first.setdefault(key, want)
+        assert target.canonical_key == key == store.contract_key(cls, pos)
+        assert target.canon == want.canon
+        # the class of the first contraction met with this key, interned
+        assert target == first[key] and target is store.get(key)
+        assert pos_map[pos] is None
+        is_rep = _orbit_rep(cls, pos) == pos
+        if exact or is_rep:
+            assert pos_map == tuple(None if m is None else edge_map[m] for m in raw_map)
+        else:
+            moved = [None] * contracted.edge_count
+            for j, m in enumerate(raw_map):
+                if m is not None:
+                    moved[m] = pos_map[j]
+            assert _carried_by_vertices(contracted, target.canon, moved)
+        return is_rep
 
     def test_matches_a_fresh_canonical_labeling(self, trivalent_by_rank):
+        # exactly at orbit representatives, up to a target automorphism
+        # at the other positions
         store = ClassStore()
         first: dict = {}
-        returned: dict = {}
-        new = interned = 0
+        reps = []
         for n in (2, 3, 4, 5):
             for cls in trivalent_by_rank[n]:
                 for pos in range(cls.canon.edge_count):
-                    contracted, raw_map = contract_edges_mapped(cls.canon, [pos])
-                    lab = canonical_labeling(contracted)
-                    want, edge_map = lab.graph_class(), lab.edge_map(contracted)
-                    key = want.canonical_key
-                    if key in first:
-                        interned += 1
-                    else:
-                        new += 1
-                        first[key] = want
                     target, pos_map = store.contract_one(cls, pos)
-                    assert target.canonical_key == key
-                    assert pos_map == tuple(
-                        None if m is None else edge_map[m] for m in raw_map
-                    )
-                    # the class of the first contraction met with this key
-                    assert target == first[key]
-                    assert target is returned.setdefault(key, target)
-                    assert target is store.get(key)
-        assert new > 0 and interned > 0
+                    reps.append(self._check(store, cls, pos, target, pos_map, first))
+        assert any(reps) and not all(reps)
+        assert len(first) > 1
 
     @pytest.mark.parametrize("key_first", [True, False])
     def test_key_and_map_in_either_order(self, trivalent_by_rank, key_first):
+        # a key asked for first memoizes that position's own search, and
+        # its map reuses it: the fresh labeling's map at every position
         store = ClassStore()
+        first: dict = {}
         for n in (3, 4):
             for cls in trivalent_by_rank[n]:
                 for pos in range(cls.canon.edge_count):
-                    contracted, raw_map = contract_edges_mapped(cls.canon, [pos])
-                    lab = canonical_labeling(contracted)
-                    want, edge_map = lab.graph_class(), lab.edge_map(contracted)
                     if key_first:
                         key = store.contract_key(cls, pos)
-                        target, pos_map = store.contract_one(cls, pos)
-                    else:
-                        target, pos_map = store.contract_one(cls, pos)
-                        key = store.contract_key(cls, pos)
-                    assert key == target.canonical_key == want.canonical_key
-                    assert target.canon == want.canon
-                    assert pos_map == tuple(
-                        None if m is None else edge_map[m] for m in raw_map
-                    )
+                    target, pos_map = store.contract_one(cls, pos)
+                    if key_first:
+                        assert key == target.canonical_key
+                    self._check(store, cls, pos, target, pos_map, first, exact=key_first)
 
     def test_key_builds_no_class(self, trivalent_by_rank, monkeypatch):
         # a key met only by ``contract_key`` gets its class on the first
@@ -453,15 +508,16 @@ class TestContractOne:
 
         classes, maps = [], []
         real_class = multigraph.Labeling.graph_class
-        real_map = chain._edge_map_under
+        real_map = multigraph._edge_map_under
         monkeypatch.setattr(
             multigraph.Labeling,
             "graph_class",
             lambda lab: classes.append(lab.key) or real_class(lab),
         )
-        monkeypatch.setattr(
-            chain, "_edge_map_under", lambda *a: maps.append(a) or real_map(*a)
-        )
+        for module in (chain, multigraph):
+            monkeypatch.setattr(
+                module, "_edge_map_under", lambda *a: maps.append(a) or real_map(*a)
+            )
         store = ClassStore()
         basis = build_chain_basis(5, 1, trivalent_by_rank[5], store)
         got = assemble(basis, CONTRACT, store)
@@ -513,3 +569,29 @@ def test_target_groups_listed_before_the_rows(bases_by_rank, monkeypatch):
     got = assemble(basis, CONTRACT, ClassStore())
     assert listed and not any(listed)
     assert got[0].entries == want[0].entries and tuple(got[1]) == want[1]
+
+
+@pytest.mark.parametrize(
+    "n, p_range, searches",
+    [(5, None, 88), (5, [0, 1], 88), (6, [0, 1, 9], 538), (7, [0, 1], 4324)],
+)
+def test_one_search_per_edge_orbit(n, p_range, searches, monkeypatch):
+    # the canonical searches of a whole profile, enumeration included: from
+    # p = 2 on, one contraction search per edge orbit of each class (189 and
+    # 984 searches for the first and third profiles when every position
+    # was searched); at p <= 1 every contracted position is already its
+    # orbit's smallest, so the work is unchanged and no orbit table is built
+    from outhom import chain, multigraph
+    from outhom.pipeline import compute_rank_profile
+
+    counts = {"search": 0, "table": 0}
+    real_search, real_table = multigraph._canonical_search, chain._edge_orbits
+
+    def counted(name, real):
+        return lambda arg: counts.__setitem__(name, counts[name] + 1) or real(arg)
+
+    monkeypatch.setattr(multigraph, "_canonical_search", counted("search", real_search))
+    monkeypatch.setattr(chain, "_edge_orbits", counted("table", real_table))
+    compute_rank_profile(n, p_range=p_range)
+    assert counts["search"] == searches
+    assert (counts["table"] == 0) == (p_range is not None and max(p_range) <= 1)
