@@ -52,7 +52,6 @@ from .multigraph import (
     GraphClass,
     Labeling,
     _edge_map_under,
-    _invert,
     canonical_labeling,
     contract_one_edge,
 )
@@ -227,10 +226,11 @@ class ClassStore:
     target key with no class yet keeps its :class:`Labeling`, and
     :meth:`get` builds the class from it on first read.
     :meth:`contract_one` adds the position map, a map onto the target
-    shared by an edge orbit: the orbit's smallest position gets it from a
-    second contraction and the stored vertex map, and every other position
-    not yet searched from that map through an edge automorphism, with no
-    search of its own.
+    shared by an edge orbit: the orbit's smallest position
+    (``GraphClass.orbit_min``) gets it from a second contraction and the
+    stored vertex map, and every other position not yet searched from that
+    map through the automorphism :meth:`ForestIndex.transport` gives, with
+    no search of its own.
 
     :meth:`forest_index` is where every :class:`ForestIndex` of a run is
     made: one per class it is asked for, kept as long as the store, so each
@@ -245,10 +245,6 @@ class ClassStore:
         # per (class key, position): (target key, vertex map, None), then
         # (target key, None, position map) once the map is built
         self._contract: dict[tuple[bytes, int], tuple] = {}
-        # the class key and :func:`_edge_orbits` of the last class that
-        # ``contract_one`` resolved a position of; assembly walks the
-        # classes in order, so no other class's table is kept
-        self._orbits: tuple = (None, None)
 
     def intern(self, cls: GraphClass) -> GraphClass:
         self._labelings.pop(cls.canonical_key, None)
@@ -303,20 +299,21 @@ class ClassStore:
         positions to target canonical positions (``None`` for ``pos``), an
         edge isomorphism of the contraction onto the target's canonical
         graph.  The map is shared by an edge orbit: a position that is not
-        the smallest of its orbit under the class's edge automorphisms gets
-        ``rep_map[g[j]]`` for an automorphism g sending it to that
-        representative, whose map ``rep_map`` comes from a canonical search.
-        Another isomorphism than a fresh labeling's may result, but it moves
-        every forest onto the same representative with the same sign.
+        the smallest of its orbit under the class's edge automorphisms
+        (``cls.orbit_min[pos]``) gets ``rep_map[g[j]]``, g an automorphism
+        sending it to that representative (:meth:`ForestIndex.transport`,
+        read off the group a basis build above p = 1 has listed), whose map
+        ``rep_map`` comes from a canonical search.  Another isomorphism than
+        a fresh labeling's may result, but it moves every forest onto the
+        same representative with the same sign.
         """
         key = cls.canonical_key
         memo = self._contract.get((key, pos))
         if memo is None:
-            if self._orbits[0] != key:
-                self._orbits = (key, _edge_orbits(cls))
-            rep, g = self._orbits[1][pos]
+            rep = cls.orbit_min[pos]
             if rep != pos:
                 target, rep_map = self.contract_one(cls, rep)
+                g = self.forest_index(cls).transport(pos)
                 pos_map = tuple([rep_map[i] for i in g])
                 self._contract[(key, pos)] = (target.canonical_key, None, pos_map)
                 return target, pos_map
@@ -329,43 +326,6 @@ class ClassStore:
             pos_map = tuple(None if m is None else edge_map[m] for m in raw_map)
             self._contract[(key, pos)] = (target_key, None, pos_map)
         return target, pos_map
-
-
-def _edge_orbits(cls: GraphClass) -> list[tuple[int, tuple[int, ...]]]:
-    """Per edge position of ``cls``, the smallest position of its orbit
-    under the edge automorphisms and one automorphism sending it there.
-
-    The lifts (``edge_perm_generators``) map class-firsts to class-firsts,
-    so a breadth-first walk over them from each class-first not yet
-    reached, in ascending order, reaches that first's orbit of class-firsts
-    with, for each, a lift h from the start; the inverse of h sends it back
-    to the start, its orbit's smallest position.  Another position of a
-    parallel class first swaps with its class-first."""
-    gens = cls.edge_perm_generators
-    first = cls.first
-    back: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for start, f in enumerate(first):
-        if f != start or start in back:
-            continue
-        reached = {start: tuple(range(len(first)))}
-        queue = [start]
-        for x in queue:
-            h = reached[x]
-            for s in gens:
-                if s[x] not in reached:
-                    reached[s[x]] = tuple([s[i] for i in h])
-                    queue.append(s[x])
-        for x, h in reached.items():
-            back[x] = (start, _invert(h))
-    out = []
-    for pos, f in enumerate(first):
-        rep, g = back[f]
-        if pos != f:
-            swapped = list(g)
-            swapped[pos], swapped[f] = g[f], g[pos]
-            g = tuple(swapped)
-        out.append((rep, g))
-    return out
 
 
 def build_chain_basis(

@@ -46,7 +46,6 @@ from .multigraph import (
     canonical_form,
     canonical_labeling,
     contract_one_edge,
-    orbit_of,
 )
 from .parallel import pmap
 
@@ -95,9 +94,9 @@ def enumerate_graphs(spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
     ``threads`` applies to the trivalent level, and there only to the rank
     steps with at least ``POOL_MIN_PARENTS`` parents (see
     :func:`cubic_level`); the contraction steps are serial.  Edges are
-    taken in position order and each orbit at its smallest position, the
-    first of its parallel class, so every key is met first where
-    contracting every edge would meet it.
+    taken in position order and each orbit at its smallest position
+    (``GraphClass.orbit_min``), the first of its parallel class, so every
+    key is met first where contracting every edge would meet it.
     """
     found = cubic_level(spec.n, threads)
     level = list(found)
@@ -107,11 +106,9 @@ def enumerate_graphs(spec: EnumSpec, threads: int = 1) -> list[GraphClass]:
             cls = found[key]
             g = cls.canon
             first = cls.first
-            seen: set[int] = set()
             for pos, (u, v) in enumerate(g.edges):
-                if first[pos] != pos or pos in seen:
+                if cls.orbit_min[pos] != pos:
                     continue
-                seen |= orbit_of((pos,), cls.edge_perm_generators)
                 twin = pos + 1 < g.edge_count and first[pos + 1] == pos
                 if u == v or (not spec.allow_loops and twin):
                     continue

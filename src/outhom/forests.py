@@ -34,9 +34,11 @@ build and of an assembly.  (The removal boundary, whose terms repeat
 masks, keeps a memo for one source class at a time; see
 :class:`chain.BoundaryKernel`.)  The empty mask is its own orbit, and a
 one-edge mask has no sign, so its representative is the smallest position
-of its orbit under Q; forests of size at most 1 never list a
-group, nor do the one-edge lookups of the p = 2 boundaries in their target
-and source classes.
+of its orbit, which the class stores (``GraphClass.orbit_min``); forests
+of size at most 1 never list a group, nor do the one-edge lookups of the
+p = 2 boundaries in their target and source classes.  The same table of Q
+gives :meth:`ForestIndex.transport`, an automorphism that moves a position
+to its orbit's smallest.
 
 Enumerating representatives walks the acyclic subsets of the first
 positions of the classes in order and drops a subset as soon as an element
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .multigraph import GraphClass, canonical_labeling, contract_edges, orbit_of
+from .multigraph import GraphClass, canonical_labeling, contract_edges
 
 ForestKey = tuple[bytes, tuple[int, ...]]
 
@@ -162,8 +164,7 @@ class ForestIndex:
         orbit."""
         if not mask & mask - 1:
             if mask:
-                pos = mask.bit_length() - 1
-                mask = 1 << min(orbit_of((pos,), self.graph.edge_perm_generators))
+                mask = 1 << self.graph.orbit_min[mask.bit_length() - 1]
             return mask, 1, False
         tables = self._group_tables()
         if not tables:
@@ -184,6 +185,20 @@ class ForestIndex:
                 elif q != parity:
                     zero = True
         return rep, parity, zero
+
+    def transport(self, pos: int) -> tuple[int, ...]:
+        """An edge automorphism of the class, as a position map, that sends
+        ``pos`` to ``orbit_min[pos]``: the first element of Q in the listed
+        group that sends ``pos``'s class-first there (the identity if that
+        first is the minimum), then a swap of ``pos`` with its class-first."""
+        f, rep = self.graph.first[pos], self.graph.orbit_min[pos]
+        full = (1 << self.edge_count) - 1
+        g = list(range(self.edge_count))
+        if rep != f:
+            table = next(t for t in self._group_tables() if t[f] & full == 1 << rep)
+            g = [(w & full).bit_length() - 1 for w in table]
+        g[pos], g[f] = g[f], g[pos]
+        return tuple(g)
 
     def is_acyclic(self, positions: Iterable[int]) -> bool:
         parent = list(range(self.vertex_count))
@@ -275,26 +290,26 @@ class ForestIndex:
         subset stops at the first element that does; for a representative
         it counts the stabilizer in Q, whose index times the class sizes of
         the subset's edges is the orbit size, and an odd stabilizer element
-        makes the orbit zero.  At p <= 1 no group is listed: the orbit of
-        a first position is its orbit under the generators of Q times its
-        class size.
+        makes the orbit zero.  At p <= 1 no group is listed: the
+        representatives are the non-loop positions that are their orbit's
+        smallest (``GraphClass.orbit_min``), and the orbit of one is the
+        positions with that minimum.
         """
+        if p < 0:
+            raise ValueError("forest size must be >= 0")
+        if p == 0:
+            return [((), 1, False)]
+        if p == 1:
+            orbit_min = self.graph.orbit_min
+            return [
+                ((i,), orbit_min.count(i), False)
+                for i, (u, v) in enumerate(self.endpoints)
+                if orbit_min[i] == i and u != v
+            ]
         first = self.graph.first
         class_size = Counter(first)
         firsts = [i for i, (u, v) in enumerate(self.endpoints) if first[i] == i and u != v]
         reps: list[tuple[tuple[int, ...], int, bool]] = []
-        if p <= 1:
-            seen: set[int] = set()
-            for mask in self._acyclic_masks(p, firsts):
-                if not mask:
-                    reps.append(((), 1, False))
-                    continue
-                pos = mask.bit_length() - 1
-                if pos not in seen:
-                    orbit = orbit_of((pos,), self.graph.edge_perm_generators)
-                    seen |= orbit
-                    reps.append(((pos,), len(orbit) * class_size[pos], False))
-            return reps
         tables = self._group_tables()
         order = len(tables) + 1
         e = self.edge_count

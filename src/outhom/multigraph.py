@@ -180,11 +180,14 @@ class GraphClass:
     generating set rather than the whole group.  ``edge_perm_generators``
     are their lifts to edge positions other than the identity: a lift sends
     the k-th edge of a parallel class to the k-th edge of its image class,
-    and the lifts form the group Q.  The edge automorphism group is Q times
+    and the lifts form the group Q.  The edge automorphism group G is Q times
     the permutations inside each parallel class, which ``first`` gives: per
     position, the first position of its class (the edges are sorted, so a
-    class's positions are adjacent).  ``canonical_key`` is shared by all
-    graphs isomorphic to ``canon``.
+    class's positions are adjacent).  ``orbit_min`` gives per position the
+    smallest position of its orbit under G: the smallest class-first in
+    the orbit of its class-first under Q, as the lifts map class-firsts to
+    class-firsts.  It is ``first``'s own tuple when the two are equal.
+    ``canonical_key`` is shared by all graphs isomorphic to ``canon``.
     """
 
     canon: Multigraph
@@ -192,6 +195,7 @@ class GraphClass:
     edge_perm_generators: tuple[tuple[int, ...], ...]
     canonical_key: bytes
     first: tuple[int, ...]
+    orbit_min: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,7 @@ class Labeling:
     def graph_class(self) -> GraphClass:
         """The class of ``canon``, with the automorphisms conjugated by
         ``vertex_map`` into canonical labels, their lifts to edge positions
-        and each position's class-first."""
+        and each position's class-first and orbit minimum."""
         perm0 = self.vertex_map
         inv0 = _invert(perm0)
         vertex_gens = tuple(dict.fromkeys(
@@ -223,12 +227,21 @@ class Labeling:
         classes = _class_positions(canon)
         edge_gens = [_edge_map_under(canon, canon, aut, classes) for aut in vertex_gens]
         identity = tuple(range(canon.edge_count))
+        gens = tuple(p for p in dict.fromkeys(edge_gens) if p != identity)
+        first = tuple(classes[e][0] for e in canon.edges)
+        # the class-firsts ascend, so each orbit is met at its smallest
+        smallest: dict[int, int] = {}
+        for f in first:
+            if f not in smallest:
+                smallest.update(dict.fromkeys(orbit_of((f,), gens), f))
+        orbit_min = tuple(smallest[f] for f in first)
         return GraphClass(
             canon=canon,
             vertex_perm_generators=vertex_gens,
-            edge_perm_generators=tuple(p for p in dict.fromkeys(edge_gens) if p != identity),
+            edge_perm_generators=gens,
             canonical_key=self.key,
-            first=tuple(classes[e][0] for e in canon.edges),
+            first=first,
+            orbit_min=first if orbit_min == first else orbit_min,
         )
 
     def edge_map(self, g: Multigraph) -> tuple[int, ...]:

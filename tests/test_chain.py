@@ -23,6 +23,7 @@ from outhom.forests import ForestIndex, block_key_of
 from outhom.multigraph import canonical_labeling, contract_edges, orbit_of
 from outhom.pipeline import _oracle_bases
 from reference_chain import basis_from_labels, contract_edges_mapped, normalize, reference_boundary
+from reference_enum import full_edge_generators
 
 CONTRACT = (("contract", 1),)
 REMOVE = (("remove", 1),)
@@ -580,18 +581,44 @@ def test_one_search_per_edge_orbit(n, p_range, searches, monkeypatch):
     # p = 2 on, one contraction search per edge orbit of each class (189 and
     # 984 searches for the first and third profiles when every position
     # was searched); at p <= 1 every contracted position is already its
-    # orbit's smallest, so the work is unchanged and no orbit table is built
-    from outhom import chain, multigraph
+    # orbit's smallest, so the work is unchanged and no transport is read
+    from outhom import multigraph
     from outhom.pipeline import compute_rank_profile
 
     counts = {"search": 0, "table": 0}
-    real_search, real_table = multigraph._canonical_search, chain._edge_orbits
+    real_search, real_transport = multigraph._canonical_search, ForestIndex.transport
 
     def counted(name, real):
-        return lambda arg: counts.__setitem__(name, counts[name] + 1) or real(arg)
+        return lambda *args: counts.__setitem__(name, counts[name] + 1) or real(*args)
 
     monkeypatch.setattr(multigraph, "_canonical_search", counted("search", real_search))
-    monkeypatch.setattr(chain, "_edge_orbits", counted("table", real_table))
+    monkeypatch.setattr(ForestIndex, "transport", counted("table", real_transport))
     compute_rank_profile(n, p_range=p_range)
     assert counts["search"] == searches
     assert (counts["table"] == 0) == (p_range is not None and max(p_range) <= 1)
+
+
+@pytest.mark.parametrize(
+    "n, max_degree, loops",
+    [(6, 0, False)] + [(n, 2 * n - 3, loops) for n in (2, 3, 4, 5) for loops in (False, True)],
+)
+def test_orbit_min_and_transport(n, max_degree, loops):
+    # every trivalent class at n <= 6 and every closure class at n <= 5:
+    # ``orbit_min`` is each orbit's smallest position, ``transport`` an
+    # automorphism reaching it, and the p <= 1 representatives are those of
+    # an orbit walk over the lifts and the parallel swaps
+    for cls in enumerate_graphs(EnumSpec(n, max_degree, loops)):
+        g = cls.canon
+        fi = ForestIndex(cls)
+        gens = full_edge_generators(cls)
+        reps = []
+        for pos, (u, v) in enumerate(g.edges):
+            assert cls.orbit_min[pos] == _orbit_rep(cls, pos)
+            moved = fi.transport(pos)
+            assert moved[pos] == cls.orbit_min[pos]
+            assert _carried_by_vertices(g, g, moved)
+            orbit = orbit_of((pos,), gens)
+            if min(orbit) == pos and u != v:
+                reps.append(((pos,), len(orbit), False))
+        assert fi.orbit_representatives(0) == [((), 1, False)]
+        assert fi.orbit_representatives(1) == reps
