@@ -56,7 +56,6 @@ class ArtifactStore:
         graphs = enumerate_graphs(spec, threads)
         if self.root is not None:
             self._write(f"{name}.txt", [g.canonical_key.decode("ascii") for g in graphs])
-            self._write(f"{name}.count", [str(len(graphs))])
         return graphs
 
     def basis(
@@ -79,8 +78,14 @@ class ArtifactStore:
                 )
             except (ValueError, KeyError):
                 elements = None
-            # a basis is in key order, which assembly into it relies on
-            if elements is not None and all(a.key < b.key for a, b in pairwise(elements)):
+            # a basis is in key order, which assembly into it relies on, and
+            # each forest is p ascending positions of its graph, which the
+            # boundary kernel indexes by
+            if (
+                elements is not None
+                and all(a.key < b.key for a, b in pairwise(elements))
+                and all(_fits(el.forest, p, el.graph.canon.edge_count) for el in elements)
+            ):
                 return ChainBasis(n=n, p=p, elements=elements)
             self._drop(f"dc-n{n}-p{p}.*", f"dr-n{n}-p{p}.*", f"dr-n{n}-p{p + 1}.*")
         basis = build_chain_basis(n, p, graphs, store, max_basis)
@@ -98,25 +103,21 @@ class ArtifactStore:
         on another kind."""
         if kind not in _PARTS:
             raise ValueError(f"unknown boundary kind {kind!r}")
-        name = f"{kind}-n{basis.n}-p{basis.p}"
-        lines = self._read(f"{name}.txt")
-        labels = self._read(f"{name}.rows.txt")
-        if lines is not None and labels is not None:
+        name = f"{kind}-n{basis.n}-p{basis.p}.txt"
+        lines = self._read(name)
+        if lines is not None:
             try:
-                for line in labels:
-                    parse_label(line)
-                # checked before parsing: the parse allocates by the header's shape
-                if lines[0].split()[:2] != [str(len(labels)), str(basis.dim)]:
-                    raise ValueError(f"{name}.txt does not fit its rows and basis")
+                # checked before parsing: the parse allocates by the header's
+                # shape, and every hash-consed row holds an entry
+                rows, cols, nnz = (int(x) for x in lines[0].split())
+                if cols != basis.dim or (rows > nnz if target is None else rows != target.dim):
+                    raise ValueError(f"{name} does not fit its basis")
                 return SparseIntMat.from_lines(lines)
             except (ValueError, IndexError):
                 pass
-        mat, labels = assemble(basis, _PARTS[kind], store, target)
+        mat = assemble(basis, _PARTS[kind], store, target)
         if self.root is not None:
-            keys = labels if target is None else (el.key for el in target.elements)
-            # rows first: a matrix file is served only beside its row labels
-            self._write(f"{name}.rows.txt", [label_text(k) for k in keys])
-            self._write(f"{name}.txt", mat.to_lines())
+            self._write(name, mat.to_lines())
         return mat
 
     def report(self, n: int, field: str, parse: Callable[[str], Any]) -> Any:
@@ -162,6 +163,17 @@ class ArtifactStore:
         for pattern in patterns:
             for path in self.root.glob(pattern):
                 path.unlink(missing_ok=True)
+
+
+def _fits(forest: tuple[int, ...], p: int, edge_count: int) -> bool:
+    """Whether ``forest`` is ``p`` strictly ascending positions below
+    ``edge_count``; acyclicity and being its orbit's representative are
+    left unchecked, since each costs an orbit scan."""
+    return (
+        len(forest) == p
+        and all(a < b for a, b in pairwise(forest))
+        and (not forest or 0 <= forest[0] and forest[-1] < edge_count)
+    )
 
 
 def _canonical_classes(lines: Sequence[str]) -> Optional[list[GraphClass]]:

@@ -42,10 +42,8 @@ from .enumerator import ResourceCapError
 from .forests import (
     ForestedGraph,
     ForestIndex,
-    ForestKey,
     _mask_positions,
     block_key_of,
-    forest_key,
     mask_order,
 )
 from .multigraph import (
@@ -486,16 +484,16 @@ def assemble(
     parts: Sequence[tuple[str, int]],
     store: ClassStore,
     target: Optional[ChainBasis] = None,
-) -> tuple[SparseIntMat, Optional["RowKeys"]]:
+) -> SparseIntMat:
     """Matrix of the sum of ``scale`` times the ``kind`` boundary over the
-    ``(kind, scale)`` parts, on the columns of ``b``, and the key of each row.
+    ``(kind, scale)`` parts, on the columns of ``b``.
 
     Interned rows are sorted by (class key, :func:`forests.mask_order` of the
     representative mask), which is key order because every row's forest has
-    size ``b.p - 1``: the nonzero rows, keyed by a :class:`RowKeys` built on
-    read; or, walked onto the ``target`` basis's elements in one pass, that
-    basis, which names its rows (keys ``None``) and must hold every key met
-    (else :class:`InconsistencyError`)."""
+    size ``b.p - 1``: the nonzero rows, numbered in that order; or, walked
+    onto the ``target`` basis's elements in one pass, that basis, which must
+    hold every key met (else :class:`InconsistencyError`).  A row's key is
+    not kept: a hash-consed row is known by its number alone."""
     if b.p > 2 and any(kind == "contract" for kind, _ in parts):
         # list the target groups, which the store keeps, before any row is
         # interned: listed among the rows, they would keep the rows' freed
@@ -526,10 +524,8 @@ def assemble(
         for row in row_ids:
             used[row] = 1
     renumber = array("q", bytes(8 * count))
-    classes: list[bytes] = []
-    masks: list[int] = []
     elements = () if target is None else target.elements
-    labels, rows, j = None, len(elements), 0
+    rows, j, kept = len(elements), 0, 0
     for class_key in sorted(interned):
         by_mask = interned.pop(class_key)
         width = (max(by_mask, default=0).bit_length() + 7) // 8
@@ -549,47 +545,29 @@ def assemble(
                     )
                 renumber[row] = j
             elif used[row]:
-                renumber[row] = len(masks)
-                classes.append(class_key)
-                masks.append(rep)
+                renumber[row] = kept
+                kept += 1
     for k, row in enumerate(row_ids):
         row_ids[k] = renumber[row]
     if target is None:
-        labels, rows = RowKeys(classes, masks), len(masks)
+        rows = kept
     # columns ascend within each row already, so a stable sort by row puts
     # the entries in (row, col) order
     order = _counting_order(row_ids, rows)
     row_ids = _take(order, row_ids)
     col_ids = _take(order, col_ids)
     values = _take(order, values)
-    return SparseIntMat.from_arrays(rows, b.dim, row_ids, col_ids, values), labels
-
-
-class RowKeys(Sequence[ForestKey]):
-    """The keys of an assembled matrix's rows, each built when it is read
-    from the row's target class key and representative mask."""
-
-    __slots__ = ("_classes", "_masks")
-
-    def __init__(self, classes: list[bytes], masks: list[int]) -> None:
-        self._classes = classes
-        self._masks = masks
-
-    def __len__(self) -> int:
-        return len(self._masks)
-
-    def __getitem__(self, row: int) -> ForestKey:
-        return forest_key(self._classes[row], self._masks[row])
+    return SparseIntMat.from_arrays(rows, b.dim, row_ids, col_ids, values)
 
 
 def boundary_contract(b: ChainBasis, store: Optional[ClassStore] = None) -> SparseIntMat:
     """Matrix of the contraction boundary on the given basis.
 
     Rows are the distinct one-edge contractions, as orbit representatives,
-    hash-consed and sorted by canonical key; all-zero rows are dropped.
-    For p = 0 the matrix is 0 x dim.
+    hash-consed and numbered in canonical key order; all-zero rows are
+    dropped, and no row keeps its key.  For p = 0 the matrix is 0 x dim.
     """
-    return assemble(b, (("contract", 1),), store or ClassStore())[0]
+    return assemble(b, (("contract", 1),), store or ClassStore())
 
 
 def boundary_remove(
@@ -604,7 +582,7 @@ def boundary_remove(
     hash-consed like in :func:`boundary_contract` (used at forest sizes
     whose predecessor basis is too large to enumerate).
     """
-    return assemble(b, (("remove", 1),), store or ClassStore(), target)[0]
+    return assemble(b, (("remove", 1),), store or ClassStore(), target)
 
 
 def matmul(a: SparseIntMat, b: SparseIntMat) -> SparseIntMat:

@@ -353,7 +353,7 @@ def oracle_full_complex(n: int) -> list[int]:
     bases, store = _oracle_bases(n)
     # the combined boundary, contraction minus removal, into the basis below
     full = (("contract", 1), ("remove", -1))
-    mats = [assemble(bases[k], full, store, bases[k - 1])[0] for k in range(1, len(bases))]
+    mats = [assemble(bases[k], full, store, bases[k - 1]) for k in range(1, len(bases))]
     for k in range(1, len(mats)):
         if matmul(mats[k - 1], mats[k]).nnz:
             raise AssertionError(f"oracle boundary squared nonzero at k={k + 1}")

@@ -10,7 +10,8 @@ It moves a contraction term by that contraction's own canonical labeling
 (``fresh_contraction``), so the production path's maps shared by an edge
 orbit are checked against maps that share nothing.
 The equivalence tests hold the production :func:`outhom.chain.assemble` to
-it, entries and row labels alike.  ``contract_edges_mapped`` is the
+it; since an assembled matrix keeps no row keys, ``assemble_keyed`` reads
+them off the reference once the two matrices are seen to be equal.  ``contract_edges_mapped`` is the
 union-find contraction with its position map, the reference for
 ``multigraph.contract_one_edge``.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from outhom.chain import ChainBasis, ClassStore, InconsistencyError, SparseIntMat
+from outhom.chain import ChainBasis, ClassStore, InconsistencyError, SparseIntMat, assemble
 from outhom.forests import ForestedGraph, ForestIndex, ForestKey, forest_key
 from outhom.multigraph import GraphClass, Multigraph, canonical_labeling
 from outhom.pipeline import _oracle_bases
@@ -163,6 +164,21 @@ def reference_boundary(
         sorted((row_of[key], col, v) for (key, col), v in acc.items() if v != 0)
     )
     return SparseIntMat(len(labels), b.dim, entries), labels
+
+
+def assemble_keyed(
+    b: ChainBasis,
+    parts: Sequence[tuple[str, int]],
+    store: ClassStore,
+    target: Optional[ChainBasis] = None,
+) -> tuple[SparseIntMat, tuple[ForestKey, ...]]:
+    """:func:`outhom.chain.assemble`'s matrix and the key of each of its rows,
+    taken from :func:`reference_boundary` on a store of its own after
+    asserting that the two matrices are equal."""
+    got = assemble(b, parts, store, target)
+    want, keys = reference_boundary(b, parts, ClassStore(), target)
+    assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+    return got, keys
 
 
 def basis_from_labels(

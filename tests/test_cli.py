@@ -264,6 +264,16 @@ class TestGraphsBasisMatrices:
         code, out, _ = run_cli(capsys, "basis", "--n", "3", "--p", "1", "--count-only")
         assert code == 0 and out.strip() == "3"
 
+    def test_basis_listing(self, capsys, bases_by_rank):
+        # one label per element, in basis order, each parsing back to its key
+        from outhom.artifacts import parse_label
+
+        code, out, err = run_cli(capsys, "basis", "--n", "3", "--p", "1")
+        assert code == 0 and err == ""
+        keys = [el.key for el in bases_by_rank[3][1].elements]
+        assert [parse_label(line) for line in out.splitlines()] == keys
+        assert len(keys) == 3
+
     def test_matrices_shapes(self, capsys):
         code, out, _ = run_cli(capsys, "matrices", "--n", "3", "--p", "1")
         assert code == 0
@@ -407,6 +417,56 @@ class TestRunContract:
         assert len(lines) == 1
         assert lines[0] == "n=3 p=2: dc: out of memory (MemoryError()) at a_2=1; leaving a hole"
         assert "Traceback" not in err
+
+    def test_negative_dimension_after_every_retry_exits_3(self, capsys, monkeypatch):
+        # every rank of a nonempty matrix one too high, under each field the
+        # retry policy tries: b_1 = a_1 - 2 at n = 2
+        import outhom.pipeline as pipeline
+
+        real = pipeline.rank_of
+        monkeypatch.setattr(
+            pipeline, "rank_of", lambda m, f, *cap: real(m, f, *cap) + (m.rows > 0)
+        )
+        code, out, err = run_cli(capsys, "homology", "--n", "2")
+        assert code == 3 and out == ""
+        assert err == "rank failure: negative dimensions persisted for n=2 after prime retry\n"
+
+    def test_rank_disagreement_between_primes_exits_3(self, capsys, monkeypatch):
+        # GF(65519) loses the rank of d_C at p = 1, the one 1 x 1 matrix at
+        # n = 2; no dimension goes negative, so no retry hides it
+        import outhom.pipeline as pipeline
+
+        real = pipeline.rank_of
+
+        def rank_of(m, f, *cap):
+            return real(m, f, *cap) - (f.p == 65519 and m.rows == 1)
+
+        monkeypatch.setattr(pipeline, "rank_of", rank_of)
+        code, out, err = run_cli(capsys, "homology", "--n", "2", "--second-prime", "65519")
+        assert code == 3 and out == ""
+        assert err == (
+            "rank failure: rank disagreement between GF(65521) and GF(65519) at n=2: "
+            "b [1, 0] vs [1, 1]; c [0, 0] vs [0, 1]\n"
+        )
+
+    def test_check_mismatch_exits_3(self, capsys, monkeypatch):
+        import outhom.cli as cli
+
+        monkeypatch.setattr(cli, "oracle_full_complex", lambda n: [1, 1])
+        code, out, err = run_cli(capsys, "check", "--n", "2")
+        assert code == 3 and err == "MISMATCH\n"
+        assert out.splitlines() == ["oracle dims:   1,1", "pipeline dims: 1,0"]
+
+    def test_cached_classes_over_the_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the class cap applies to a cached graph file before it is parsed
+        import outhom.artifacts as artifacts
+
+        cache = ("--cache-dir", str(tmp_path))
+        assert run_cli(capsys, "graphs", "--n", "4", "--count-only", *cache)[:2] == (0, "5\n")
+        monkeypatch.setattr(artifacts, "MAX_CLASSES", 4)
+        code, out, err = run_cli(capsys, "homology", "--n", "4", *cache)
+        assert code == 2 and out == ""
+        assert err == "resource cap: class cap 4 exceeded\n"
 
     def test_holed_report_is_recomputed_not_served(self, tmp_path, capsys):
         capped = ("homology", "--n", "4", "--max-nnz", "3", "--cache-dir", str(tmp_path))

@@ -10,7 +10,7 @@ import pytest
 
 from outhom import artifacts
 from outhom.artifacts import ArtifactStore
-from outhom.chain import ClassStore, boundary_contract, boundary_remove, matmul
+from outhom.chain import ClassStore, SparseIntMat, boundary_contract, boundary_remove, matmul
 from outhom.exactla import DEFAULT_PRIMES, FieldSpec, nullspace_of, rank_of
 from outhom.multigraph import Multigraph, apply_vertex_perm
 from outhom.pipeline import (
@@ -276,14 +276,19 @@ class TestCaching:
         assert (rp1.a, rp1.b, rp1.c, rp1.dims) == (rp2.a, rp2.b, rp2.c, rp2.dims)
 
     def test_expected_cache_files(self, tmp_path):
+        # one file per artifact: no row labels beside a matrix, no class
+        # count beside a graph list
         compute_rank_profile(2, cache_dir=str(tmp_path))
         names = {p.name for p in tmp_path.iterdir()}
-        assert "graphs-n2-trivalent.txt" in names
-        assert "graphs-n2-trivalent.count" in names
-        assert "basis-n2-p1.txt" in names
-        assert "dc-n2-p1.txt" in names
-        assert "dr-n2-p1.txt" in names
-        assert "report-n2-65521.json" in names
+        assert names == {
+            "graphs-n2-trivalent.txt",
+            "basis-n2-p0.txt",
+            "basis-n2-p1.txt",
+            "dc-n2-p0.txt",
+            "dc-n2-p1.txt",
+            "dr-n2-p1.txt",
+            "report-n2-65521.json",
+        }
 
     def test_report_json_fields(self, tmp_path):
         compute_rank_profile(2, cache_dir=str(tmp_path))
@@ -425,21 +430,63 @@ class TestArtifactStore:
     canonical searches than there are classes."""
 
     @pytest.mark.parametrize(
-        "name",
-        ["graphs-n4-trivalent.txt", "basis-n4-p2.txt", "dc-n4-p3.txt", "dc-n4-p3.rows.txt"],
+        "name, edit",
+        [
+            ("graphs-n4-trivalent.txt", "relabel"),
+            ("graphs-n4-trivalent.txt", "no graph"),
+            ("basis-n4-p2.txt", "relabel"),
+            ("basis-n4-p2.txt", "non-ascii"),
+            ("basis-n4-p2.txt", "F=40,41"),
+            ("basis-n4-p2.txt", "F=2,6,7"),
+            ("dc-n4-p3.txt", "truncate"),
+            ("dc-n4-p3.txt", "extra row"),
+            ("dr-n4-p3.txt", "extra row"),
+        ],
+        ids=[
+            "graphs-n4-trivalent.txt",
+            "graphs-n4-trivalent.txt-line-not-a-graph",
+            "basis-n4-p2.txt",
+            "basis-n4-p2.txt-non-ascii",
+            "basis-n4-p2.txt-forest-past-the-edges",
+            "basis-n4-p2.txt-forest-of-three",
+            "dc-n4-p3.txt",
+            "dc-n4-p3.txt-rows-above-nnz",
+            "dr-n4-p3.txt-rows-off-basis",
+        ],
     )
-    def test_stale_file_is_recomputed(self, fresh_caches, tmp_path, name):
+    def test_stale_file_is_recomputed(self, fresh_caches, tmp_path, name, edit):
         # graph and basis files get one line relabeled, so that it is not
-        # canonical; the matrix and row-label files lose their last line
+        # canonical, or a line that does not parse, or a non-ASCII byte; the
+        # last basis line's forest gets positions past its graph's nine
+        # edges, or three positions at p = 2, both still in key order, with
+        # the matrices gone so that a served basis would be assembled.  A
+        # matrix file loses its last line, or its header gains a row: a dc
+        # row count above its nnz, or a dr row count other than a_2, the
+        # size of the basis that names its rows; the entries still fit the
+        # shape, so only the header check sees the extra row
         cache = _resumable_copy(fresh_caches[4], tmp_path / "cache")
         path = cache / name
         lines = path.read_text().splitlines()
-        if name.startswith("dc-"):
+        if edit == "truncate":
             lines.pop()
+        elif edit == "extra row":
+            rows, cols, nnz = lines[0].split()
+            rows = str(int(nnz) + 1 if name.startswith("dc-") else int(rows) + 1)
+            lines[0] = f"{rows} {cols} {nnz}"
+        elif edit == "no graph":
+            lines[0] = "V=2 E=0-1,0-1,0-x"
+        elif edit == "non-ascii":
+            lines[0] = "\u00e9" + lines[0]
+        elif edit.startswith("F="):
+            lines[-1] = lines[-1].partition(" | F=")[0] + " | " + edit
+            assert artifacts.parse_label(lines[-2]) < artifacts.parse_label(lines[-1])
+            # a run cut before its matrices, so the resume assembles on the basis
+            for f in cache.glob("d[cr]-*"):
+                f.unlink()
         else:
             i = next(i for i, line in enumerate(lines) if _relabeled(line) != line)
             lines[i] = _relabeled(lines[i])
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         rp = compute_rank_profile(4, cache_dir=str(cache))
         fresh = compute_rank_profile(4)
         assert (rp.a, rp.b, rp.c, rp.dims) == (fresh.a, fresh.b, fresh.c, fresh.dims)
@@ -505,17 +552,40 @@ class TestArtifactStore:
         assert _artifact_digests(cache) == golden["n4"]
         assert compute_rank_profile(4, cache_dir=str(cache)).dims == compute_rank_profile(4).dims
 
-    def test_matrix_checks_row_labels_and_kind(self, bases_by_rank, tmp_path):
-        basis = bases_by_rank[4][3]
+    def test_matrix_header_is_checked_before_the_parse(
+        self, bases_by_rank, tmp_path, monkeypatch
+    ):
+        # a header that does not fit the basis, the target or the entry
+        # count is stale before any entry is parsed, and the file is
+        # rewritten; an unknown kind raises
+        basis, lower = bases_by_rank[4][3], bases_by_rank[4][2]
         cache = ArtifactStore(str(tmp_path))
-        want = cache.matrix("dc", basis, ClassStore())
-        rows = tmp_path / "dc-n4-p3.rows.txt"
-        good = rows.read_bytes()
-        lines = good.decode("ascii").splitlines()
-        rows.write_text("\n".join([lines[0].replace(" | F=", " F=")] + lines[1:]) + "\n")
-        got = cache.matrix("dc", basis, ClassStore())
-        assert rows.read_bytes() == good
-        assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+        want = {
+            "dc": cache.matrix("dc", basis, ClassStore()),
+            "dr": cache.matrix("dr", basis, ClassStore(), lower),
+        }
+        good = {kind: (tmp_path / f"{kind}-n4-p3.txt").read_bytes() for kind in want}
+        parsed = []
+        real = SparseIntMat.from_lines
+        monkeypatch.setattr(
+            SparseIntMat, "from_lines", staticmethod(lambda lines: parsed.append(1) or real(lines))
+        )
+        for kind, shape in [
+            ("dc", lambda r, c, z: (z + 1, c)),
+            ("dc", lambda r, c, z: (r, c + 1)),
+            ("dr", lambda r, c, z: (r - 1, c)),
+            ("dr", lambda r, c, z: (r, c - 1)),
+        ]:
+            path = tmp_path / f"{kind}-n4-p3.txt"
+            header, *entries = good[kind].decode("ascii").splitlines()
+            rows, cols, nnz = map(int, header.split())
+            rows, cols = shape(rows, cols, nnz)
+            path.write_text("\n".join([f"{rows} {cols} {nnz}", *entries]) + "\n")
+            got = cache.matrix(kind, basis, ClassStore(), lower if kind == "dr" else None)
+            assert parsed == [] and path.read_bytes() == good[kind]
+            assert (got.rows, got.cols, got.entries) == (
+                want[kind].rows, want[kind].cols, want[kind].entries,
+            )
         with pytest.raises(ValueError):
             cache.matrix("dx", basis, ClassStore())
 
@@ -548,7 +618,6 @@ class TestArtifactStore:
 def test_pipeline_never_builds_entry_tuples(tmp_path, monkeypatch):
     """Profiles, fresh and resumed from a cache, and the oracle read the
     entry arrays only; ``SparseIntMat.entries`` is for tests."""
-    from outhom.chain import SparseIntMat
 
     def entries(self):
         raise AssertionError("SparseIntMat.entries read")
