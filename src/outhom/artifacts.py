@@ -80,11 +80,12 @@ class ArtifactStore:
                 elements = None
             # a basis is in key order, which assembly into it relies on, and
             # each forest is p ascending positions of its graph, which the
-            # boundary kernel indexes by
+            # boundary kernel indexes by, and a nonzero orbit's representative
             if (
                 elements is not None
                 and all(a.key < b.key for a, b in pairwise(elements))
                 and all(_fits(el.forest, p, el.graph.canon.edge_count) for el in elements)
+                and all(_is_basis_forest(el, store) for el in elements)
             ):
                 return ChainBasis(n=n, p=p, elements=elements)
             self._drop(f"dc-n{n}-p{p}.*", f"dr-n{n}-p{p}.*", f"dr-n{n}-p{p + 1}.*")
@@ -167,13 +168,23 @@ class ArtifactStore:
 
 def _fits(forest: tuple[int, ...], p: int, edge_count: int) -> bool:
     """Whether ``forest`` is ``p`` strictly ascending positions below
-    ``edge_count``; acyclicity and being its orbit's representative are
-    left unchecked, since each costs an orbit scan."""
+    ``edge_count``."""
     return (
         len(forest) == p
         and all(a < b for a, b in pairwise(forest))
         and (not forest or 0 <= forest[0] and forest[-1] < edge_count)
     )
+
+
+def _is_basis_forest(el: ForestedGraph, store: ClassStore) -> bool:
+    """Whether the forest of ``el`` is acyclic and the representative of a
+    nonzero orbit, as :func:`build_chain_basis` lists them: its record is
+    itself, with no sign and no zero flag."""
+    mask = sum(1 << i for i in el.forest)
+    try:
+        return store.forest_index(el.graph).record(mask) == (mask, 1, False)
+    except ValueError:  # a cycle
+        return False
 
 
 def _canonical_classes(lines: Sequence[str]) -> Optional[list[GraphClass]]:

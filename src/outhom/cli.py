@@ -17,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from .artifacts import ArtifactStore, label_text
-from .chain import ClassStore
+from .chain import ClassStore, InconsistencyError
 from .cycleio import parse_cycle, verify_cycle
 from .enumerator import EnumSpec, ResourceCapError
 from .exactla import DEFAULT_PRIMES, FieldSpec
@@ -280,7 +280,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CrossPrimeError, NegativeDimensionError) as exc:
         print(f"rank failure: {exc}", file=sys.stderr)
         return EXIT_CROSS_PRIME
-    except (ValueError, OSError) as exc:  # OSError: an unreadable file or cache
+    # OSError: an unreadable file or cache; InconsistencyError: a boundary
+    # target missing from a basis, as a cached basis lacking a line makes
+    except (ValueError, OSError, InconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

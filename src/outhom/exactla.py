@@ -23,19 +23,27 @@ GF(p) entries as symmetric residues, so +-1 and +-2 are cached ints.
 ``rank_of`` keeps no pivot row, and a row that empties is dropped.  At
 n = 6, p = 9 the core of ``d_C`` takes 132 bytes per entry this way.
 
-``rank_of`` also drops every live row that is a scalar multiple of another
-live row of the same support (LaMacchia & Odlyzko, "Solving large sparse
-linear systems over finite fields", CRYPTO 1990), in one pass each time the
-active columns have halved since the last.  Merge steps make such rows: a
-pivot row with two entries folds one column into another.  A dropped row
-leaves the row space unchanged, so the rank is the same.  ``nullspace_of``
-drops nothing, so its pivots and kernel vectors do not depend on the pass.
+A rank takes two more steps from structured Gaussian elimination
+(LaMacchia & Odlyzko, "Solving large sparse linear systems over finite
+fields", CRYPTO 1990).  Between the peel and the elimination, ``_merge``
+takes every core row that reaches one or two entries in a weighted
+union-find over the columns: a two-entry row folds one column into another
+with no row rewritten, a one-entry row kills a column.  Every row of
+``d_C`` has at most three entries, so at n = 6, p = 9 this takes 3,935 of
+the 5,787 core columns and hands on 11,399 rows of three entries.  Then
+the elimination drops every live row that is a scalar multiple of another
+live row of the same support, in one pass each time the active columns
+have halved since the last, since its own steps on two-entry pivot rows
+make such rows.  A taken row is independent of the rows taken before it
+and a dropped one is not, so the rank is the same.  ``nullspace_of`` takes
+neither step, so its pivots and kernel vectors do not depend on them.
 
 The ``max_nnz`` cap bounds the live entries of the whole input, before the
 peel, and the fill of the elimination of the core, counted after each row
-it reduces, in ascending row order, and after each pass's drops.  A rank
-keeps no pivot row, so it counts a pivot row's entries only until its step
-ends.
+it reduces, in ascending row order, and after each pass's drops.  The
+merge makes no row longer, so a rank's elimination starts from at most the
+core's entries.  A rank keeps no pivot row, so it counts a pivot row's
+entries only until its step ends.
 """
 
 from __future__ import annotations
@@ -110,11 +118,13 @@ class NullspaceBasis:
 
 
 def rank_of(m: SparseIntMat, f: FieldSpec, max_nnz: Optional[int] = None) -> int:
-    """Exact rank of m over f: the pivots of the structural peel plus the
-    rank of the core it leaves (:func:`_peel`)."""
+    """Exact rank of m over f: the pivots of the structural peel
+    (:func:`_peel`), the rows the merge of short rows takes
+    (:func:`_merge`), and the rank of what is left."""
     peel_rows, _, rows, col_rows = _peel(m, f.p, max_nnz)
+    merged = _merge(rows, col_rows, f.p)
     pivots, _, _ = _reduce(rows, col_rows, f.p, max_nnz, pivot_rows=False)
-    return len(peel_rows) + len(pivots)
+    return len(peel_rows) + merged + len(pivots)
 
 
 def nullspace_of(
@@ -302,6 +312,122 @@ def _pivot_row(m: SparseIntMat, r: int, c: int, p: Optional[int]) -> dict:
     }
     inv = pow(row[c], p - 2, p) if p else 1 / row[c]
     return {k: v * inv % p if p else v * inv for k, v in row.items() if v}
+
+
+def _merge(rows: list[dict], col_rows: dict[int, list[int]], p: Optional[int]) -> int:
+    """Takes every row that reaches one or two entries modulo the rows taken
+    before it, in place; returns how many it took.
+
+    A weighted union-find over the core's columns holds what the taken rows
+    say: column c has a root and a factor, with e_c = factor * e_root
+    modulo the taken rows, and a dead root is itself in their span.  So the
+    live roots are a basis of the quotient, and a row reduced over them (dead
+    roots dropped, entries on one root added up, zeros dropped) is its image
+    there.  A pass walks the rows in ascending order and acts on the image's
+    length: 0, the row is dependent and leaves; 1, its root dies; 2, the
+    root of smaller weight (ties: the larger column) goes under the other,
+    a1 e_1 + a2 e_2 = 0 giving e_2 = (-a1 / a2) e_1; 3 or more, the image
+    replaces the row.  Each taken row is independent of the ones before and
+    leaves.  Passes repeat while one took a row, since a row can reach two
+    entries only after later merges; the last pass reduces every row over
+    the final roots.
+
+    The rows that stay and ``col_rows`` are rebuilt in :func:`_reduce`'s
+    input form: renumbered in order, GF(p) entries as symmetric residues on
+    the columns' shared key objects, ascending row lists.  A row that
+    leaves is freed as it goes, and no row gets longer, so the fill
+    ``_reduce`` starts from is at most the core's.
+    """
+    if not col_rows:
+        return 0
+    size = max(col_rows) + 1
+    parent: list = [None] * size
+    for c in col_rows:
+        parent[c] = c
+    col_rows.clear()
+    factor: list = [1] * size
+    weight = [1] * size
+    dead = bytearray(size)
+    half = p // 2 if p else 0
+    gone: dict = {}
+    taken = 0
+
+    def find(c):
+        """The root of c, with the path to it compressed."""
+        path = []
+        r = parent[c]
+        while parent[r] != r:
+            path.append(c)
+            c, r = r, parent[r]
+        f = factor[c]
+        for x in reversed(path):
+            if p:
+                f = factor[x] * f % p
+            else:
+                f = factor[x] * f
+            factor[x] = f
+            parent[x] = r
+        return r
+
+    again = True
+    while again:
+        again = False
+        for i, row in enumerate(rows):
+            if not row:
+                continue
+            if all(parent[c] == c and not dead[c] for c in row):
+                if len(row) > 2:
+                    continue
+                image = row
+            else:
+                image = {}
+                for c, v in row.items():
+                    r = parent[c]
+                    if r != c:
+                        if parent[r] != r:
+                            r = find(c)
+                        v = v * factor[c]
+                    if dead[r]:
+                        continue
+                    w = image.get(r)
+                    image[r] = v if w is None else w + v
+                for r, v in list(image.items()):
+                    if p:
+                        v %= p
+                        if v > half:
+                            v -= p
+                    if v:
+                        image[r] = v
+                    else:
+                        del image[r]
+            if len(image) > 2:
+                rows[i] = image
+                continue
+            rows[i] = gone
+            if not image:
+                continue
+            if len(image) == 1:
+                dead[next(iter(image))] = 1
+            else:
+                (r1, a1), (r2, a2) = image.items()
+                if (weight[r1], r2) < (weight[r2], r1):
+                    r1, a1, r2, a2 = r2, a2, r1, a1
+                # e_2 = -a1 / a2 * e_1, and r2 goes under r1
+                parent[r2] = r1
+                factor[r2] = -a1 * pow(a2, p - 2, p) % p if p else -a1 / a2
+                weight[r1] += weight[r2]
+            taken += 1
+            again = True
+
+    rows[:] = [row for row in rows if row]
+    for i, row in enumerate(rows):
+        for c in row:
+            group = col_rows.get(c)
+            if group is None:
+                col_rows[c] = [i]
+            else:
+                group.append(i)
+    return taken
 
 
 def _reduce(

@@ -182,6 +182,22 @@ class TestValidation:
         assert code == 1 and out == ""
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
+    def test_basis_missing_a_line_is_an_error(self, tmp_path, capsys):
+        # the last line of a cached p = 2 basis dropped, with the matrices
+        # and the report gone: every line passes its checks, and the p = 3
+        # removal boundary meets a target that is not in the basis
+        code, _, _ = run_cli(capsys, "homology", "--n", "4", "--cache-dir", str(tmp_path))
+        assert code == 0
+        for f in tmp_path.iterdir():
+            if f.name.startswith(("dc-", "dr-", "report-")):
+                f.unlink()
+        path = tmp_path / "basis-n4-p2.txt"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        code, out, err = run_cli(capsys, "homology", "--n", "4", "--cache-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: boundary target ") and err.count("\n") == 1
+        assert err.endswith(" missing from the p=2 basis\n")
+
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["homology", "--bogus"]) == 1
 

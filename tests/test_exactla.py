@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outhom.chain import SparseIntMat, boundary_contract, boundary_remove, matmul, vstack
 from outhom.enumerator import ResourceCapError
@@ -14,6 +16,7 @@ from outhom.exactla import (
     _backsolve,
     _drop_repeats,
     _is_prime,
+    _merge,
     _peel,
     _pivot_row,
     _reduce,
@@ -452,23 +455,26 @@ class TestGuards:
             nullspace_of(m, GF1, max_nnz=10)
 
     def test_rank_cap_counts_live_rows_only(self):
-        # nothing peels off this matrix, and a rank releases each pivot row
-        # when its step ends: the live rows never hold more than 23 entries
-        # over GF(3), so a cap of 23 passes.  A kernel keeps its pivot rows
-        # and counts 25, which a rank counted too while it held none.
+        # nothing peels off this matrix.  A rank merges row 0's two entries
+        # into one column, then releases each pivot row when its step ends:
+        # its live rows never hold more than 31 entries over GF(3), so a cap
+        # of 31 passes.  Without the merge they would reach 33, and a kernel
+        # keeps its pivot rows and counts 34.
         gf3 = FieldSpec.prime(3)
-        m = SparseIntMat(7, 11, (
-            (0, 3, -1), (0, 6, 1), (0, 8, 1), (1, 0, -1), (1, 7, -1), (1, 9, -1),
-            (1, 10, 1), (2, 1, 1), (2, 3, -1), (2, 4, 1), (3, 7, 1), (3, 9, 1),
-            (3, 10, -1), (4, 0, 1), (4, 1, -1), (4, 5, 1), (4, 7, -1), (5, 4, 1),
-            (5, 9, 1), (6, 5, -1), (6, 6, -1), (6, 8, -1),
+        m = SparseIntMat(8, 13, (
+            (0, 1, 1), (0, 4, -1), (1, 5, 1), (1, 6, -1), (1, 11, -1), (2, 0, 1),
+            (2, 1, 1), (2, 2, 1), (2, 7, 1), (2, 10, -1), (3, 1, 1), (3, 2, -1),
+            (3, 6, 1), (3, 12, -1), (4, 1, 1), (4, 6, -1), (4, 12, -1), (5, 0, 1),
+            (5, 3, 1), (5, 5, -1), (5, 8, -1), (5, 11, 1), (6, 4, 1), (6, 7, -1),
+            (6, 8, -1), (6, 10, 1), (6, 11, 1), (7, 3, 1), (7, 6, 1), (7, 8, 1),
         ))
         assert not _peel(m, 3)[0]
-        assert _reference_eliminate(m, 3, drop_repeats=True)[2] == 23
-        assert _reference_eliminate(m, 3)[2] == 25
-        assert rank_of(m, gf3, max_nnz=23) == bareiss_rank(m) == 7
-        with pytest.raises(ResourceCapError, match="elimination fill 23 exceeded cap 22"):
-            rank_of(m, gf3, max_nnz=22)
+        assert _reference_eliminate(m, 3, drop_repeats=True, merge=True)[2] == 31
+        assert _reference_eliminate(m, 3, drop_repeats=True)[2] == 33
+        assert _reference_eliminate(m, 3)[2] == 34
+        assert rank_of(m, gf3, max_nnz=31) == bareiss_rank(m) == 8
+        with pytest.raises(ResourceCapError, match="elimination fill 31 exceeded cap 30"):
+            rank_of(m, gf3, max_nnz=30)
 
 
 def _reference_drop(rows, taken, col_rows, p):
@@ -494,7 +500,74 @@ def _reference_drop(rows, taken, col_rows, p):
     return dropped, entries
 
 
-def _reference_eliminate(m, p, max_nnz=None, events=None, drop_repeats=False):
+def _reference_merge(rows, p, events=None):
+    """The specification of :func:`_merge` on dict rows, with GF(p) entries
+    as standard residues or, when p is None, rationals: returns the rows it
+    took and the live roots, and leaves the image of every other row in
+    ``rows`` (a taken or dependent row as an empty dict).
+
+    A plain union-find: ``parent[c]`` is ``(parent, factor)`` with
+    e_c = factor * e_parent modulo the taken rows, found by walking the
+    whole path every time.  ``events`` counts the cases: ``merge`` and
+    ``kill`` (an image of two entries or one), ``dependent`` (none),
+    ``late`` (a row taken after the first pass), ``dead`` (an entry on a
+    dead root), ``balanced`` and ``unbalanced`` (a row whose entries
+    collide on one root and whose image is then empty or one entry long:
+    the closing row of a cycle whose factors multiply to 1 or not).
+    """
+    def norm(v):
+        return v % p if p else v
+
+    parent = {c: (c, 1) for row in rows for c in row}
+    weight = dict.fromkeys(parent, 1)
+    dead = set()
+    taken = passes = 0
+    again = True
+    while again:
+        again = False
+        passes += 1
+        for i, row in enumerate(rows):
+            if not row:
+                continue
+            image = {}
+            collided = False
+            for c, v in row.items():
+                f = 1
+                while parent[c][0] != c:
+                    c, g = parent[c]
+                    f = norm(f * g)
+                if c in dead:
+                    if events is not None:
+                        events["dead"] += 1
+                    continue
+                collided |= c in image
+                image[c] = norm(image.get(c, 0) + v * f)
+            image = {c: v for c, v in image.items() if v}
+            if len(image) > 2:
+                rows[i] = image
+                continue
+            rows[i] = {}
+            if events is not None:
+                events[("dependent", "kill", "merge")[len(image)]] += 1
+                if collided and len(image) < 2:
+                    events[("balanced", "unbalanced")[len(image)]] += 1
+                events["late"] += bool(image) and passes > 1
+            if not image:
+                continue
+            if len(image) == 1:
+                dead.update(image)
+            else:
+                # the root of larger weight stays a root; ties: the smaller column
+                (r1, a1), (r2, a2) = sorted(image.items(), key=lambda e: (-weight[e[0]], e[0]))
+                parent[r2] = (r1, norm(-a1 * pow(a2, p - 2, p)) if p else -a1 / a2)
+                weight[r1] += weight[r2]
+            taken += 1
+            again = True
+    live = {c for c, (up, _) in parent.items() if up == c and c not in dead}
+    return taken, live
+
+
+def _reference_eliminate(m, p, max_nnz=None, events=None, drop_repeats=False, merge=False):
     """Elimination that scans every active column for the pivot column.
 
     The specification of :func:`_reduce` on a whole matrix: the pivot column is
@@ -510,14 +583,22 @@ def _reference_eliminate(m, p, max_nnz=None, events=None, drop_repeats=False):
     they were at the last drop (the whole matrix's, for the first),
     :func:`_reference_drop` drops repeated rows (``events["drop"]`` counts
     them), and a pivot row's entries leave the count when its step ends.
+    With ``merge`` as well, :func:`_reference_merge` first takes the rows
+    that reach two entries or fewer, and the elimination starts from the
+    images of the rest, as ``rank_of`` runs it on a matrix that nothing
+    peels off; the pivots returned are then the elimination's only.
     """
     cancelled = set()
     rows = [dict() for _ in range(m.rows)]
-    col_rows = {}
     for r, c, v in m.entries:
         v %= p
         if v:
             rows[r][c] = v
+    if merge:
+        _reference_merge(rows, p)
+    col_rows = {}
+    for r, row in enumerate(rows):
+        for c in row:
             col_rows.setdefault(c, set()).add(r)
     nnz = peak = sum(len(rw) for rw in rows)
     pivots, piv_rows = [], []
@@ -835,3 +916,111 @@ class TestDropRepeats:
         kernel_pivots, _, kernel_peak = _reduce(*_core(m, p), p)
         assert rank_peak == start < start + 3 <= kernel_peak
         assert len(rank_pivots) == len(kernel_pivots) == bareiss_rank(m)
+
+
+def _merge_case(rng, q):
+    """A random matrix whose peeled core the merge acts on.  Filler rows of
+    three to five entries keep most columns from peeling, beside:
+
+    - a chain of two-entry rows over the columns in a random order;
+    - rows that close a triangle of that chain: a combination of two
+      neighbouring chain rows (a balanced cycle), or the same with one
+      coefficient moved by 1 (unbalanced) or by ``q`` (balanced over GF(q)
+      only); an unbalanced cycle kills its root, and later rows meet it dead;
+    - three-entry rows over two neighbouring chain columns, which reach two
+      entries only once the chain row between them is merged;
+    - entries that are, or are near, multiples of ``q``.
+
+    The rows are shuffled, so a row can come before the merges it needs."""
+    cols = rng.randint(4, 16)
+    near = (1, -1, 2, -3, q - 1, q + 1, (q + 1) // 2, 2 * q + 1, q)
+    order = rng.sample(range(cols), cols)
+    chain = [{a: rng.choice(near), b: rng.choice(near)} for a, b in zip(order, order[1:])]
+    del chain[rng.randint(1, len(chain)):]
+    rows = list(chain)
+    for _ in range(rng.randint(0, 3) if len(chain) > 1 else 0):
+        i = rng.randrange(len(chain) - 1)
+        a, b, c = order[i : i + 3]
+        u, v = chain[i][a], chain[i][b]
+        w, z = chain[i + 1][b], chain[i + 1][c]
+        # w * (u e_a + v e_b) - v * (w e_b + z e_c)
+        rows.append({a: w * u + rng.choice((0, 0, 1, q)), c: -v * z})
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(chain))
+        extra = rng.randrange(cols)
+        rows.append({extra: rng.choice(near), order[i]: rng.choice(near), order[i + 1]: rng.choice(near)})
+    for _ in range(rng.randint(cols // 2, cols)):
+        rows.append({c: rng.choice(near) for c in rng.sample(range(cols), rng.randint(3, min(5, cols)))})
+    rng.shuffle(rows)
+    return _from_rows([{c: v for c, v in row.items() if v} for row in rows], cols)
+
+
+def _rows_of(m):
+    rows = [dict() for _ in range(m.rows)]
+    for r, c, v in m.entries:
+        rows[r][c] = v
+    return rows
+
+
+class TestMerge:
+    """``rank_of`` takes the rows that reach one or two entries in a
+    union-find over the core's columns (:func:`_merge`) before the
+    elimination.  Its ranks are checked against references that share no
+    code with it: over Q the fraction-free Bareiss rank, over GF(p) a dense
+    row reduction mod p (Bareiss over Q would miss the entries that are
+    multiples of p)."""
+
+    FIELDS = TestDropRepeats.FIELDS
+
+    @FIELDS
+    def test_rank_matches_references(self, p):
+        rng = random.Random(1990)
+        q = p or DEFAULT_PRIMES[0]
+        events = Counter()
+        for _ in range(150):
+            m = _merge_case(rng, q)
+            want = rank_of_vectors(_rows_of(m), p) if p else bareiss_rank(m)
+            assert rank_of(m, FieldSpec(p)) == want
+            _reference_merge(_peel(m, p)[2], p, events)
+        # chains, both kinds of cycle, dead roots and late merges all occur
+        for case in ("merge", "kill", "dependent", "late", "dead", "balanced", "unbalanced"):
+            assert events[case], case
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([DEFAULT_PRIMES[0], 3, None]))
+    def test_rows_handed_on_are_long_and_on_live_roots(self, rng, p):
+        m = _merge_case(rng, p or DEFAULT_PRIMES[0])
+        _, _, rows, col_rows = _peel(m, p)
+        images = [dict(row) for row in rows]
+        taken, live = _reference_merge(images, p)
+        assert _merge(rows, col_rows, p) == taken
+        assert all(len(row) >= 3 and row.keys() <= live for row in rows)
+        if p:
+            assert all(-(p // 2) <= v <= p // 2 for row in rows for v in row.values())
+            images = [{c: v % p for c, v in image.items()} for image in images]
+            assert [{c: v % p for c, v in row.items()} for row in rows] == [x for x in images if x]
+        else:
+            assert rows == [x for x in images if x]
+        # _reduce's input form: ascending row lists, one key object a column
+        want = {}
+        for i, row in enumerate(rows):
+            for c in row:
+                want.setdefault(c, []).append(i)
+        assert col_rows == want
+        assert all(c is next(k for k in col_rows if k == c) for row in rows for c in row)
+
+    @FIELDS
+    def test_chain_and_cycles_by_hand(self, p):
+        # e0 - e1 and e1 + 2 e2 put e1 and e2 under e0; e0 + 2 e2 closes a
+        # balanced triangle (row 0 + row 1) and is dependent, e0 + e2 an
+        # unbalanced one, which kills the root of e0, e1 and e2.  The last
+        # row keeps only e3..e5.
+        plain = [{0: 1, 1: -1}, {1: 1, 2: 2}, {0: 1, 2: 2}, {0: 1, 2: 1},
+                 {0: 1, 3: 1, 4: 1, 5: 1}]
+        rows = [{c: _symmetric(v, p) for c, v in row.items()} for row in plain]
+        col_rows = {c: [i for i, row in enumerate(rows) if c in row] for c in range(6)}
+        assert _merge(rows, col_rows, p) == 3
+        assert [{c: v % p if p else v for c, v in row.items()} for row in rows] == [{3: 1, 4: 1, 5: 1}]
+        assert col_rows == {3: [0], 4: [0], 5: [0]}
+        m = _from_rows(plain, 6)
+        assert rank_of(m, FieldSpec(p)) == bareiss_rank(m) == 4

@@ -438,6 +438,9 @@ class TestArtifactStore:
             ("basis-n4-p2.txt", "non-ascii"),
             ("basis-n4-p2.txt", "F=40,41"),
             ("basis-n4-p2.txt", "F=2,6,7"),
+            ("basis-n4-p2.txt", "+F=5,6"),
+            ("basis-n4-p2.txt", "+F=2,6"),
+            ("basis-n4-p2.txt", "+F=5,7"),
             ("dc-n4-p3.txt", "truncate"),
             ("dc-n4-p3.txt", "extra row"),
             ("dr-n4-p3.txt", "extra row"),
@@ -449,6 +452,9 @@ class TestArtifactStore:
             "basis-n4-p2.txt-non-ascii",
             "basis-n4-p2.txt-forest-past-the-edges",
             "basis-n4-p2.txt-forest-of-three",
+            "basis-n4-p2.txt-cyclic-forest-appended",
+            "basis-n4-p2.txt-non-representative-appended",
+            "basis-n4-p2.txt-zero-orbit-appended",
             "dc-n4-p3.txt",
             "dc-n4-p3.txt-rows-above-nnz",
             "dr-n4-p3.txt-rows-off-basis",
@@ -458,7 +464,10 @@ class TestArtifactStore:
         # graph and basis files get one line relabeled, so that it is not
         # canonical, or a line that does not parse, or a non-ASCII byte; the
         # last basis line's forest gets positions past its graph's nine
-        # edges, or three positions at p = 2, both still in key order, with
+        # edges, or three positions at p = 2, both still in key order, or a
+        # line of the last graph is appended after it: the 2-cycle of its
+        # parallel edges 5 and 6, the forest {2, 6} of the orbit that
+        # {2, 5} represents, or {5, 7}, whose orbit is zero; each edit leaves
         # the matrices gone so that a served basis would be assembled.  A
         # matrix file loses its last line, or its header gains a row: a dc
         # row count above its nnz, or a dr row count other than a_2, the
@@ -477,8 +486,12 @@ class TestArtifactStore:
             lines[0] = "V=2 E=0-1,0-1,0-x"
         elif edit == "non-ascii":
             lines[0] = "\u00e9" + lines[0]
-        elif edit.startswith("F="):
-            lines[-1] = lines[-1].partition(" | F=")[0] + " | " + edit
+        elif edit.startswith(("F=", "+F=")):
+            line = lines[-1].partition(" | F=")[0] + " | " + edit.lstrip("+")
+            if edit.startswith("+"):
+                lines.append(line)
+            else:
+                lines[-1] = line
             assert artifacts.parse_label(lines[-2]) < artifacts.parse_label(lines[-1])
             # a run cut before its matrices, so the resume assembles on the basis
             for f in cache.glob("d[cr]-*"):
