@@ -198,7 +198,8 @@ def _reducible_ties(child: Multigraph) -> Optional[list[Edge]]:
     edge lies in no 2-edge cut: a loop made by smoothing always comes with
     a bridge.  The invariant of an edge is (multiplicity, triangles through
     it, 4-cycles through it), the cycles counted by their vertices, once
-    per endpoint pair.
+    per endpoint pair, and compares as a tuple: the 4-cycles are counted
+    only for an edge that ties the inserted one on the first two.
     """
     mult = child.multiplicity()
     nbrs: list[list[int]] = [[] for _ in range(child.vertex_count)]
@@ -209,25 +210,31 @@ def _reducible_ties(child: Multigraph) -> Optional[list[Edge]]:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
 
-    def invariant(a: int, b: int) -> tuple[int, int, int]:
+    def squares(a: int, b: int) -> int:
         ends = adj[b] & ~(1 << a)
-        squares = 0
+        count = 0
         for c in nbrs[a]:
             if c != b:
-                squares += (adj[c] & ends).bit_count()
-        return mult[(a, b)], (adj[a] & adj[b]).bit_count(), squares
+                count += (adj[c] & ends).bit_count()
+        return count
 
     x = child.vertex_count - 2
     xy = (x, x + 1)
-    inserted = invariant(*xy)
+    inserted = mult[xy], (adj[x] & adj[x + 1]).bit_count()
+    inserted_squares = squares(*xy)
     larger: list[Edge] = []
     ties: list[Edge] = []
-    for edge in mult:
-        f = invariant(*edge)
-        if f > inserted:
+    for edge, m in mult.items():
+        a, b = edge
+        f = m, (adj[a] & adj[b]).bit_count()
+        if f == inserted:
+            f_squares = squares(a, b)
+            if f_squares == inserted_squares:
+                ties.append(edge)
+            elif f_squares > inserted_squares:
+                larger.append(edge)
+        elif f > inserted:
             larger.append(edge)
-        elif f == inserted:
-            ties.append(edge)
     if ties == [xy] and not larger:
         return ties
     reducible = _reducible_edges(child)

@@ -11,16 +11,22 @@ The canonical labeling here is a small self-contained partition-refinement
 canonicalizer: graphs in this project have at most ~2 dozen vertices, so a
 backtracking search over refined partitions, pruned with the automorphisms
 it has found, is entirely adequate.  Refinement compares the vertices of a
-cell by integer signatures, the sorted ``cell * k + multiplicity`` over
-their neighbours.  :func:`canonical_labeling` returns the search result and
-the canonical key; :meth:`Labeling.graph_class` builds from it the class,
-with generators of the automorphism group on vertices, their lifts to edge
-positions and the parallel classes, so callers that deduplicate by key
-build a class only on a key's first occurrence.
+cell by one integer each: the multiset of ``cell * k + multiplicity`` over
+their neighbours, k above every multiplicity, written as digits in a base
+W above every valence with the smallest value in the highest digit.  No
+digit carries, and two vertices of one cell have one valence, so one
+vertex's sorted tuple of those values is never a proper prefix of
+another's: descending integers order the vertices exactly as the
+ascending tuples would.  :func:`canonical_labeling` returns the search
+result and the canonical key; :meth:`Labeling.graph_class` builds from it
+the class, with generators of the automorphism group on vertices, their
+lifts to edge positions and the parallel classes, so callers that
+deduplicate by key build a class only on a key's first occurrence.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -278,44 +284,62 @@ def _canonical_search(
     the first minimal leaf is the one the unpruned search would find.
     """
     v_cnt = g.vertex_count
-    mult = [[0] * v_cnt for _ in range(v_cnt)]
+    pair_mult = Counter(g.edges)
+    val = [0] * v_cnt
     loops = [0] * v_cnt
-    for u, v in g.edges:
+    k = 1
+    for (u, v), m in pair_mult.items():
+        val[u] += m
+        val[v] += m
         if u == v:
-            loops[u] += 1
-        else:
-            mult[u][v] += 1
-            mult[v][u] += 1
-    val = g.valences()
-    # A vertex's refinement signature is the sorted tuple of
-    # ``cell * k + m`` over its neighbours, m the edge multiplicity: with
-    # k above every m this orders as the (cell, m) pairs do.  Loops need no
-    # term: the initial cells split on them and refinement only splits.
-    k = 1 + max(max(row) for row in mult)
-    nbrs = [[(u, m) for u, m in enumerate(row) if m] for row in mult]
+            loops[u] = m
+        elif m >= k:
+            k = m + 1
+    s = max(val).bit_length()
+    top = v_cnt * k
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(v_cnt)]
+    for (u, v), m in pair_mult.items():
+        if u != v:
+            nbrs[u].append((v, s * m))
+            nbrs[v].append((u, s * m))
 
+    # A vertex's refinement signature is one int: the sum over its
+    # neighbours u, m the edge multiplicity, of W ** (top - (cell(u) * k + m)),
+    # with k above every m and W = 2 ** s above every valence.  So it is the
+    # multiset of ``cell * k + m`` written in base W, the smallest value in
+    # the highest digit, and no digit carries: a value occurs at most
+    # valence times.  Two vertices of one cell share their valence and loop
+    # count, so neither's sorted ``cell * k + m`` tuple is a proper prefix
+    # of the other's (the m of the extra entries would add to the
+    # valence), and descending ints order exactly as the ascending tuples
+    # do.  Loops need no term: the initial cells split on them and
+    # refinement only splits.
     def refine(cells: list[list[int]]) -> list[list[int]]:
-        cell_base = [0] * v_cnt
+        # weight[u] is W ** (top - cell(u) * k); a neighbour of multiplicity
+        # m adds it shifted right by s * m bits (``nbrs`` holds the shifts)
+        weight = [0] * v_cnt
         while True:
             for ci, cell in enumerate(cells):
-                base = ci * k
+                w = 1 << s * (top - ci * k)
                 for v in cell:
-                    cell_base[v] = base
+                    weight[v] = w
             new_cells: list[list[int]] = []
             changed = False
             for cell in cells:
                 if len(cell) == 1:
                     new_cells.append(cell)
                     continue
-                sigs: dict[tuple[int, ...], list[int]] = {}
+                sigs: dict[int, list[int]] = {}
                 for v in cell:
-                    sig = tuple(sorted([cell_base[u] + m for u, m in nbrs[v]]))
+                    sig = 0
+                    for u, shift in nbrs[v]:
+                        sig += weight[u] >> shift
                     sigs.setdefault(sig, []).append(v)
                 if len(sigs) == 1:
                     new_cells.append(cell)
                     continue
                 changed = True
-                for sig in sorted(sigs):
+                for sig in sorted(sigs, reverse=True):
                     new_cells.append(sigs[sig])
             cells = new_cells
             if not changed:

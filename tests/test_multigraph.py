@@ -360,6 +360,91 @@ class TestPrunedSearch:
         _assert_matches_reference(g)
 
 
+def _star(m):
+    """K_{1,m}: the hub 0 and m leaves."""
+    return Multigraph(m + 1, tuple((0, i) for i in range(1, m + 1)))
+
+
+def _hub(m):
+    """A hub joined by m parallel edges to each of three leaves, which make
+    up one cell."""
+    return Multigraph(4, tuple((0, i) for i in range(1, 4) for _ in range(m)))
+
+
+def _rose(loops):
+    return Multigraph(1, ((0, 0),) * loops)
+
+
+def _carry(w):
+    """Two vertices a = 0 and b = 1 of valence 2w + 1, the largest, that a
+    base-w signature orders the wrong way round.
+
+    a has w double edges into the valence-2 cell and one edge into the
+    valence-3 cell; b has one edge into the valence-2 cell and 2w into the
+    valence-4 cell.  As sorted (cell, multiplicity) tuples b comes first,
+    by its single edge into the valence-2 cell.  In base w, a's w double
+    edges carry into the digit of that single edge, and a's edge into the
+    valence-3 cell then puts a first.
+    """
+    a, b = 0, 1
+    xa = list(range(2, w + 2))
+    xb, y = w + 2, w + 3
+    zs = list(range(w + 4, 3 * w + 4))
+    leaves = iter(range(3 * w + 4, 5 * w + 7))
+    edges = [(a, x) for x in xa for _ in range(2)]
+    edges += [(b, xb), (xb, next(leaves))]
+    edges += [(a, y), (y, next(leaves)), (y, next(leaves))]
+    for i, z in enumerate(zs):
+        edges += [(b, z), (z, zs[(i + 1) % len(zs)]), (z, next(leaves))]
+    g = Multigraph(5 * w + 7, tuple(edges))
+    # a and b have the largest valence, so base w is at most half of it
+    val = g.valences()
+    assert val[a] == val[b] == max(val) == 2 * w + 1
+    assert sorted(set(val)) == [1, 2, 3, 4, 2 * w + 1]
+    return g
+
+
+class TestSignatureWeights:
+    """Refinement's integer signatures order each cell as the sorted
+    (cell, multiplicity) tuples of the unpruned reference search do: on
+    valences at and next to powers of two, on multiplicities up to 4, on
+    loops alone, and on the ``_carry`` graphs.
+
+    Those pin the base of the signatures: with a base of at most half the
+    largest valence, ``_carry(w)`` reorders a cell.  A carry out of a
+    multiplicity-1 digit lands in its cell's unused multiplicity-0 digit
+    and reorders nothing, so a base of at least 2 above half the largest
+    valence orders every cell as the base above the largest valence does.
+    """
+
+    GRAPHS = (
+        [_star(m) for m in (3, 4, 7, 8)]
+        + [_hub(m) for m in (1, 2, 3, 4)]
+        + [_rose(loops) for loops in range(1, 6)]
+        + [_carry(w) for w in (2, 4)]
+    )
+
+    @pytest.mark.parametrize("index", range(len(GRAPHS)))
+    def test_deterministic_graphs(self, index):
+        g = self.GRAPHS[index]
+        _assert_matches_reference(g)
+        rng = random.Random(index)
+        perm = list(range(g.vertex_count))
+        rng.shuffle(perm)
+        _assert_matches_reference(apply_vertex_perm(g, perm))
+
+    def test_every_class_of_rank4_with_loops(self):
+        rng = random.Random(4)
+        graphs = enumerate_graphs(EnumSpec(4, max_degree=5, allow_loops=True))
+        for cls in graphs:
+            g = cls.canon
+            _assert_matches_reference(g)
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            _assert_matches_reference(apply_vertex_perm(g, perm))
+        assert any(u == v for cls in graphs for u, v in cls.canon.edges)
+
+
 def test_every_search_goes_through_the_module_search(monkeypatch, trivalent_by_rank):
     """Each entry point searches through ``multigraph._canonical_search`` as
     looked up on the module, once per graph it labels; there is no second
